@@ -23,21 +23,14 @@ import numpy as np
 
 from .diagnostics import compute_record
 from .errors import FlowBreakdownError, StepRejectedError
-from .spectral import GridFunction, PeriodicGrid, deriv
-from .support import SupportGrid, curvature
+from .spectral import GridFunction, PeriodicGrid
+from .support import SupportGrid
 
 VARIANTS = ("unscaled", "rescaled_chainrule", "rescaled_paper")
 SCHEMES = ("explicit_rk4", "semi_implicit")
 
 RK4_REAL_AXIS = 2.7       # RK4 real-axis stability bound 2.79, rounded down
 MAX_HALVINGS = 40
-
-try:  # optional compiled fast path; the numpy route below is the reference
-    import numba
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    numba = None
-    _HAVE_NUMBA = False
 
 
 @dataclass
@@ -110,23 +103,19 @@ def variant_shift(variant: str, omega: int) -> float:
 
 def rhs_unscaled(s: SupportGrid) -> GridFunction:
     """Flow velocity F = k_thth + k."""
-    k = curvature(s)
-    return k.copy_with(deriv(k, 2).values + k.values)
+    return rhs_for_variant(s, "unscaled")
 
 
 def rhs_rescaled(s: SupportGrid, variant: str) -> GridFunction:
     """Rescaled velocity k_thth + k - lam*h for the requested variant."""
     if variant not in ("rescaled_chainrule", "rescaled_paper"):
         raise ValueError("variant must be a rescaled variant")
-    lam = variant_shift(variant, s.omega)
-    f = rhs_unscaled(s)
-    return f.copy_with(f.values - lam * s.values)
+    return rhs_for_variant(s, variant)
 
 
 def rhs_for_variant(s: SupportGrid, variant: str) -> GridFunction:
-    if variant == "unscaled":
-        return rhs_unscaled(s)
-    return rhs_rescaled(s, variant)
+    lam = variant_shift(variant, s.omega)
+    return s.h.copy_with(velocity(s.values, workspace(s.grid).D2I, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +148,32 @@ def workspace(grid: PeriodicGrid) -> _Workspace:
 
 
 # ---------------------------------------------------------------------------
-# explicit RK4 span integrator (numpy reference; numba-compiled when present)
+# velocity kernel and steppers
 
-def _rk4_span_py(h, t, t_stop, D2I, lam, c_stab, max_dt, guard_ratio):
+def velocity(h, D2I, lam, w=None):
+    """F(h) = D2I @ (1/w) - lam*h, i.e. k_thth + k - lam*h with k = 1/w.
+
+    w = D2I @ h is the radius of curvature h_thth + h; pass it when already
+    known to save one operator apply.
+    """
+    if w is None:
+        w = D2I @ h
+    f = D2I @ (1.0 / w)
+    if lam == 0.0:
+        return f
+    return f - lam * h
+
+
+def _rk4_attempt(h, w, dt, D2I, lam):
+    """One classical RK4 step of size dt from h, with w = D2I @ h."""
+    f1 = velocity(h, D2I, lam, w)
+    f2 = velocity(h + (0.5 * dt) * f1, D2I, lam)
+    f3 = velocity(h + (0.5 * dt) * f2, D2I, lam)
+    f4 = velocity(h + dt * f3, D2I, lam)
+    return h + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+
+
+def _rk4_span(h, t, t_stop, D2I, lam, c_stab, max_dt, guard_ratio):
     """Advance to t_stop with adaptive guarded RK4 steps.
 
     Returns (h, t, dt_last, status): status 0 = reached t_stop,
@@ -169,9 +181,9 @@ def _rk4_span_py(h, t, t_stop, D2I, lam, c_stab, max_dt, guard_ratio):
     """
     dt_last = 0.0
     tol = 1e-14 * max(1.0, abs(t_stop))
+    w = D2I @ h
+    margin = w.min()
     while t_stop - t > tol:
-        w = D2I @ h
-        margin = np.min(w)
         if not margin > 0.0:
             return h, t, dt_last, 2
         dt = c_stab * margin * margin
@@ -182,18 +194,11 @@ def _rk4_span_py(h, t, t_stop, D2I, lam, c_stab, max_dt, guard_ratio):
             dt = rem
         halvings = 0
         while True:
-            f1 = D2I @ (1.0 / w) - lam * h
-            h2 = h + (0.5 * dt) * f1
-            f2 = D2I @ (1.0 / (D2I @ h2)) - lam * h2
-            h3 = h + (0.5 * dt) * f2
-            f3 = D2I @ (1.0 / (D2I @ h3)) - lam * h3
-            h4 = h + dt * f3
-            f4 = D2I @ (1.0 / (D2I @ h4)) - lam * h4
-            hn = h + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            hn = _rk4_attempt(h, w, dt, D2I, lam)
             wn = D2I @ hn
-            mn = np.min(wn)
-            if np.isfinite(mn) and mn >= guard_ratio * margin:
-                h = hn
+            mn = wn.min()
+            if math.isfinite(mn) and mn >= guard_ratio * margin:
+                h, w, margin = hn, wn, mn
                 t = t + dt
                 dt_last = dt
                 break
@@ -204,29 +209,18 @@ def _rk4_span_py(h, t, t_stop, D2I, lam, c_stab, max_dt, guard_ratio):
     return h, t, dt_last, 0
 
 
-if _HAVE_NUMBA:
-    _rk4_span_jit = numba.njit(cache=True)(_rk4_span_py)
-else:  # pragma: no cover
-    _rk4_span_jit = None
+def _semi_implicit_attempt(h, w, dt, ws, lam, stab_coeff):
+    """One linearly stabilized step from h, with w = D2I @ h.
 
-
-def _rk4_span(h, t, t_stop, D2I, lam, c_stab, max_dt, guard_ratio):
-    if _rk4_span_jit is not None:
-        return _rk4_span_jit(h, t, t_stop, D2I, lam, c_stab, max_dt, guard_ratio)
-    return _rk4_span_py(h, t, t_stop, D2I, lam, c_stab, max_dt, guard_ratio)
-
-
-def _semi_implicit_attempt(h, dt, ws, lam, stab_coeff):
-    """One linearly stabilized step; returns (h_new, margin_new)."""
-    w = ws.D2I @ h
-    kmax = 1.0 / np.min(w)
+    Returns (h_new, D2I @ h_new).
+    """
+    kmax = 1.0 / w.min()
     c = stab_coeff * kmax * kmax
-    rhs = ws.D2I @ (1.0 / w) - lam * h
+    rhs = velocity(h, ws.D2I, lam, w)
     hhat = np.fft.rfft(h)
     denom = 1.0 + dt * c * ws.xi4
     hn = np.fft.irfft(hhat + dt * np.fft.rfft(rhs) / denom, n=len(h))
-    wn = ws.D2I @ hn
-    return hn, float(np.min(wn))
+    return hn, ws.D2I @ hn
 
 
 def step(state: FlowState, dt: float, cfg: StepperConfig) -> FlowState:
@@ -242,20 +236,14 @@ def step(state: FlowState, dt: float, cfg: StepperConfig) -> FlowState:
     lam = variant_shift(state.variant, s.omega)
     h = s.values
     w = ws.D2I @ h
-    margin = float(np.min(w))
+    margin = float(w.min())
     if cfg.scheme == "explicit_rk4":
-        f1 = ws.D2I @ (1.0 / w) - lam * h
-        h2 = h + (0.5 * dt) * f1
-        f2 = ws.D2I @ (1.0 / (ws.D2I @ h2)) - lam * h2
-        h3 = h + (0.5 * dt) * f2
-        f3 = ws.D2I @ (1.0 / (ws.D2I @ h3)) - lam * h3
-        h4 = h + dt * f3
-        f4 = ws.D2I @ (1.0 / (ws.D2I @ h4)) - lam * h4
-        hn = h + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        margin_new = float(np.min(ws.D2I @ hn))
+        hn = _rk4_attempt(h, w, dt, ws.D2I, lam)
+        wn = ws.D2I @ hn
     else:
-        hn, margin_new = _semi_implicit_attempt(h, dt, ws, lam, cfg.stabilization_coeff)
-    if not (np.isfinite(margin_new) and margin_new >= cfg.guard_ratio * margin):
+        hn, wn = _semi_implicit_attempt(h, w, dt, ws, lam, cfg.stabilization_coeff)
+    margin_new = float(wn.min())
+    if not (math.isfinite(margin_new) and margin_new >= cfg.guard_ratio * margin):
         raise StepRejectedError(
             f"convexity guard: margin {margin_new:.6g} < "
             f"{cfg.guard_ratio} * {margin:.6g} at dt={dt:.3g}",
@@ -323,16 +311,18 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
                     f"(margin {np.min(ws.D2I @ h):.3g})", last_state=last)
         else:
             tol = 1e-14 * max(1.0, abs(t_stop))
+            w = ws.D2I @ h
             while t_stop - t > tol:
                 clipped = dt_si > t_stop - t
                 dt_try = min(dt_si, t_stop - t)
-                margin = float(np.min(ws.D2I @ h))
+                margin = float(w.min())
                 halvings = 0
                 while True:
-                    hn, mn = _semi_implicit_attempt(
-                        h, dt_try, ws, lam, cfg.stabilization_coeff)
-                    if np.isfinite(mn) and mn >= cfg.guard_ratio * margin:
-                        h, t = hn, t + dt_try
+                    hn, wn = _semi_implicit_attempt(
+                        h, w, dt_try, ws, lam, cfg.stabilization_coeff)
+                    mn = wn.min()
+                    if math.isfinite(mn) and mn >= cfg.guard_ratio * margin:
+                        h, w, t = hn, wn, t + dt_try
                         dt_last = dt_try
                         break
                     dt_try *= 0.5

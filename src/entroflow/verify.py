@@ -18,8 +18,7 @@ import numpy as np
 from . import graph
 from .diagnostics import fit_decay_rate, run_monitors
 from .flow import (FlowState, StepperConfig, Trajectory, evolve,
-                   rescale_trajectory, slow_time, unscaled_time, workspace,
-                   _rk4_span)
+                   rescale_trajectory, slow_time, unscaled_time)
 from .spectral import GridFunction, PeriodicGrid, integrate
 from .support import SupportGrid, circle_support, ellipse_support, fourier_support
 
@@ -34,13 +33,6 @@ class CriterionResult:
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"{tag} {self.name}: {self.details} [{self.runtime:.2f}s]"
-
-
-def _warm_kernel():
-    grid = PeriodicGrid(omega=1, n=8)
-    ws = workspace(grid)
-    h = np.full(8, 1.0)
-    _rk4_span(h, 0.0, 1e-4, ws.D2I, 0.0, 1e-5, 1e-4, 0.2)
 
 
 def _slope(t, y):
@@ -108,7 +100,6 @@ def _rescaled_run(window: float = 3.0, transient: float = 0.2, n: int = 48):
 
 def criterion_01_circle_law() -> CriterionResult:
     """Expanding-circle exact solution at two winding numbers."""
-    _warm_kernel()
     cfg = StepperConfig()
     t0 = time.perf_counter()
     s = circle_support(PeriodicGrid(omega=1, n=32), 1.0)
@@ -386,7 +377,6 @@ def criterion_12_parametrization() -> CriterionResult:
 
 def criterion_13_convergence_orders() -> CriterionResult:
     t0 = time.perf_counter()
-    _warm_kernel()
     # temporal: forced-max_dt RK4 on the circle at n = 8; radius 2 keeps the
     # stability bound above the coarsest dt while the error stays above
     # round-off on the finest

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 import entroflow.flow as flow
 from entroflow.errors import (FlowBreakdownError, NotLocallyConvexError,
                               StepRejectedError)
-from entroflow.spectral import GridFunction, PeriodicGrid, integrate
-from entroflow.support import SupportGrid, circle_support, fourier_support
+from entroflow.spectral import GridFunction, PeriodicGrid, deriv, integrate
+from entroflow.support import (SupportGrid, circle_support, curvature,
+                               fourier_support)
 from entroflow.flow import (FlowState, StepperConfig, evolve, read_snapshot,
                             rescale_trajectory, rhs_rescaled, rhs_unscaled,
                             scale_factor, slow_time, step, unscaled_time,
@@ -55,6 +57,70 @@ class TestRhs:
     def test_variant_checked(self):
         with pytest.raises(ValueError):
             rhs_rescaled(circle_state().support, "unscaled")
+
+
+class TestVelocityKernel:
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("variant", flow.VARIANTS)
+    def test_matches_fft_route(self, n, variant):
+        s = fourier_support(PeriodicGrid(omega=1, n=n), 1.0,
+                            [(2, 0.1, 0.0), (3, 0.0, 0.03)])
+        lam = flow.variant_shift(variant, s.omega)
+        k = curvature(s)
+        ref = deriv(k, 2).values + k.values - lam * s.values
+        f = flow.velocity(s.values, flow.workspace(s.grid).D2I, lam)
+        assert np.max(np.abs(f - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("steps", [1, 4])
+    @pytest.mark.parametrize("scheme", flow.SCHEMES)
+    @pytest.mark.parametrize("variant", ["unscaled", "rescaled_chainrule"])
+    def test_evolve_equals_chained_steps(self, scheme, variant, steps):
+        # a dyadic max_dt below dt_init and the RK4 step bound (about 3e-4)
+        # makes evolve take exactly `steps` steps of size dt; with more than
+        # one, the carried-forward D2I @ h must match a fresh one
+        dt = 2.0**-14
+        s = fourier_support(PeriodicGrid(omega=1, n=16), 1.0, [(2, 0.1, 0.0)])
+        st = FlowState(support=s, variant=variant)
+        cfg = StepperConfig(scheme=scheme, max_dt=dt)
+        tr = evolve(st, steps * dt, cfg)
+        one = st
+        for _ in range(steps):
+            one = step(one, dt, cfg)
+        assert tr.final.time == one.time
+        assert np.array_equal(tr.final.support.values, one.support.values)
+
+    @pytest.mark.parametrize("scheme,per_step", [("explicit_rk4", 8),
+                                                 ("semi_implicit", 2)])
+    def test_operator_applies(self, monkeypatch, scheme, per_step):
+        class Counting(np.ndarray):
+            def __matmul__(self, other):
+                applies[0] += 1
+                return np.matmul(self.view(np.ndarray), other)
+
+        applies = [0]
+        real = flow.workspace
+
+        def counting_workspace(grid):
+            ws = copy.copy(real(grid))
+            ws.D2I = ws.D2I.view(Counting)
+            return ws
+
+        attempts = [0]
+        real_attempt = flow._semi_implicit_attempt
+
+        def counting_attempt(*args):
+            attempts[0] += 1
+            return real_attempt(*args)
+
+        monkeypatch.setattr(flow, "workspace", counting_workspace)
+        monkeypatch.setattr(flow, "_semi_implicit_attempt", counting_attempt)
+        # dyadic step and cadence: exactly 8 accepted steps in each of 2 spans
+        dt = 2.0**-17
+        cfg = StepperConfig(scheme=scheme, dt_init=dt, max_dt=dt)
+        evolve(circle_state(1.0, n=16), 2.0**-13, cfg, monitor_every=2.0**-14)
+        if scheme == "semi_implicit":
+            assert attempts[0] == 16
+        assert applies[0] == per_step * 16 + 2
 
 
 class TestStep:
@@ -140,7 +206,7 @@ class TestEvolve:
 
     def test_breakdown_semi_implicit_halvings(self, monkeypatch):
         monkeypatch.setattr(flow, "_semi_implicit_attempt",
-                            lambda h, dt, ws, lam, c: (h, -1.0))
+                            lambda h, w, dt, ws, lam, c: (h, -w))
         cfg = StepperConfig(scheme="semi_implicit")
         with pytest.raises(FlowBreakdownError):
             evolve(circle_state(1.0, n=16), 0.1, cfg)
