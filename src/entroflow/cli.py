@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import IntEnum
 from pathlib import Path
 
@@ -63,6 +63,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if int(self.n) != self.n or self.n < 8 or self.n % 2 != 0:
+            raise ConfigError(f"n must be an even integer >= 8, got {self.n}")
+        if not self.t_end > 0:
+            raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}")
         if self.omega < 1 or int(self.omega) != self.omega:
@@ -145,21 +149,22 @@ def _emit_artifacts(cfg: RunConfig, tr, outdir: Path):
     cfg.write_json(outdir / "effective_config.json")
 
 
-def cmd_simulate(cfg: RunConfig) -> ExitStatus:
+def _simulate(cfg: RunConfig):
+    """Run, write the artifacts, return (status, trajectory or None)."""
     outdir = Path(cfg.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create output dir: {exc}", file=sys.stderr)
-        return ExitStatus.IO
+        return ExitStatus.IO, None
     try:
         s0 = build_initial_support(cfg)
     except (NotLocallyConvexError, CurveIngestionError, ConfigError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
-        return ExitStatus.VALIDATION
+        return ExitStatus.VALIDATION, None
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return ExitStatus.IO
+        return ExitStatus.IO, None
     state = FlowState(support=s0, time=0.0, variant=cfg.variant)
     try:
         tr = evolve(state, cfg.t_end, cfg.stepper, monitor_every=cfg.monitor_every)
@@ -167,11 +172,15 @@ def cmd_simulate(cfg: RunConfig) -> ExitStatus:
         print(f"flow breakdown: {exc}", file=sys.stderr)
         if exc.last_state is not None:
             write_snapshot(outdir / "breakdown_state.txt", exc.last_state)
-        return ExitStatus.BREAKDOWN
+        return ExitStatus.BREAKDOWN, None
     _emit_artifacts(cfg, tr, outdir)
     report = run_monitors(tr)
     report.to_json(outdir / "monitors.json")
-    return ExitStatus.OK if report.passed else ExitStatus.MONITOR
+    return (ExitStatus.OK if report.passed else ExitStatus.MONITOR), tr
+
+
+def cmd_simulate(cfg: RunConfig) -> ExitStatus:
+    return _simulate(cfg)[0]
 
 
 def cmd_rescaled(cfg: RunConfig) -> ExitStatus:
@@ -179,25 +188,20 @@ def cmd_rescaled(cfg: RunConfig) -> ExitStatus:
         print("error: rescaled command requires a rescaled variant",
               file=sys.stderr)
         return ExitStatus.VALIDATION
-    status = cmd_simulate(cfg)
-    if status not in (ExitStatus.OK, ExitStatus.MONITOR):
+    status, tr = _simulate(cfg)
+    if tr is None:
         return status
     # decay-rate fits and final roundness on top of the plain artifacts
-    outdir = Path(cfg.output_dir)
-    from .diagnostics import read_csv
-    recs = read_csv(outdir / "diagnostics.csv")
-    t = np.array([r.t for r in recs])
+    t = tr.record_series("t")
+    seminorms = tr.record_series("h_seminorms")
     rates = {}
     for p in (1, 2, 3, 4):
-        series = np.array([r.h_seminorms[p] for r in recs])
-        rate, used = fit_decay_rate(t, series)
+        rate, used = fit_decay_rate(t, seminorms[:, p])
         rates[f"h{p}"] = {"rate": rate, "records_used": used}
-    from .flow import read_snapshot
-    last = read_snapshot(sorted(outdir.glob("snapshot_*.txt"))[-1])
-    h = last.support.values
+    h = tr.final.support.values
     payload = {"fitted_decay_rates": rates,
                "final_sup_deviation_from_mean": float(np.max(np.abs(h - h.mean())))}
-    with open(outdir / "decay_rates.json", "w") as fh:
+    with open(Path(cfg.output_dir) / "decay_rates.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return status
@@ -314,17 +318,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
-    if args.out is not None:
-        cfg.output_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.n is not None:
-        cfg.n = args.n
-    if args.t_end is not None:
-        cfg.t_end = args.t_end
-    if args.variant is not None:
-        cfg.variant = args.variant
-    return cfg
+    flags = {"output_dir": args.out, "seed": args.seed, "n": args.n,
+             "t_end": args.t_end, "variant": args.variant}
+    # replace() re-runs RunConfig's validation on the overridden values
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def main(argv=None) -> int:

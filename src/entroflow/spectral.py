@@ -68,26 +68,37 @@ class GridFunction:
         return GridFunction(self.grid, values)
 
 
-def periodic_deriv_values(values: np.ndarray, period: float, order: int) -> np.ndarray:
-    """Spectral derivative of raw samples with arbitrary period.
-
-    The Nyquist mode is zeroed for odd orders (its sine partner is not
-    representable on the grid), kept for even orders.
-    """
-    if order < 0 or int(order) != order:
-        raise UnsupportedOrderError(f"order must be a non-negative integer, got {order}")
-    if order > MAX_DERIV_ORDER:
-        raise UnsupportedOrderError(
-            f"derivative order {order} exceeds supported maximum {MAX_DERIV_ORDER}")
-    if order == 0:
-        return np.array(values, dtype=float)
-    n = len(values)
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
-    coeff = np.fft.rfft(values)
+def _deriv_factor(xi: np.ndarray, order: int) -> np.ndarray:
+    """(i*xi)^order, with the Nyquist mode zeroed for odd orders (its sine
+    partner is not representable on the grid) and kept for even orders."""
     fac = (1j * xi) ** order
     if order % 2 == 1:
         fac[-1] = 0.0
-    return np.fft.irfft(coeff * fac, n=n)
+    return fac
+
+
+def periodic_deriv_values(values: np.ndarray, period: float, order: int) -> np.ndarray:
+    """Spectral derivative of raw samples with arbitrary period."""
+    return periodic_derivs_values(values, period, (order,))[0]
+
+
+def periodic_derivs_values(values: np.ndarray, period: float, orders) -> list:
+    """Spectral derivatives of several orders from one rfft of the samples.
+
+    Order 0 is a copy of the samples; each other order costs one irfft.
+    """
+    for order in orders:
+        if order < 0 or int(order) != order:
+            raise UnsupportedOrderError(
+                f"order must be a non-negative integer, got {order}")
+        if order > MAX_DERIV_ORDER:
+            raise UnsupportedOrderError(
+                f"derivative order {order} exceeds supported maximum {MAX_DERIV_ORDER}")
+    n = len(values)
+    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
+    coeff = np.fft.rfft(values) if any(orders) else None
+    return [np.fft.irfft(coeff * _deriv_factor(xi, order), n=n) if order
+            else np.array(values, dtype=float) for order in orders]
 
 
 def denoised_deriv_values(values: np.ndarray, period: float, orders,
@@ -104,14 +115,7 @@ def denoised_deriv_values(values: np.ndarray, period: float, orders,
     xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
     coeff = np.fft.rfft(values)
     coeff[np.abs(coeff) < rel_floor * np.max(np.abs(coeff))] = 0.0
-    out = []
-    for order in orders:
-        fac = (1j * xi) ** order
-        if order % 2 == 1:
-            fac = fac.copy()
-            fac[-1] = 0.0
-        out.append(np.fft.irfft(coeff * fac, n=n))
-    return out
+    return [np.fft.irfft(coeff * _deriv_factor(xi, order), n=n) for order in orders]
 
 
 def trig_eval_values(values: np.ndarray, period: float, points: np.ndarray) -> np.ndarray:

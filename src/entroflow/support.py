@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import CurveIngestionError, NotLocallyConvexError
-from .spectral import (GridFunction, PeriodicGrid, integrate,
-                       periodic_deriv_values)
+from .spectral import GridFunction, PeriodicGrid, periodic_deriv_values
 
 # validation floor for min(h_thth + h), relative to mean(h); exact zero is
 # the degenerate boundary the flow must stay away from
@@ -26,6 +24,18 @@ CONVEXITY_RTOL = 1e-10
 def radius_of_curvature_values(h: GridFunction) -> np.ndarray:
     """Samples of h_thth + h (= 1/k where the curve is convex)."""
     return periodic_deriv_values(h.values, h.grid.period, 2) + h.values
+
+
+def require_convexity(h: np.ndarray, w: np.ndarray) -> None:
+    """Raise NotLocallyConvexError unless the samples w of h_thth + h all
+    exceed CONVEXITY_RTOL * mean(h)."""
+    j = int(np.argmin(w))
+    threshold = CONVEXITY_RTOL * float(np.mean(h))
+    if w[j] <= threshold:
+        raise NotLocallyConvexError(
+            f"not strictly locally convex: min(h_thth + h) = {w[j]:.6g} "
+            f"at node {j} (threshold {threshold:.3g})",
+            node=j, margin=float(w[j]))
 
 
 def convexity_margin(h) -> float:
@@ -50,14 +60,7 @@ class SupportGrid:
             raise NotLocallyConvexError(
                 f"support function must be positive; h[{j}] = {v[j]:.6g}",
                 node=j, margin=float(v[j]))
-        w = radius_of_curvature_values(self.h)
-        j = int(np.argmin(w))
-        threshold = CONVEXITY_RTOL * float(np.mean(v))
-        if w[j] <= threshold:
-            raise NotLocallyConvexError(
-                f"not strictly locally convex: min(h_thth + h) = {w[j]:.6g} "
-                f"at node {j} (threshold {threshold:.3g})",
-                node=j, margin=float(w[j]))
+        require_convexity(v, radius_of_curvature_values(self.h))
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -105,12 +108,7 @@ class CurveSample:
 def curvature(s: SupportGrid) -> GridFunction:
     """Curvature k = 1/(h_thth + h), positive on valid support grids."""
     w = radius_of_curvature_values(s.h)
-    threshold = CONVEXITY_RTOL * float(np.mean(s.values))
-    j = int(np.argmin(w))
-    if w[j] <= threshold:
-        raise NotLocallyConvexError(
-            f"not strictly locally convex: min(h_thth + h) = {w[j]:.6g} at node {j}",
-            node=j, margin=float(w[j]))
+    require_convexity(s.values, w)
     return s.h.copy_with(1.0 / w)
 
 
@@ -181,6 +179,9 @@ def _tangent_angles_from_points(points: np.ndarray) -> np.ndarray:
 
 
 def _support_from_immersed(points, thetas, omega, grid: PeriodicGrid) -> SupportGrid:
+    # imported here: scipy.interpolate dominates the package's import time
+    from scipy.interpolate import PchipInterpolator
+
     period = grid.period
     total = thetas[-1] - thetas[0]
     if np.any(np.diff(thetas) <= 0.0):
@@ -301,11 +302,3 @@ def read_support_file(path, omega: int) -> SupportGrid:
     grid = PeriodicGrid(omega=omega, n=len(vals))
     return SupportGrid(GridFunction(grid, vals))
 
-
-def length_from_support(s: SupportGrid) -> float:
-    return integrate(s.h)
-
-
-def length_from_curvature(s: SupportGrid) -> float:
-    k = curvature(s)
-    return integrate(k.copy_with(1.0 / k.values))

@@ -2,8 +2,8 @@
 checks the stated tolerance, printing one pass/fail line.
 
 Criteria are grouped into named suites (circle, identities, monotone,
-rescaled, appendix, convergence, all).  Shared trajectories are cached so a
-full run costs each flow only once.
+rescaled, appendix, convergence, all).  Shared trajectories and their
+monitor reports are cached so a full run costs each flow only once.
 """
 
 from __future__ import annotations
@@ -16,11 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph
-from .diagnostics import fit_decay_rate, run_monitors
-from .flow import (FlowState, StepperConfig, Trajectory, evolve,
-                   rescale_trajectory, slow_time, unscaled_time)
+from .diagnostics import (MonitorReport, MonitorTolerances, fit_decay_rate,
+                          run_monitors)
+from .flow import (FlowState, StepperConfig, evolve, rescale_trajectory,
+                   slow_time, unscaled_time)
 from .spectral import GridFunction, PeriodicGrid, integrate
-from .support import SupportGrid, circle_support, ellipse_support, fourier_support
+from .support import (SupportGrid, circle_support, curvature, ellipse_support,
+                      fourier_support)
 
 
 @dataclass
@@ -95,6 +97,24 @@ def _rescaled_run(window: float = 3.0, transient: float = 0.2, n: int = 48):
     return tr, L0
 
 
+_SHARED_RUNS = {
+    "ellipse": lambda: _ellipse_run()[0],
+    "fourier": _fourier_run,
+    "contraction-a": lambda: _contraction_runs()[0],
+    "contraction-b": lambda: _contraction_runs()[1],
+}
+
+# the criteria's pinned tolerances: identities to 1e-3 relative, inequalities
+# to 1e-9 of their scale
+_CRITERIA_TOLERANCES = MonitorTolerances(identity_rel=1e-3, inequality_slack=1e-9)
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_report(run: str) -> MonitorReport:
+    """The monitor suite on a shared run, computed once per run."""
+    return run_monitors(_SHARED_RUNS[run](), _CRITERIA_TOLERANCES)
+
+
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -131,18 +151,12 @@ def criterion_02_h2_identity() -> CriterionResult:
 
 
 def criterion_03_dissipation() -> CriterionResult:
-    """|dSE/dt + ||F||^2| <= 1e-3 ||F||^2 at interior record times."""
+    """M1: |dSE/dt + ||F||^2| <= 1e-3 ||F||^2 at interior record times."""
     t0 = time.perf_counter()
-    tr, _ = _ellipse_run()
-    t = tr.record_series("t")
-    ent = tr.record_series("entropy")
-    fl2 = tr.record_series("f_l2sq")
-    dse = (ent[2:] - ent[:-2]) / (t[2:] - t[:-2])
-    rel = np.abs(dse + fl2[1:-1]) / fl2[1:-1]
-    worst = float(np.max(rel))
+    m1 = _shared_report("ellipse")["M1"]
     return CriterionResult(
-        "criterion-03 dissipation identity", worst <= 1e-3,
-        f"max |dSE/dt + ||F||^2| / ||F||^2 = {worst:.2e} (<=1e-3)",
+        "criterion-03 dissipation identity", m1.status == "pass",
+        f"max |dSE/dt + ||F||^2| / ||F||^2 = {m1.slack:.2e} (<=1e-3)",
         time.perf_counter() - t0)
 
 
@@ -179,52 +193,37 @@ def criterion_04_monotonicity() -> CriterionResult:
         time.perf_counter() - t0)
 
 
-def _length_bounds(tr: Trajectory):
-    t = tr.record_series("t")
-    L = tr.record_series("length")
-    c1 = tr.records[0].k_l1
-    omega = tr.states[0].grid.omega
-    wpi = omega * math.pi
-    lower = np.sqrt(L[0]**2 + 8.0 * wpi**2 * (t - t[0]))
-    upper = L[0] + 4.0 * wpi**2 / c1 * (
-        np.sqrt(4.0 * wpi**2 + (t - t[0]) * c1**2) - 2.0 * wpi)
-    return L, lower, upper
+def _check_runs(check: str, runs) -> tuple:
+    """(all passed, smallest slack) of one monitor check over shared runs."""
+    results = [_shared_report(run)[check] for run in runs]
+    return (all(c.status == "pass" for c in results),
+            min(c.slack for c in results))
 
 
 def criterion_05_length_bracket() -> CriterionResult:
+    """M5: the two-sided sqrt(t) length bracket."""
     t0 = time.perf_counter()
-    worst = math.inf
-    for tr in (_ellipse_run()[0], _fourier_run()):
-        L, lower, upper = _length_bounds(tr)
-        slack = 1e-9 * float(np.max(L))
-        worst = min(worst, float(np.min(L - lower + slack)),
-                    float(np.min(upper - L + slack)))
+    ok, worst = _check_runs("M5", ("ellipse", "fourier"))
     return CriterionResult(
-        "criterion-05 length bracketing", worst >= 0.0,
-        f"min bound slack (with 1e-9 scale allowance) = {worst:.3e}",
+        "criterion-05 length bracketing", ok,
+        "M5 on the ellipse and fourier runs: min distance inside the bracket "
+        f"= {worst:.3e} (1e-9 scale allowance)",
         time.perf_counter() - t0)
 
 
 def criterion_06_entropy_bracket() -> CriterionResult:
+    """M6: 2 omega pi log(2 omega pi / L) <= SE <= SE(0)."""
     t0 = time.perf_counter()
-    worst = math.inf
-    for tr in (_ellipse_run()[0], _fourier_run()):
-        ent = tr.record_series("entropy")
-        L = tr.record_series("length")
-        omega = tr.states[0].grid.omega
-        wpi = omega * math.pi
-        lower = 2.0 * wpi * np.log(2.0 * wpi / L)
-        slack = 1e-9 * max(1.0, float(np.max(np.abs(ent))))
-        worst = min(worst, float(np.min(ent - lower + slack)),
-                    float(np.min(ent[0] - ent + slack)))
+    ok, worst = _check_runs("M6", ("ellipse", "fourier"))
     return CriterionResult(
-        "criterion-06 entropy bracketing", worst >= 0.0,
-        f"min bound slack (with 1e-9 scale allowance) = {worst:.3e}",
+        "criterion-06 entropy bracketing", ok,
+        "M6 on the ellipse and fourier runs: min distance inside the bracket "
+        f"= {worst:.3e} (1e-9 scale allowance)",
         time.perf_counter() - t0)
 
 
 def criterion_07_area_law() -> CriterionResult:
-    """Area identity on the smooth omega=1 runs; exact lower bound on all.
+    """M8 (area identity) on the smooth omega=1 runs; M8-growth on all.
 
     The rough 3-mode datum starts an algebraic transient whose centered
     difference error at the first record scales like (cadence/t)^2 and so
@@ -232,22 +231,11 @@ def criterion_07_area_law() -> CriterionResult:
     bound (which is exact) is still enforced.
     """
     t0 = time.perf_counter()
-    tr1, tr2 = _contraction_runs()
-    worst_id = -math.inf
-    worst_lower = math.inf
-    for tr in (_ellipse_run()[0], tr1, tr2):
-        t = tr.record_series("t")
-        A = tr.record_series("area")
-        sig = tr.record_series("logk_dirichlet")
-        dA = (A[2:] - A[:-2]) / (t[2:] - t[:-2])
-        resid = np.abs(dA - 2.0 * math.pi - sig[1:-1]) / (2.0 * math.pi)
-        worst_id = max(worst_id, float(np.max(resid)))
-    for tr in (_ellipse_run()[0], _fourier_run(), tr1, tr2):
-        t = tr.record_series("t")
-        A = tr.record_series("area")
-        growth = A - A[0] - 2.0 * math.pi * (t - t[0])
-        worst_lower = min(worst_lower, float(np.min(growth)))
-    ok = worst_id <= 1e-3 and worst_lower >= -1e-6
+    smooth = ("ellipse", "contraction-a", "contraction-b")
+    id_checks = [_shared_report(run)["M8"] for run in smooth]
+    growth_ok, worst_lower = _check_runs("M8-growth", smooth + ("fourier",))
+    ok = growth_ok and all(c.status == "pass" for c in id_checks)
+    worst_id = max(c.slack for c in id_checks)
     return CriterionResult(
         "criterion-07 area law", ok,
         f"max |A' - 2pi - int sigma^2|/2pi = {worst_id:.2e} (<=1e-3, smooth "
@@ -266,7 +254,6 @@ def criterion_08_contraction() -> CriterionResult:
     mono = _monotone_violation(D, "down")
     rhs = np.empty(len(t))
     for i, (a, b) in enumerate(zip(tr1.states, tr2.states)):
-        from .support import curvature
         k1 = curvature(a.support).values
         k2 = curvature(b.support).values
         rhs[i] = -2.0 * np.sum((k2 - k1)**2 / (k1 * k2)) * period / n

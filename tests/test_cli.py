@@ -98,6 +98,14 @@ class TestSimulate:
         cfgp = write_config(tmp_path, data)
         assert main(["simulate", "--config", str(cfgp)]) == 4
 
+    @pytest.mark.parametrize("flag", [["--n", "7"], ["--t-end", "-1"]],
+                             ids=["n_odd", "t_end_negative"])
+    def test_bad_flag_value_exit1(self, tmp_path, capsys, flag):
+        cfgp = write_config(tmp_path, fast_config(tmp_path))
+        assert main(["simulate", "--config", str(cfgp)] + flag) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
     def test_flag_overrides(self, tmp_path):
         cfgp = write_config(tmp_path, fast_config(tmp_path))
         out2 = tmp_path / "other"
@@ -165,6 +173,21 @@ class TestRescaled:
         last = sorted((tmp_path / "out").glob("snapshot_*.txt"))[-1]
         vals = [float(x) for x in last.read_text().splitlines()[4:]]
         assert max(abs(v - 1 / (2 * math.pi)) for v in vals) < 1e-12
+
+    def test_fits_ignore_stale_snapshots(self, tmp_path):
+        # a longer earlier run leaves later-numbered snapshots in the directory
+        data = fast_config(tmp_path, variant="rescaled_chainrule", t_end=0.01,
+                           monitor_every=0.002,
+                           initial={"kind": "circle", "r": 1.0 / (2 * math.pi)})
+        out = tmp_path / "out"
+        out.mkdir()
+        stale = 1.0 + 0.01 * np.cos(2 * np.arange(16) * math.pi / 8)
+        (out / "snapshot_999999.txt").write_text(
+            "# omega=1\n# n=16\n# t=9\n# variant=rescaled_chainrule\n"
+            + "".join(f"{v:.17g}\n" for v in stale))
+        assert main(["rescaled", "--config", str(write_config(tmp_path, data))]) == 0
+        fits = json.loads((out / "decay_rates.json").read_text())
+        assert fits["final_sup_deviation_from_mean"] < 1e-12
 
     def test_unscaled_variant_rejected(self, tmp_path):
         data = fast_config(tmp_path)

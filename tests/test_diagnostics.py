@@ -11,8 +11,9 @@ from entroflow.diagnostics import (area, compute_record, entropy,
                                    CSV_HEADER)
 from entroflow.errors import NotApplicableError
 from entroflow.flow import FlowState, StepperConfig, evolve
-from entroflow.spectral import GridFunction, PeriodicGrid, integrate
-from entroflow.support import SupportGrid, circle_support, ellipse_support
+from entroflow.spectral import GridFunction, PeriodicGrid, deriv, integrate
+from entroflow.support import (SupportGrid, circle_support, curvature,
+                               ellipse_support)
 
 
 def support(fn, omega=1, n=64):
@@ -138,6 +139,49 @@ class TestRecordsAndCsv:
         assert r.area == pytest.approx(0.94 * math.pi)
         assert len(r.h_seminorms) == 5
 
+    def test_one_transform_of_h_and_one_of_k(self, monkeypatch):
+        s = two_mode()
+        calls = []
+
+        def counted(name):
+            fn = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(name))
+        compute_record(s, 0.0, 0.0)
+        assert calls.count("rfft") == 2
+        assert len(calls) <= 9
+
+    @pytest.mark.parametrize("s", [
+        two_mode(),
+        ellipse_support(PeriodicGrid(1, 48), 1.3, 1.0),
+        circle_support(PeriodicGrid(2, 32), 1.0),
+    ], ids=["two_mode", "ellipse", "omega2_circle"])
+    def test_standalone_functionals_equal_record(self, s):
+        r = compute_record(s, 0.0, 0.0)
+        assert entropy(s) == r.entropy
+        assert length(s) == r.length
+        assert velocity_l2sq(s) == r.f_l2sq
+        assert logk_dirichlet(s) == r.logk_dirichlet
+        assert tuple(seminorm(s, p) for p in range(5)) == r.h_seminorms
+        if s.omega == 1:
+            assert area(s) == r.area
+        else:
+            assert r.area is None
+
+    def test_dissipation_field(self):
+        s = ellipse_support(PeriodicGrid(1, 48), 1.3, 1.0)
+        k = curvature(s)
+        ktt = deriv(k, 2).values
+        expected = integrate(k.copy_with(0.5 * k.values * ktt**2
+                                         + k.values**3 / 3.0))
+        assert compute_record(s, 0.0, 0.0).dissipation == expected
+
     def test_csv_round_trip(self, tmp_path):
         s = two_mode()
         recs = [compute_record(s, t, 1e-4) for t in (0.0, 0.1)]
@@ -148,6 +192,7 @@ class TestRecordsAndCsv:
         back = read_csv(p)
         assert back[1].t == recs[1].t
         assert back[0].h_seminorms == pytest.approx(recs[0].h_seminorms)
+        assert math.isnan(back[0].dissipation)  # not a CSV column
 
     def test_csv_area_empty_for_omega2(self, tmp_path):
         s = circle_support(PeriodicGrid(2, 16), 1.0)
@@ -168,12 +213,14 @@ class TestMonitors:
         statuses = {c.name: c.status for c in rep.checks}
         assert statuses["M1"] == "pass"
         assert statuses["M8"] == "pass"
+        assert statuses["M8-growth"] == "pass"
 
     def test_omega2_area_not_applicable(self):
         st = FlowState(support=circle_support(PeriodicGrid(2, 16), 1.0))
         tr = evolve(st, 0.2, StepperConfig(), monitor_every=0.01)
         rep = run_monitors(tr)
         assert rep["M8"].status == "not-applicable"
+        assert rep["M8-growth"].status == "not-applicable"
         assert rep.passed
 
     def test_ellipse_dissipation_residual(self):

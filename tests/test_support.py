@@ -1,10 +1,14 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entroflow
 from entroflow.errors import CurveIngestionError, NotLocallyConvexError
 from entroflow.spectral import GridFunction, PeriodicGrid, integrate
 from entroflow.support import (CurveSample, SupportGrid, circle_support,
@@ -206,3 +210,10 @@ class TestBuildersAndFiles:
         s = read_support_file(p, omega=1)
         assert s.n == 16
         assert np.all(s.values == 2.0)
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy is only needed by immersed curve ingestion and is slow to import
+    src = str(Path(entroflow.__file__).resolve().parents[1])
+    code = "import sys, entroflow; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], cwd=src).returncode == 0
