@@ -212,6 +212,13 @@ def _worst(t_interior, residual):
     return float(residual[j]), float(t_interior[j])
 
 
+def _closest(t, gap):
+    """Smallest gap inside a bracket after the first record, where a bracket
+    anchored at the initial data is tight by construction, and its time."""
+    j = int(np.argmin(gap[1:])) + 1
+    return float(gap[j]), float(t[j])
+
+
 @dataclass
 class MonitorTolerances:
     identity_rel: float = 1e-3       # centered-difference identity residuals
@@ -345,17 +352,15 @@ def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
         upper = _length_upper_bound(t - t[0], L[0], c1, omega)
         slack = tol.inequality_slack * np.max(L)
         ok = np.all(L >= lower - slack) and np.all(L <= upper + slack)
-        worst = float(min(np.min(L - lower), np.min(upper - L)))
-        j = int(np.argmin(np.minimum(L - lower, upper - L)))
-        rep.add("M5", "pass" if ok else "fail", worst, float(t[j]))
+        rep.add("M5", "pass" if ok else "fail",
+                *_closest(t, np.minimum(L - lower, upper - L)))
 
         # M6: entropy bracketing
         lower = 2.0 * wpi * np.log(2.0 * wpi / L)
         slackv = tol.inequality_slack * max(1.0, float(np.max(np.abs(ent))))
         ok = np.all(ent >= lower - slackv) and np.all(ent <= ent[0] + slackv)
-        worst = float(min(np.min(ent - lower), np.min(ent[0] - ent)))
-        j = int(np.argmin(np.minimum(ent - lower, ent[0] - ent)))
-        rep.add("M6", "pass" if ok else "fail", worst, float(t[j]))
+        rep.add("M6", "pass" if ok else "fail",
+                *_closest(t, np.minimum(ent - lower, ent[0] - ent)))
 
         # M7: integral bound on k_l1 plus accumulated dissipation
         cumdiss = np.concatenate([[0.0], np.cumsum(
@@ -373,9 +378,8 @@ def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
             # the exact consequence A - A0 >= 2 pi (t - t0), separate because
             # it also holds where the centered difference cannot resolve A'
             growth = A - A[0] - 2.0 * math.pi * (t - t[0])
-            j = int(np.argmin(growth))
-            rep.add("M8-growth", "pass" if growth[j] >= -1e-6 else "fail",
-                    float(growth[j]), float(t[j]))
+            rep.add("M8-growth", "pass" if np.min(growth) >= -1e-6 else "fail",
+                    *_closest(t, growth))
         else:
             for name in ("M8", "M8-growth"):
                 rep.add(name, "not-applicable", note="omega != 1")

@@ -164,49 +164,19 @@ def velocity(h, D2I, lam, w=None):
     return f - lam * h
 
 
-def _rk4_attempt(h, w, dt, D2I, lam):
-    """One classical RK4 step of size dt from h, with w = D2I @ h."""
+def _rk4_attempt(h, w, dt, ws, lam, stab_coeff):
+    """One classical RK4 step of size dt from h, with w = D2I @ h.
+
+    Returns (h_new, D2I @ h_new); stab_coeff is unused, so that both
+    schemes' attempts share one signature.
+    """
+    D2I = ws.D2I
     f1 = velocity(h, D2I, lam, w)
     f2 = velocity(h + (0.5 * dt) * f1, D2I, lam)
     f3 = velocity(h + (0.5 * dt) * f2, D2I, lam)
     f4 = velocity(h + dt * f3, D2I, lam)
-    return h + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-
-
-def _rk4_span(h, t, t_stop, D2I, lam, c_stab, max_dt, guard_ratio):
-    """Advance to t_stop with adaptive guarded RK4 steps.
-
-    Returns (h, t, dt_last, status): status 0 = reached t_stop,
-    2 = breakdown (margin loss or 40 halvings).
-    """
-    dt_last = 0.0
-    tol = 1e-14 * max(1.0, abs(t_stop))
-    w = D2I @ h
-    margin = w.min()
-    while t_stop - t > tol:
-        if not margin > 0.0:
-            return h, t, dt_last, 2
-        dt = c_stab * margin * margin
-        if dt > max_dt:
-            dt = max_dt
-        rem = t_stop - t
-        if dt > rem:
-            dt = rem
-        halvings = 0
-        while True:
-            hn = _rk4_attempt(h, w, dt, D2I, lam)
-            wn = D2I @ hn
-            mn = wn.min()
-            if math.isfinite(mn) and mn >= guard_ratio * margin:
-                h, w, margin = hn, wn, mn
-                t = t + dt
-                dt_last = dt
-                break
-            dt *= 0.5
-            halvings += 1
-            if halvings > MAX_HALVINGS:
-                return h, t, dt_last, 2
-    return h, t, dt_last, 0
+    hn = h + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    return hn, D2I @ hn
 
 
 def _semi_implicit_attempt(h, w, dt, ws, lam, stab_coeff):
@@ -223,6 +193,18 @@ def _semi_implicit_attempt(h, w, dt, ws, lam, stab_coeff):
     return hn, ws.D2I @ hn
 
 
+def _attempt_for(scheme):
+    """The attempt function (h, w, dt, ws, lam, stab_coeff) -> (h_new, D2I @
+    h_new) of a stepping scheme."""
+    return _rk4_attempt if scheme == "explicit_rk4" else _semi_implicit_attempt
+
+
+def _guard_holds(margin_new, margin, guard_ratio):
+    """The convexity guard: min(h_thth + h) stays finite and keeps at least
+    guard_ratio of its value before the step."""
+    return math.isfinite(margin_new) and margin_new >= guard_ratio * margin
+
+
 def step(state: FlowState, dt: float, cfg: StepperConfig) -> FlowState:
     """One accepted integrator step of size exactly dt.
 
@@ -237,18 +219,15 @@ def step(state: FlowState, dt: float, cfg: StepperConfig) -> FlowState:
     h = s.values
     w = ws.D2I @ h
     margin = float(w.min())
-    if cfg.scheme == "explicit_rk4":
-        hn = _rk4_attempt(h, w, dt, ws.D2I, lam)
-        wn = ws.D2I @ hn
-    else:
-        hn, wn = _semi_implicit_attempt(h, w, dt, ws, lam, cfg.stabilization_coeff)
+    attempt = _attempt_for(cfg.scheme)
+    hn, wn = attempt(h, w, dt, ws, lam, cfg.stabilization_coeff)
     margin_new = float(wn.min())
-    if not (math.isfinite(margin_new) and margin_new >= cfg.guard_ratio * margin):
+    if not _guard_holds(margin_new, margin, cfg.guard_ratio):
         raise StepRejectedError(
             f"convexity guard: margin {margin_new:.6g} < "
             f"{cfg.guard_ratio} * {margin:.6g} at dt={dt:.3g}",
             dt=dt, margin_before=margin, margin_after=margin_new)
-    support = SupportGrid(GridFunction(s.grid, hn))
+    support = SupportGrid(GridFunction(s.grid, hn), validate=False)
     return FlowState(support=support, time=state.time + dt, variant=state.variant)
 
 
@@ -275,68 +254,74 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
 
     Snapshots and diagnostics records are emitted at the start, at every
     multiple of monitor_every, at each requested snap_time, and at t_end.
-    Raises FlowBreakdownError (with the last valid state attached) if the
-    step size underflows after 40 halvings.
+    RK4 takes dt = min(c_stab * margin^2, max_dt) afresh at every step; the
+    semi-implicit scheme carries dt from step to step, keeping a halved dt
+    and growing it 1.2x after a clean step that the next event did not
+    clip.  Raises FlowBreakdownError (with the last accepted state
+    attached) when a step fails the guard after 40 halvings, or at once
+    when the state has no positive convexity margin.
     """
     if t_end <= state.time:
         raise ValueError("t_end must exceed the state time")
     s = state.support
     ws = workspace(s.grid)
     lam = variant_shift(state.variant, s.omega)
+    attempt = _attempt_for(cfg.scheme)
+    rk4 = cfg.scheme == "explicit_rk4"
     c_stab = cfg.safety * RK4_REAL_AXIS / ws.ximax4
+    max_dt, guard_ratio, stab = cfg.max_dt, cfg.guard_ratio, cfg.stabilization_coeff
 
     traj = Trajectory(variant=state.variant)
-    h = s.values.copy()
-    t = state.time
-    dt_last = 0.0
 
     def emit(h_now, t_now, dt_now):
-        sup = SupportGrid(GridFunction(s.grid, h_now.copy()))
+        # h > 0 is checked on input only: the flow may translate the curve
+        # past the origin, and the step guard keeps h_thth + h > 0
+        sup = SupportGrid(GridFunction(s.grid, h_now.copy()), validate=False)
         st = FlowState(support=sup, time=t_now, variant=state.variant)
         traj.states.append(st)
         traj.records.append(compute_record(sup, t_now, dt_now))
 
+    h = s.values.copy()
+    t = state.time
+    w = ws.D2I @ h
+    margin = float(w.min())
+    dt = min(cfg.dt_init, max_dt)
+    dt_last = 0.0
     emit(h, t, 0.0)
-    dt_si = min(cfg.dt_init, cfg.max_dt)
     for t_stop in _event_times(state.time, t_end, monitor_every, snap_times):
-        if cfg.scheme == "explicit_rk4":
-            h, t, dt_last, status = _rk4_span(
-                h, t, t_stop, ws.D2I, lam, c_stab, cfg.max_dt, cfg.guard_ratio)
-            if status != 0:
+        tol = 1e-14 * max(1.0, abs(t_stop))
+        while t_stop - t > tol:
+            if rk4:
+                dt = c_stab * margin * margin
+                if dt > max_dt:
+                    dt = max_dt
+            rem = t_stop - t
+            clipped = dt > rem
+            dt_try = rem if clipped else dt
+            # without a positive margin there is nothing to guard: no attempt
+            halvings = 0 if margin > 0.0 else MAX_HALVINGS + 1
+            while halvings <= MAX_HALVINGS:
+                hn, wn = attempt(h, w, dt_try, ws, lam, stab)
+                mn = float(wn.min())
+                if _guard_holds(mn, margin, guard_ratio):
+                    break
+                dt_try *= 0.5
+                halvings += 1
+            else:
                 last = FlowState(
                     support=SupportGrid(GridFunction(s.grid, h), validate=False),
                     time=t, variant=state.variant)
                 raise FlowBreakdownError(
-                    f"step size underflow at t={t:.6g} "
-                    f"(margin {np.min(ws.D2I @ h):.3g})", last_state=last)
-        else:
-            tol = 1e-14 * max(1.0, abs(t_stop))
-            w = ws.D2I @ h
-            while t_stop - t > tol:
-                clipped = dt_si > t_stop - t
-                dt_try = min(dt_si, t_stop - t)
-                margin = float(w.min())
-                halvings = 0
-                while True:
-                    hn, wn = _semi_implicit_attempt(
-                        h, w, dt_try, ws, lam, cfg.stabilization_coeff)
-                    mn = wn.min()
-                    if math.isfinite(mn) and mn >= cfg.guard_ratio * margin:
-                        h, w, t = hn, wn, t + dt_try
-                        dt_last = dt_try
-                        break
-                    dt_try *= 0.5
-                    halvings += 1
-                    if halvings > MAX_HALVINGS:
-                        last = FlowState(
-                            support=SupportGrid(GridFunction(s.grid, h), validate=False),
-                            time=t, variant=state.variant)
-                        raise FlowBreakdownError(
-                            f"step size underflow at t={t:.6g}", last_state=last)
+                    f"convexity guard failed at t={t:.6g} (margin {margin:.3g})",
+                    last_state=last)
+            h, w, margin = hn, wn, mn
+            t = t + dt_try
+            dt_last = dt_try
+            if not rk4:
                 if halvings:
-                    dt_si = max(dt_try, 1e-15)
+                    dt = max(dt_try, 1e-15)
                 elif not clipped:
-                    dt_si = min(dt_si * 1.2, cfg.max_dt)
+                    dt = min(dt * 1.2, max_dt)
         t = t_stop
         emit(h, t, dt_last)
     return traj
@@ -375,7 +360,7 @@ def rescale_trajectory(tr: Trajectory, L0: float) -> Trajectory:
         omega = st.grid.omega
         phi = scale_factor(st.time, L0, omega)
         h_eta = st.support.values / phi
-        sup = SupportGrid(GridFunction(st.grid, h_eta))
+        sup = SupportGrid(GridFunction(st.grid, h_eta), validate=False)
         t_eta = slow_time(st.time, L0, omega)
         out.states.append(FlowState(support=sup, time=t_eta,
                                     variant="rescaled_chainrule"))

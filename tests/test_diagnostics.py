@@ -231,6 +231,18 @@ class TestMonitors:
         assert rep["M1"].status == "pass"
         assert rep["M1"].slack <= 1e-3
 
+    def test_bracket_slack_after_start(self):
+        # the M5, M6 and M8-growth brackets are tight at t = 0 by construction;
+        # the reported slack is the closest approach after it
+        s = ellipse_support(PeriodicGrid(1, 48), 1.3, 1.0)
+        tr = evolve(FlowState(support=s), 0.05, StepperConfig(),
+                    monitor_every=1e-3)
+        rep = run_monitors(tr)
+        for name in ("M5", "M6", "M8-growth"):
+            assert rep[name].status == "pass", name
+            assert rep[name].slack > 0.0, name
+            assert rep[name].worst_t > 0.0, name
+
     def test_two_records_not_applicable(self):
         st = FlowState(support=circle_support(PeriodicGrid(1, 16), 1.0))
         tr = evolve(st, 0.1, StepperConfig())

@@ -16,6 +16,9 @@ from entroflow.flow import (FlowState, StepperConfig, evolve, read_snapshot,
                             write_snapshot)
 
 
+ATTEMPTS = {"explicit_rk4": "_rk4_attempt", "semi_implicit": "_semi_implicit_attempt"}
+
+
 def circle_state(r=1.0, omega=1, n=16, variant="unscaled"):
     s = circle_support(PeriodicGrid(omega=omega, n=n), r)
     return FlowState(support=s, time=0.0, variant=variant)
@@ -120,7 +123,8 @@ class TestVelocityKernel:
         evolve(circle_state(1.0, n=16), 2.0**-13, cfg, monitor_every=2.0**-14)
         if scheme == "semi_implicit":
             assert attempts[0] == 16
-        assert applies[0] == per_step * 16 + 2
+        # plus one apply for the starting state's D2I @ h, carried across spans
+        assert applies[0] == per_step * 16 + 1
 
 
 class TestStep:
@@ -196,20 +200,57 @@ class TestEvolve:
         tr = evolve(FlowState(support=s), 0.05, StepperConfig(), monitor_every=0.01)
         assert all(r.margin > 0 for r in tr.records)
 
-    def test_breakdown_reports_last_state(self, monkeypatch):
-        monkeypatch.setattr(flow, "_rk4_span",
-                            lambda h, t, t_stop, *a: (h, t, 0.0, 2))
+    @pytest.mark.parametrize("scheme", flow.SCHEMES)
+    def test_breakdown_reports_last_state(self, monkeypatch, scheme):
+        # every attempt returns a state with negative h_thth + h, so the real
+        # guard fails through all 40 halvings of the first step
+        calls = []
+
+        def nonconvex(h, w, dt, ws, lam, c):
+            calls.append(dt)
+            return h, -w
+
+        monkeypatch.setattr(flow, ATTEMPTS[scheme], nonconvex)
         with pytest.raises(FlowBreakdownError) as exc:
-            evolve(circle_state(1.0, n=16), 0.1, StepperConfig())
+            evolve(circle_state(1.0, n=16), 0.1, StepperConfig(scheme=scheme))
+        assert len(calls) == flow.MAX_HALVINGS + 1
+        assert calls[-1] == calls[0] * 0.5**flow.MAX_HALVINGS
         assert exc.value.last_state is not None
         assert exc.value.last_state.time == 0.0
+        assert np.array_equal(exc.value.last_state.support.values, np.ones(16))
 
-    def test_breakdown_semi_implicit_halvings(self, monkeypatch):
-        monkeypatch.setattr(flow, "_semi_implicit_attempt",
-                            lambda h, w, dt, ws, lam, c: (h, -w))
-        cfg = StepperConfig(scheme="semi_implicit")
-        with pytest.raises(FlowBreakdownError):
-            evolve(circle_state(1.0, n=16), 0.1, cfg)
+    @pytest.mark.parametrize("scheme", flow.SCHEMES)
+    def test_breakdown_without_margin(self, monkeypatch, scheme):
+        # min(h_thth + h) = -1.4 < 0: no step can keep a share of the margin,
+        # so the flow breaks down before any attempt (records are stubbed, as
+        # compute_record rejects such a state)
+        g = PeriodicGrid(omega=1, n=16)
+        s = SupportGrid(GridFunction(g, 1 + 0.8 * np.cos(2 * g.nodes)),
+                        validate=False)
+        calls = []
+        monkeypatch.setattr(flow, ATTEMPTS[scheme], lambda *a: calls.append(a))
+        monkeypatch.setattr(flow, "compute_record", lambda s, t, dt: None)
+        with pytest.raises(FlowBreakdownError) as exc:
+            evolve(FlowState(support=s), 0.1, StepperConfig(scheme=scheme))
+        assert calls == []
+        assert exc.value.last_state.time == 0.0
+        assert np.array_equal(exc.value.last_state.support.values, s.values)
+
+    def test_origin_may_leave_the_curve(self):
+        # mode 1 is a translation, which the flow carries along unchanged;
+        # h(pi) = 0.01 at the start and turns negative as the curve grows,
+        # while h_thth + h stays positive
+        g = PeriodicGrid(omega=1, n=48)
+        moved = fourier_support(g, 1.0, [(1, 1.29, 0.0), (2, 0.3, 0.0)])
+        centred = fourier_support(g, 1.0, [(2, 0.3, 0.0)])
+        cfg = StepperConfig()
+        tr = evolve(FlowState(support=moved), 0.002, cfg, monitor_every=1e-3)
+        ref = evolve(FlowState(support=centred), 0.002, cfg, monitor_every=1e-3)
+        assert np.min(tr.final.support.values) < 0.0
+        assert len(tr.records) == len(ref.records) == 3
+        for name in ("entropy", "f_l2sq", "kmin", "kmax"):
+            a, b = tr.record_series(name), ref.record_series(name)
+            assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-10, name
 
     def test_t_end_must_advance(self):
         with pytest.raises(ValueError):
