@@ -9,28 +9,24 @@ composite curve, and the velocity against the support-function pipeline.
 
 import numpy as np
 
-from entroflow import (band_limited_rho, build_bundle, check_parametrization_identity,
-                       composite_support, fourier_support, operator_split,
-                       rhs_unscaled, scene_circle, scene_ellipse, velocity_graph,
-                       PeriodicGrid)
+from entroflow import (build_bundle, check_parametrization_identity,
+                       composite_support, fourier_support, rhs_unscaled,
+                       scene_circle, scene_ellipse, velocity_graph, PeriodicGrid)
+from entroflow.graph import crosscheck
 from entroflow.spectral import trig_eval_values
 
-# a concentric circle: rho = 0.5 over the unit circle is the circle of
-# radius 1.5, whose flow velocity is its curvature 2/3
-sc = scene_circle(1.0, 256, rho=np.full(256, 0.5))
-v = velocity_graph(sc)
-print(f"concentric composite: V = {v[0]:.15f} (2/3 = {2 / 3:.15f})")
-
-# random band-limited graphs over circle and ellipse bases
-for label, base in (("circle", scene_circle(1.0, 256)),
-                    ("ellipse", scene_ellipse(2.0, 1.0, 256))):
-    worst_bundle = worst_split = 0.0
-    for seed in range(10):
-        scene = base.with_rho(band_limited_rho(base, seed=seed))
-        worst_bundle = max(worst_bundle, build_bundle(scene).max_direct_residual)
-        worst_split = max(worst_split, operator_split(scene).residual)
-    print(f"{label:8s} base, 10 draws: bundle-vs-direct {worst_bundle:.2e}, "
-          f"operator-split {worst_split:.2e}")
+# the residual battery behind `entroflow crosscheck`: bundle-vs-direct and
+# operator-split residuals at rho = 0 and for 10 seeded band-limited graphs,
+# plus, over the unit circle, the velocity of the concentric composite
+# rho = 0.5 (the circle of radius 1.5, whose velocity is its curvature 2/3)
+for label, base, radius in (("circle", scene_circle(1.0, 256), 1.0),
+                            ("ellipse", scene_ellipse(2.0, 1.0, 256), None)):
+    worst = {}
+    for name, value, _ in crosscheck(base, 0, 10, radius=radius):
+        check = name.split("_")[0]
+        worst[check] = max(worst.get(check, 0.0), value)
+    print(f"{label:8s} base, 10 draws: "
+          + ", ".join(f"{check} {value:.2e}" for check, value in worst.items()))
 
 # the same velocity through the support-function pipeline
 base = scene_circle(1.0, 256)

@@ -35,6 +35,13 @@ MAX_HALVINGS = 40
 
 @dataclass
 class StepperConfig:
+    """Settings of the guarded stepping loop.
+
+    dt_init is the semi-implicit scheme's first step (later steps carry dt
+    forward); explicit RK4 ignores it and takes every dt from the stability
+    bound safety * 2.7 / (max(k)^2 * ximax^4), capped at max_dt.
+    """
+
     dt_init: float = 1e-3
     safety: float = 0.9
     max_dt: float = math.inf

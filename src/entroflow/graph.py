@@ -25,7 +25,7 @@ recorded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +35,13 @@ from .spectral import (GridFunction, PeriodicGrid, denoised_deriv_values,
 from .support import SupportGrid, curvature
 
 CONVENTIONS = ("self_consistent", "paper_literal")
+
+# cross-check thresholds
+RESIDUAL_TOL = 1e-8          # bundle-versus-direct and operator split
+CONCENTRIC_TOL = 1e-10       # concentric-circle velocity
+PARAMETRIZATION_TOL = 1e-9   # k_thth + k against its arclength form
+
+_ELLIPSE_FINE = 2048         # samples of 1/k behind the ellipse's arclength
 
 
 @dataclass
@@ -73,15 +80,10 @@ class GraphCurveScene:
         return len(self.u)
 
     def with_rho(self, rho) -> "GraphCurveScene":
-        return GraphCurveScene(self.u, self.points, self.tangents, self.normals,
-                               self.k0, self.k0_u, self.k0_uu, self.k0_u3,
-                               self.length, np.asarray(rho, dtype=float),
-                               self.convention)
+        return replace(self, rho=rho)
 
     def with_convention(self, convention) -> "GraphCurveScene":
-        return GraphCurveScene(self.u, self.points, self.tangents, self.normals,
-                               self.k0, self.k0_u, self.k0_uu, self.k0_u3,
-                               self.length, self.rho, convention)
+        return replace(self, convention=convention)
 
     @property
     def composite_points(self) -> np.ndarray:
@@ -248,7 +250,8 @@ class OperatorSplit:
     residual: float                # max relative disagreement
 
 
-def operator_split(scene: GraphCurveScene) -> OperatorSplit:
+def operator_split(scene: GraphCurveScene,
+                   bundle: DerivativeBundle | None = None) -> OperatorSplit:
     """Termwise quasilinear/fully-nonlinear decomposition of the velocity.
 
     Each pair satisfies A_i rho - F_i = L_i for its displayed bracket
@@ -260,7 +263,7 @@ def operator_split(scene: GraphCurveScene) -> OperatorSplit:
     k0, k0u, k0uu, k0u3 = scene.k0, scene.k0_u, scene.k0_uu, scene.k0_u3
     g2 = q * q + r1 * r1
     g = np.sqrt(g2)
-    bundle = build_bundle(scene)
+    bundle = bundle or build_bundle(scene)
     B = bundle.ip_uu_N
     if np.min(B) <= 0.0:
         raise NotLocallyConvexError("composite curve not locally convex")
@@ -324,6 +327,34 @@ def check_parametrization_identity(s: SupportGrid) -> float:
 # ---------------------------------------------------------------------------
 # scene construction
 
+def _invert_monotone(a: float, p: np.ndarray, dp: np.ndarray, period: float,
+                     y: np.ndarray) -> np.ndarray:
+    """Newton solve of the increasing a*x + P(x) = y from x = y/a, where P
+    and P' interpolate the periodic samples p and dp on [0, period)."""
+    x = y / a
+    for _ in range(60):
+        step = (a * x + trig_eval_values(p, period, x) - y) \
+            / trig_eval_values(dp, period, x)
+        x = x - step
+        if np.max(np.abs(step)) < 1e-14 * max(1.0, period):
+            break
+    return x
+
+
+def _scene(u, L0, theta, h, h1, k, k1, k2, k3, rho,
+           convention) -> GraphCurveScene:
+    """Scene from support data h, h1 and curvature data k, k1..k3 (all in
+    theta) at the tangent angles theta(u); the chain rule d/du = k d/dtheta
+    gives the u-derivatives of k."""
+    c, sn = np.cos(theta), np.sin(theta)
+    return GraphCurveScene(
+        u=u, points=np.stack([h * c - h1 * sn, h * sn + h1 * c], axis=1),
+        tangents=np.stack([-sn, c], axis=1), normals=-np.stack([c, sn], axis=1),
+        k0=k, k0_u=k * k1, k0_uu=k * (k1**2 + k * k2),
+        k0_u3=k * (k1**3 + 4.0 * k * k1 * k2 + k**2 * k3), length=L0,
+        rho=np.zeros(len(u)) if rho is None else rho, convention=convention)
+
+
 def scene_circle(radius: float, n: int, rho=None,
                  convention: str = "self_consistent") -> GraphCurveScene:
     """Unit-speed circle base of given radius (counterclockwise)."""
@@ -331,18 +362,8 @@ def scene_circle(radius: float, n: int, rho=None,
         raise ValueError("radius must be positive")
     L0 = 2.0 * math.pi * radius
     u = np.arange(n) * (L0 / n)
-    ang = u / radius
-    c, sn = np.cos(ang), np.sin(ang)
-    points = radius * np.stack([c, sn], axis=1)
-    tangents = np.stack([-sn, c], axis=1)
-    normals = -np.stack([c, sn], axis=1)
-    zeros = np.zeros(n)
-    rho = zeros if rho is None else np.asarray(rho, dtype=float)
-    return GraphCurveScene(u=u, points=points, tangents=tangents,
-                           normals=normals, k0=np.full(n, 1.0 / radius),
-                           k0_u=zeros.copy(), k0_uu=zeros.copy(),
-                           k0_u3=zeros.copy(), length=L0, rho=rho,
-                           convention=convention)
+    return _scene(u, L0, u / radius, radius, 0.0, np.full(n, 1.0 / radius),
+                  0.0, 0.0, 0.0, rho, convention)
 
 
 def scene_from_support(s: SupportGrid, n: int, rho=None,
@@ -362,38 +383,11 @@ def scene_from_support(s: SupportGrid, n: int, rho=None,
     # arclength s(theta): antiderivative of 1/k
     mean, p = periodic_antideriv_values(w, period)
     L0 = mean * period
-
     u = np.arange(n) * (L0 / n)
-    theta = u / mean  # initial guess, exact for circles
-    for _ in range(60):
-        f = mean * theta + trig_eval_values(p, period, theta) - u
-        dfdtheta = trig_eval_values(w, period, theta)
-        step = f / dfdtheta
-        theta = theta - step
-        if np.max(np.abs(step)) < 1e-14 * max(1.0, period):
-            break
-
-    hj = trig_eval_values(hv, period, theta)
-    h1j = trig_eval_values(h1, period, theta)
-    cj, sj = np.cos(theta), np.sin(theta)
-    points = np.stack([hj * cj - h1j * sj, hj * sj + h1j * cj], axis=1)
-    tangents = np.stack([-sj, cj], axis=1)
-    normals = -np.stack([cj, sj], axis=1)
-
-    kj = trig_eval_values(k, period, theta)
-    k1j = trig_eval_values(kt1, period, theta)
-    k2j = trig_eval_values(kt2, period, theta)
-    k3j = trig_eval_values(kt3, period, theta)
-    k0_u = kj * k1j
-    k0_uu = kj * (k1j**2 + kj * k2j)
-    k0_u3 = kj * (k1j**3 + 4.0 * kj * k1j * k2j + kj**2 * k3j)
-
-    zeros = np.zeros(n)
-    rho = zeros if rho is None else np.asarray(rho, dtype=float)
-    return GraphCurveScene(u=u, points=points, tangents=tangents,
-                           normals=normals, k0=kj, k0_u=k0_u, k0_uu=k0_uu,
-                           k0_u3=k0_u3, length=L0, rho=rho,
-                           convention=convention)
+    theta = _invert_monotone(mean, p, w, period, u)
+    hj, h1j, kj, k1j, k2j, k3j = (trig_eval_values(v, period, theta)
+                                  for v in (hv, h1, k, kt1, kt2, kt3))
+    return _scene(u, L0, theta, hj, h1j, kj, k1j, k2j, k3j, rho, convention)
 
 
 def _ellipse_theta_data(a: float, b: float, theta: np.ndarray):
@@ -423,8 +417,7 @@ def _ellipse_theta_data(a: float, b: float, theta: np.ndarray):
 
 
 def scene_ellipse(a: float, b: float, n: int, rho=None,
-                  convention: str = "self_consistent",
-                  fine: int = 2048) -> GraphCurveScene:
+                  convention: str = "self_consistent") -> GraphCurveScene:
     """Ellipse base with analytically exact curvature-derivative data.
 
     Only the arclength inversion theta(u) is numerical (a spectral
@@ -434,34 +427,14 @@ def scene_ellipse(a: float, b: float, n: int, rho=None,
     if a <= 0 or b <= 0:
         raise ValueError("semi-axes must be positive")
     period = 2.0 * np.pi
-    th_fine = np.arange(fine) * (period / fine)
+    th_fine = np.arange(_ELLIPSE_FINE) * (period / _ELLIPSE_FINE)
     w_fine = _ellipse_theta_data(a, b, th_fine)[2] ** -1.0
     mean, p = periodic_antideriv_values(w_fine, period)
     L0 = mean * period
-
     u = np.arange(n) * (L0 / n)
-    theta = u / mean
-    for _ in range(60):
-        f = mean * theta + trig_eval_values(p, period, theta) - u
-        step = f / trig_eval_values(w_fine, period, theta)
-        theta = theta - step
-        if np.max(np.abs(step)) < 1e-14 * max(1.0, period):
-            break
-
-    h, h1, k, k1, k2, k3 = _ellipse_theta_data(a, b, theta)
-    cj, sj = np.cos(theta), np.sin(theta)
-    points = np.stack([h * cj - h1 * sj, h * sj + h1 * cj], axis=1)
-    tangents = np.stack([-sj, cj], axis=1)
-    normals = -np.stack([cj, sj], axis=1)
-    k0_u = k * k1
-    k0_uu = k * (k1**2 + k * k2)
-    k0_u3 = k * (k1**3 + 4.0 * k * k1 * k2 + k**2 * k3)
-    zeros = np.zeros(n)
-    rho = zeros if rho is None else np.asarray(rho, dtype=float)
-    return GraphCurveScene(u=u, points=points, tangents=tangents,
-                           normals=normals, k0=k, k0_u=k0_u, k0_uu=k0_uu,
-                           k0_u3=k0_u3, length=L0, rho=rho,
-                           convention=convention)
+    theta = _invert_monotone(mean, p, w_fine, period, u)
+    return _scene(u, L0, theta, *_ellipse_theta_data(a, b, theta), rho,
+                  convention)
 
 
 def band_limited_rho(scene: GraphCurveScene, seed: int, max_mode: int = 8,
@@ -516,14 +489,39 @@ def composite_support(scene: GraphCurveScene, n_out: int) -> SupportGrid:
     target = grid.nodes
     base = theta_raw[0]
     tgt = base + (target - base) % (2.0 * np.pi * omega)
-    uu = (tgt - p0) / slope
-    for _ in range(60):
-        f = slope * uu + p0 + trig_eval_values(p_per, L0, uu) - tgt
-        du = f / trig_eval_values(theta_u, L0, uu)
-        uu = uu - du
-        if np.max(np.abs(du)) < 1e-14 * max(1.0, L0):
-            break
+    uu = _invert_monotone(slope, p_per, theta_u, L0, tgt - p0)
     gx = trig_eval_values(bundle.gamma[:, 0], L0, uu)
     gy = trig_eval_values(bundle.gamma[:, 1], L0, uu)
     h = gx * np.cos(tgt) + gy * np.sin(tgt)
     return SupportGrid(GridFunction(grid, h))
+
+
+def crosscheck(base: GraphCurveScene, seed0: int, draws: int,
+               radius: float | None = None) -> list:
+    """The graph formulation's residual battery over one base scene.
+
+    Returns (name, residual, threshold) rows: the bundle-versus-direct and
+    operator-split residuals at rho = 0 (bundle_rho0, split_rho0), the
+    concentric-circle velocity error over a circle base of the given radius
+    (concentric_velocity), then both residuals for band-limited graphs
+    drawn with seeds seed0 .. seed0 + draws - 1 (bundle_seed{i},
+    split_seed{i}).
+    """
+    def residuals(scene, tag):
+        bundle = build_bundle(scene)
+        return [(f"bundle_{tag}", bundle.max_direct_residual, RESIDUAL_TOL),
+                (f"split_{tag}", operator_split(scene, bundle).residual,
+                 RESIDUAL_TOL)]
+
+    rows = residuals(base, "rho0")
+    if radius is not None:
+        # rho = r/2 over the circle of radius r is the concentric circle of
+        # radius 3r/2, whose velocity is its curvature
+        v = velocity_graph(base.with_rho(np.full(base.n, 0.5 * radius)))
+        rows.append(("concentric_velocity",
+                     float(np.max(np.abs(v - 1.0 / (1.5 * radius)))),
+                     CONCENTRIC_TOL))
+    for i in range(draws):
+        rows += residuals(base.with_rho(band_limited_rho(base, seed=seed0 + i)),
+                          f"seed{i}")
+    return rows

@@ -106,6 +106,24 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
 
+    @pytest.mark.parametrize("command,over", [
+        ("simulate", {"stepper": {"safety": 0}}),
+        ("simulate", {"stepper": 3}),
+        ("simulate", {"stepper": {"dt_init": "x"}}),
+        ("simulate", {"initial": 3}),
+        ("simulate", {"initial": {"kind": "circle", "r": -1}}),
+        ("crosscheck", {"initial": {"kind": "circle", "r": -1}}),
+        ("simulate", {"initial": {"kind": "ellipse", "a": 1, "b": 0}}),
+        ("simulate", {"initial": {"kind": "fourier", "constant": 1,
+                                  "modes": [[2, 0.1]]}}),
+    ], ids=["safety_zero", "stepper_not_object", "dt_init_string",
+            "initial_not_object", "circle_negative_r", "crosscheck_negative_r",
+            "ellipse_flat", "fourier_mode_pair"])
+    def test_bad_config_value_exit1(self, tmp_path, capsys, command, over):
+        cfgp = write_config(tmp_path, fast_config(tmp_path, **over))
+        assert main([command, "--config", str(cfgp)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     def test_flag_overrides(self, tmp_path):
         cfgp = write_config(tmp_path, fast_config(tmp_path))
         out2 = tmp_path / "other"

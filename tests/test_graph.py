@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from entroflow import graph
 from entroflow.errors import DegenerateGraphError
 from entroflow.flow import rhs_unscaled
 from entroflow.graph import (band_limited_rho, build_bundle,
                              check_parametrization_identity, composite_support,
+                             crosscheck,
                              operator_split, scene_circle, scene_ellipse,
                              scene_from_support, velocity_graph, PAIR_WEIGHTS)
 from entroflow.spectral import GridFunction, PeriodicGrid, trig_eval_values
@@ -159,6 +161,37 @@ class TestOperatorSplit:
         for i in range(5):
             resid = np.abs(sp.a_applied[i] - sp.f_parts[i] - L[i])
             assert np.max(resid) <= 1e-11 * max(1.0, np.max(np.abs(L[i])))
+
+
+    def test_given_bundle_is_reused(self, monkeypatch):
+        base = scene_ellipse(2.0, 1.0, 128)
+        sc = base.with_rho(band_limited_rho(base, seed=7))
+        b = build_bundle(sc)
+        expected = operator_split(sc).total
+
+        def no_rebuild(scene):
+            raise AssertionError("bundle rebuilt")
+
+        monkeypatch.setattr(graph, "build_bundle", no_rebuild)
+        assert np.array_equal(operator_split(sc, b).total, expected)
+
+
+class TestCrosscheck:
+    def test_circle_rows(self):
+        rows = crosscheck(scene_circle(1.0, 64), 0, 2, radius=1.0)
+        assert [name for name, _, _ in rows] == [
+            "bundle_rho0", "split_rho0", "concentric_velocity",
+            "bundle_seed0", "split_seed0", "bundle_seed1", "split_seed1"]
+        assert all(value <= threshold for _, value, threshold in rows)
+
+    def test_ellipse_rows_draw_from_seed0(self):
+        base = scene_ellipse(2.0, 1.0, 256)
+        rows = crosscheck(base, 40, 1)
+        assert [name for name, _, _ in rows] == [
+            "bundle_rho0", "split_rho0", "bundle_seed0", "split_seed0"]
+        sc = base.with_rho(band_limited_rho(base, seed=40))
+        assert rows[2][1] == build_bundle(sc).max_direct_residual
+        assert rows[3][1] == operator_split(sc).residual
 
 
 class TestParametrizationIdentity:
