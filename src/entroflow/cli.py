@@ -65,6 +65,15 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if not self.t_end > 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        every = self.monitor_every
+        if (isinstance(every, bool) or not isinstance(every, (int, float))
+                or not (math.isfinite(every) and every > 0)):
+            raise ConfigError(
+                f"monitor_every must be a finite number > 0, got {every!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}")
         if not isinstance(self.initial, dict):

@@ -15,15 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotApplicableError
-from .spectral import GridFunction, deriv, integrate, periodic_derivs_values
+from .spectral import deriv, integrate, periodic_derivs_values
 from .support import SupportGrid, require_convexity
 
 SMALLNESS_FRACTION = 22.0  # threshold 1/(22*omega*pi) for the sigma energy
-
-
-def _sq_integral(f: GridFunction, d: np.ndarray) -> float:
-    """integral of d^2 dtheta over the grid of f."""
-    return integrate(f.copy_with(d * d))
 
 
 # The standalone functionals read the record, where each formula is written
@@ -55,7 +50,8 @@ def seminorm(s: SupportGrid, p: int) -> float:
     """integral of (d^p h / dtheta^p)^2 dtheta for 0 <= p <= 8."""
     if not 0 <= p <= 8:
         raise ValueError("seminorm order p must satisfy 0 <= p <= 8")
-    return _sq_integral(s.h, deriv(s.h, p).values)
+    d = deriv(s.h, p).values
+    return integrate(s.h.copy_with(d * d))
 
 
 def logk_dirichlet(s: SupportGrid) -> float:
@@ -85,33 +81,46 @@ class DiagnosticsRecord:
 
 def compute_record(s: SupportGrid, t: float, dt_used: float) -> DiagnosticsRecord:
     """Every record functional from one rfft of h and one of k."""
-    h, period = s.h, s.grid.period
-    h1, h2, h3, h4 = periodic_derivs_values(h.values, period, (1, 2, 3, 4))
-    w = h2 + h.values
-    require_convexity(h.values, w)
-    k = h.copy_with(1.0 / w)
-    kp, ktt = periodic_derivs_values(k.values, period, (1, 2))
-    kv = k.values
+    hv, period = s.values, s.grid.period
+    dx = period / s.n
+
+    def integral(x):  # spectral.integrate's rectangle rule, on plain samples
+        return float(np.sum(x) * dx)
+
+    h1, h2, h3, h4 = periodic_derivs_values(hv, period, (1, 2, 3, 4))
+    w = h2 + hv
+    require_convexity(hv, w)
+    k = 1.0 / w
+    kp, ktt = periodic_derivs_values(k, period, (1, 2))
+    f = ktt + k
     return DiagnosticsRecord(
         t=t,
-        entropy=integrate(k.copy_with(np.log(kv))),
-        length=integrate(h),
-        area=0.5 * integrate(h.copy_with(h.values * w)) if s.omega == 1 else None,
-        f_l2sq=_sq_integral(k, ktt + kv),
-        h_seminorms=tuple(_sq_integral(h, d) for d in (h.values, h1, h2, h3, h4)),
-        logk_dirichlet=integrate(k.copy_with((kp / kv) ** 2)),
-        kmin=float(np.min(kv)),
-        kmax=float(np.max(kv)),
-        kgrad_inf=float(np.max(np.abs(kp))),
-        k_l1=integrate(k),
-        margin=float(np.min(w)),
+        entropy=integral(np.log(k)),
+        length=integral(hv),
+        area=0.5 * integral(hv * w) if s.omega == 1 else None,
+        f_l2sq=integral(f * f),
+        h_seminorms=tuple(integral(d * d) for d in (hv, h1, h2, h3, h4)),
+        logk_dirichlet=integral((kp / k) ** 2),
+        kmin=float(k.min()),
+        kmax=float(k.max()),
+        kgrad_inf=float(np.abs(kp).max()),
+        k_l1=integral(k),
+        margin=float(w.min()),
         dt_used=dt_used,
-        dissipation=integrate(k.copy_with(0.5 * kv * ktt**2 + kv**3 / 3.0)),
+        dissipation=integral(0.5 * k * ktt**2 + k**3 / 3.0),
     )
 
 
 CSV_HEADER = ("t,entropy,length,area,f_l2sq,h0,h1,h2,h3,h4,"
               "logk_dirichlet,kmin,kmax,kgrad_inf,k_l1,margin,dt")
+_CSV_COLUMNS = CSV_HEADER.split(",")
+
+
+def _csv_values(r: DiagnosticsRecord) -> tuple:
+    """A record's CSV columns: its fields in order, h_seminorms spread out."""
+    return (r.t, r.entropy, r.length, r.area, r.f_l2sq, *r.h_seminorms,
+            r.logk_dirichlet, r.kmin, r.kmax, r.kgrad_inf, r.k_l1, r.margin,
+            r.dt_used)
 
 
 def write_csv(records, path):
@@ -119,33 +128,23 @@ def write_csv(records, path):
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in records:
-            a = "" if r.area is None else f"{r.area:.17g}"
-            cols = [f"{r.t:.17g}", f"{r.entropy:.17g}", f"{r.length:.17g}", a,
-                    f"{r.f_l2sq:.17g}"]
-            cols += [f"{v:.17g}" for v in r.h_seminorms]
-            cols += [f"{r.logk_dirichlet:.17g}", f"{r.kmin:.17g}",
-                     f"{r.kmax:.17g}", f"{r.kgrad_inf:.17g}", f"{r.k_l1:.17g}",
-                     f"{r.margin:.17g}", f"{r.dt_used:.17g}"]
-            fh.write(",".join(cols) + "\n")
+            fh.write(",".join("" if v is None else f"{v:.17g}"
+                              for v in _csv_values(r)) + "\n")
 
 
 def read_csv(path):
     records = []
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
+        if fh.readline().strip() != CSV_HEADER:
             raise ValueError(f"unexpected CSV header in {path}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
-            records.append(DiagnosticsRecord(
-                t=float(parts[0]), entropy=float(parts[1]), length=float(parts[2]),
-                area=(None if parts[3] == "" else float(parts[3])),
-                f_l2sq=float(parts[4]),
-                h_seminorms=tuple(float(p) for p in parts[5:10]),
-                logk_dirichlet=float(parts[10]), kmin=float(parts[11]),
-                kmax=float(parts[12]), kgrad_inf=float(parts[13]),
-                k_l1=float(parts[14]), margin=float(parts[15]),
-                dt_used=float(parts[16])))
+            if len(parts) != len(_CSV_COLUMNS):
+                raise ValueError(f"{path}:{lineno}: expected {len(_CSV_COLUMNS)} columns")
+            v = [None if c == "area" and p == "" else float(p)
+                 for c, p in zip(_CSV_COLUMNS, parts)]
+            # positional, mirroring _csv_values
+            records.append(DiagnosticsRecord(*v[:5], tuple(v[5:10]), *v[10:]))
     return records
 
 
@@ -294,31 +293,30 @@ def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
     """Evaluate every proved identity/inequality on a recorded trajectory."""
     tol = tol or MonitorTolerances()
     rep = MonitorReport()
-    recs = tr.records
-    if len(recs) < 3:
+    if len(tr.records) < 3:
         for name in _UNSCALED_CHECKS + ("M10", "M11"):
             rep.add(name, "not-applicable", note="fewer than 3 records")
         return rep
 
-    t = np.array([r.t for r in recs])
+    t = tr.record_series("t")
     ti = t[1:-1]
     omega = tr.states[0].grid.omega
     wpi = omega * math.pi
     rescaled = tr.variant != "unscaled"
 
-    ent = np.array([r.entropy for r in recs])
-    L = np.array([r.length for r in recs])
-    fl2 = np.array([r.f_l2sq for r in recs])
-    k1 = np.array([r.k_l1 for r in recs])
-    sig = np.array([r.logk_dirichlet for r in recs])
-    h0 = np.array([r.h_seminorms[0] for r in recs])
-    h1 = np.array([r.h_seminorms[1] for r in recs])
-    kmin = np.array([r.kmin for r in recs])
-    kmax = np.array([r.kmax for r in recs])
-    kginf = np.array([r.kgrad_inf for r in recs])
+    ent = tr.record_series("entropy")
+    L = tr.record_series("length")
+    fl2 = tr.record_series("f_l2sq")
+    k1 = tr.record_series("k_l1")
+    sig = tr.record_series("logk_dirichlet")
+    seminorms = tr.record_series("h_seminorms")
+    kmin = tr.record_series("kmin")
+    kmax = tr.record_series("kmax")
+    kginf = tr.record_series("kgrad_inf")
 
     if not rescaled:
-        diss = np.array([r.dissipation for r in recs])
+        diss = tr.record_series("dissipation")
+        h0, h1 = seminorms[:, 0], seminorms[:, 1]
 
         # M1: entropy dissipation  SE' = -||F||_2^2
         resid = np.abs(_cd_first(t, ent) + fl2[1:-1]) / np.maximum(fl2[1:-1], 1e-300)
@@ -371,7 +369,7 @@ def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
 
         # M8: area law (omega = 1 only)
         if omega == 1:
-            A = np.array([r.area for r in recs])
+            A = tr.record_series("area")
             resid = np.abs(_cd_first(t, A) - 2.0 * math.pi - sig[1:-1]) / (2.0 * math.pi)
             s, wt = _worst(ti, resid)
             rep.add("M8", "pass" if s <= tol.identity_rel else "fail", s, wt)
@@ -442,7 +440,7 @@ def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
 
         # monotone decay of the first four seminorms after the transient
         for p in (1, 2, 3, 4):
-            series = np.array([r.h_seminorms[p] for r in recs])
+            series = seminorms[:, p]
             floor = noise_floor(series)
             start = len(series) // 2
             tail = series[start:]

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CurveIngestionError, NotLocallyConvexError
-from .spectral import GridFunction, PeriodicGrid, periodic_deriv_values
+from .spectral import (GridFunction, PeriodicGrid, periodic_deriv_values,
+                       periodic_derivs_values)
 
 # validation floor for min(h_thth + h), relative to mean(h); exact zero is
 # the degenerate boundary the flow must stay away from
@@ -116,11 +117,11 @@ def reconstruct(s: SupportGrid) -> CurveSample:
     """Recover curve points gamma = h*u + h_theta*u_perp at the grid nodes."""
     theta = s.grid.nodes
     hv = s.values
-    hp = periodic_deriv_values(hv, s.grid.period, 1)
+    hp, h2 = periodic_derivs_values(hv, s.grid.period, (1, 2))
+    require_convexity(hv, h2 + hv)
     c, sn = np.cos(theta), np.sin(theta)
     points = np.stack([hv * c - hp * sn, hv * sn + hp * c], axis=1)
     tangents = np.stack([-sn, c], axis=1)
-    curvature(s)  # propagate convexity error
     return CurveSample(points=points, tangents=tangents, thetas=theta.copy())
 
 

@@ -116,9 +116,22 @@ class TestSimulate:
         ("simulate", {"initial": {"kind": "ellipse", "a": 1, "b": 0}}),
         ("simulate", {"initial": {"kind": "fourier", "constant": 1,
                                   "modes": [[2, 0.1]]}}),
+        ("simulate", {"monitor_every": "x"}),
+        ("simulate", {"monitor_every": 0}),
+        ("simulate", {"monitor_every": -1}),
+        ("simulate", {"monitor_every": float("inf")}),
+        ("simulate", {"monitor_every": True}),
+        ("crosscheck", {"seed": "x"}),
+        ("crosscheck", {"seed": 1.5}),
+        ("crosscheck", {"seed": True}),
+        ("simulate", {"output_dir": 3}),
+        ("crosscheck", {"output_dir": 3}),
     ], ids=["safety_zero", "stepper_not_object", "dt_init_string",
             "initial_not_object", "circle_negative_r", "crosscheck_negative_r",
-            "ellipse_flat", "fourier_mode_pair"])
+            "ellipse_flat", "fourier_mode_pair", "monitor_every_string",
+            "monitor_every_zero", "monitor_every_negative", "monitor_every_inf",
+            "monitor_every_bool", "seed_string", "seed_float", "seed_bool",
+            "output_dir_number", "crosscheck_output_dir_number"])
     def test_bad_config_value_exit1(self, tmp_path, capsys, command, over):
         cfgp = write_config(tmp_path, fast_config(tmp_path, **over))
         assert main([command, "--config", str(cfgp)]) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -190,8 +191,12 @@ class TestRecordsAndCsv:
         with open(p) as fh:
             assert fh.readline().strip() == CSV_HEADER
         back = read_csv(p)
-        assert back[1].t == recs[1].t
-        assert back[0].h_seminorms == pytest.approx(recs[0].h_seminorms)
+        assert len(back) == len(recs)
+        # %.17g round-trips doubles, so every written column reads back ==
+        for b, r in zip(back, recs):
+            for f in dataclasses.fields(r):
+                if f.name != "dissipation":
+                    assert getattr(b, f.name) == getattr(r, f.name), f.name
         assert math.isnan(back[0].dissipation)  # not a CSV column
 
     def test_csv_area_empty_for_omega2(self, tmp_path):

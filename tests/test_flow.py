@@ -74,6 +74,16 @@ class TestVelocityKernel:
         f = flow.velocity(s.values, flow.workspace(s.grid).D2I, lam)
         assert np.max(np.abs(f - ref)) <= 1e-10 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("omega,n", [(1, 48), (2, 32), (1, 1024)])
+    def test_operator_is_the_rolled_column(self, omega, n):
+        # reference: column j of D2 is the second derivative of e_0 rolled by j
+        ws = flow._Workspace(PeriodicGrid(omega=omega, n=n))
+        e0 = np.eye(n)[0]
+        col = np.fft.irfft(-ws.xi**2 * np.fft.rfft(e0), n=n)
+        ref = np.stack([np.roll(col, j) for j in range(n)], axis=1) + np.eye(n)
+        assert ws.D2I.flags["C_CONTIGUOUS"]
+        assert ws.D2I.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("steps", [1, 4])
     @pytest.mark.parametrize("scheme", flow.SCHEMES)
     @pytest.mark.parametrize("variant", ["unscaled", "rescaled_chainrule"])
@@ -222,14 +232,12 @@ class TestEvolve:
     @pytest.mark.parametrize("scheme", flow.SCHEMES)
     def test_breakdown_without_margin(self, monkeypatch, scheme):
         # min(h_thth + h) = -1.4 < 0: no step can keep a share of the margin,
-        # so the flow breaks down before any attempt (records are stubbed, as
-        # compute_record rejects such a state)
+        # so the flow breaks down before any attempt and before any record
         g = PeriodicGrid(omega=1, n=16)
         s = SupportGrid(GridFunction(g, 1 + 0.8 * np.cos(2 * g.nodes)),
                         validate=False)
         calls = []
         monkeypatch.setattr(flow, ATTEMPTS[scheme], lambda *a: calls.append(a))
-        monkeypatch.setattr(flow, "compute_record", lambda s, t, dt: None)
         with pytest.raises(FlowBreakdownError) as exc:
             evolve(FlowState(support=s), 0.1, StepperConfig(scheme=scheme))
         assert calls == []
