@@ -22,7 +22,8 @@ from . import graph, verify
 from .diagnostics import fit_decay_rate, run_monitors, write_csv
 from .errors import (ConfigError, CurveIngestionError, EntroflowError,
                      FlowBreakdownError, NotLocallyConvexError)
-from .flow import (VARIANTS, FlowState, StepperConfig, evolve, write_snapshot)
+from .flow import (VARIANTS, FlowState, StepperConfig, check_record_count, evolve,
+                   write_snapshot)
 from .spectral import PeriodicGrid
 from .support import (SupportGrid, circle_support, ellipse_support,
                       fourier_support, read_curve_file, read_support_file,
@@ -70,6 +71,10 @@ class RunConfig:
                 or not (math.isfinite(every) and every > 0)):
             raise ConfigError(
                 f"monitor_every must be a finite number > 0, got {every!r}")
+        try:
+            check_record_count(0.0, self.t_end, every)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not isinstance(self.output_dir, str):
@@ -234,6 +239,7 @@ def cmd_crosscheck(cfg: RunConfig, draws: int = 20) -> ExitStatus:
             print("error: crosscheck supports circle or ellipse bases",
                   file=sys.stderr)
             return ExitStatus.VALIDATION
+        graph.require_resolved(base)
         s0 = build_initial_support(cfg)
     except (EntroflowError, OSError, TypeError, ValueError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,6 +61,10 @@ def logk_dirichlet(s: SupportGrid) -> float:
 
 @dataclass
 class DiagnosticsRecord:
+    """The functionals of one state, or length-R columns of them for a stack
+    of R states (h_seminorms then of shape (R, 5), area None when omega != 1).
+    """
+
     t: float
     entropy: float
     length: float
@@ -78,14 +82,45 @@ class DiagnosticsRecord:
     # written to the CSV, so records read back from one carry NaN
     dissipation: float = math.nan
 
+    def _cells(self):
+        return [getattr(self, f.name) for f in fields(self)]
 
-def compute_record(s: SupportGrid, t: float, dt_used: float) -> DiagnosticsRecord:
-    """Every record functional from one rfft of h and one of k."""
+    def _map(self, cell) -> "DiagnosticsRecord":
+        return DiagnosticsRecord(*(None if c is None else cell(c)
+                                   for c in self._cells()))
+
+    def row(self, i) -> "DiagnosticsRecord":
+        """Record i of a record of columns."""
+        return self._map(lambda c: _python(c[i]))
+
+    @staticmethod
+    def concat(parts) -> "DiagnosticsRecord":
+        """One record of columns from records of columns, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        return DiagnosticsRecord(*(None if cs[0] is None else np.concatenate(cs)
+                                   for cs in zip(*(p._cells() for p in parts))))
+
+
+def _python(v):
+    """A one-state cell as Python numbers: a float, or a tuple of floats."""
+    v = np.asarray(v).tolist()
+    return tuple(v) if isinstance(v, list) else v
+
+
+def compute_record(s: SupportGrid, t, dt_used) -> DiagnosticsRecord:
+    """Every record functional from one rfft of h and one of k.
+
+    s holds one state, or a stack of R states with t and dt_used length-R
+    vectors.  Every transform and reduction runs along the last axis, so a
+    stack gives a record of length-R columns whose row j equals the
+    one-state call on row j; a one-state record holds Python floats.
+    """
     hv, period = s.values, s.grid.period
     dx = period / s.n
 
     def integral(x):  # spectral.integrate's rectangle rule, on plain samples
-        return float(np.sum(x) * dx)
+        return np.sum(x, axis=-1) * dx
 
     h1, h2, h3, h4 = periodic_derivs_values(hv, period, (1, 2, 3, 4))
     w = h2 + hv
@@ -93,22 +128,24 @@ def compute_record(s: SupportGrid, t: float, dt_used: float) -> DiagnosticsRecor
     k = 1.0 / w
     kp, ktt = periodic_derivs_values(k, period, (1, 2))
     f = ktt + k
-    return DiagnosticsRecord(
+    rec = DiagnosticsRecord(
         t=t,
         entropy=integral(np.log(k)),
         length=integral(hv),
         area=0.5 * integral(hv * w) if s.omega == 1 else None,
         f_l2sq=integral(f * f),
-        h_seminorms=tuple(integral(d * d) for d in (hv, h1, h2, h3, h4)),
+        h_seminorms=np.stack([integral(d * d) for d in (hv, h1, h2, h3, h4)],
+                             axis=-1),
         logk_dirichlet=integral((kp / k) ** 2),
-        kmin=float(k.min()),
-        kmax=float(k.max()),
-        kgrad_inf=float(np.abs(kp).max()),
+        kmin=k.min(axis=-1),
+        kmax=k.max(axis=-1),
+        kgrad_inf=np.abs(kp).max(axis=-1),
         k_l1=integral(k),
-        margin=float(w.min()),
+        margin=w.min(axis=-1),
         dt_used=dt_used,
         dissipation=integral(0.5 * k * ktt**2 + k**3 / 3.0),
     )
+    return rec if hv.ndim > 1 else rec._map(_python)
 
 
 CSV_HEADER = ("t,entropy,length,area,f_l2sq,h0,h1,h2,h3,h4,"
@@ -293,14 +330,14 @@ def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
     """Evaluate every proved identity/inequality on a recorded trajectory."""
     tol = tol or MonitorTolerances()
     rep = MonitorReport()
-    if len(tr.records) < 3:
+    t = tr.record_series("t")
+    if len(t) < 3:
         for name in _UNSCALED_CHECKS + ("M10", "M11"):
             rep.add(name, "not-applicable", note="fewer than 3 records")
         return rep
 
-    t = tr.record_series("t")
     ti = t[1:-1]
-    omega = tr.states[0].grid.omega
+    omega = tr.grid.omega
     wpi = omega * math.pi
     rescaled = tr.variant != "unscaled"
 

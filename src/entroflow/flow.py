@@ -17,12 +17,13 @@ unconditionally linearly stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .diagnostics import compute_record
+from .diagnostics import DiagnosticsRecord, compute_record
 from .errors import FlowBreakdownError, StepRejectedError
 from .spectral import GridFunction, PeriodicGrid
 from .support import SupportGrid
@@ -32,6 +33,8 @@ SCHEMES = ("explicit_rk4", "semi_implicit")
 
 RK4_REAL_AXIS = 2.7       # RK4 real-axis stability bound 2.79, rounded down
 MAX_HALVINGS = 40
+MAX_RECORDS = 100_000     # states a run may record: R * n * 8 bytes, 51 MB at n = 64
+RECORD_BLOCK = 4096       # samples per compute_record call
 
 
 @dataclass
@@ -80,22 +83,64 @@ class FlowState:
         return self.support.grid
 
 
+class _Rows(Sequence):
+    """A sequence whose items are built from row i on access."""
+
+    def __init__(self, count, build):
+        self._count, self._build = count, build
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._build(j) for j in range(*i.indices(self._count))]
+        j = i + self._count if i < 0 else i
+        if not 0 <= j < self._count:
+            raise IndexError(i)
+        return self._build(j)
+
+
 @dataclass
 class Trajectory:
+    """Recorded states as columns.
+
+    H holds one recorded support function per row, R * n * 8 bytes; columns
+    is a DiagnosticsRecord of length-R columns, t and dt_used among them.
+    states and records are views that build a FlowState or DiagnosticsRecord
+    when read.
+    """
+
     variant: str
-    states: list = field(default_factory=list)
-    records: list = field(default_factory=list)
+    grid: PeriodicGrid
+    H: np.ndarray
+    columns: DiagnosticsRecord
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.states])
+        return self.columns.t
 
     def record_series(self, name) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
+        return getattr(self.columns, name)
+
+    def _state(self, i) -> FlowState:
+        # h > 0 is checked on input only: the flow may translate the curve
+        # past the origin, and the step guard keeps h_thth + h > 0
+        sup = SupportGrid(GridFunction(self.grid, self.H[i]), validate=False)
+        return FlowState(support=sup, time=self.columns.t[i].item(),
+                         variant=self.variant)
+
+    @property
+    def states(self) -> Sequence:
+        return _Rows(len(self.H), self._state)
+
+    @property
+    def records(self) -> Sequence:
+        return _Rows(len(self.H), self.columns.row)
 
     @property
     def final(self) -> FlowState:
-        return self.states[-1]
+        return self._state(len(self.H) - 1)
 
 
 def variant_shift(variant: str, omega: int) -> float:
@@ -241,13 +286,28 @@ def step(state: FlowState, dt: float, cfg: StepperConfig) -> FlowState:
     return FlowState(support=support, time=state.time + dt, variant=state.variant)
 
 
+def check_record_count(t0: float, t_end: float, monitor_every=None,
+                       snap_times=()) -> None:
+    """Raise ValueError when a run from t0 to t_end could record more than
+    MAX_RECORDS states: the start, each multiple of monitor_every, each snap
+    time and t_end."""
+    count = 2 + len(snap_times)
+    if monitor_every is not None and monitor_every > 0:
+        count += (t_end - t0) / monitor_every + 1e-9
+    if not count <= MAX_RECORDS:
+        raise ValueError(
+            f"a run from t={t0:g} to t_end={t_end:g} records up to {count:.6g} "
+            f"states, above the cap of {MAX_RECORDS} (each takes n * 8 bytes)")
+
+
 def _event_times(t0: float, t_end: float, monitor_every, snap_times):
-    events = {t_end}
+    snap_times = [] if snap_times is None else [float(t) for t in snap_times
+                                                if t0 < t <= t_end]
+    check_record_count(t0, t_end, monitor_every, snap_times)
+    events = {t_end, *snap_times}
     if monitor_every is not None and monitor_every > 0:
         m = int(math.floor((t_end - t0) / monitor_every + 1e-9))
         events.update(t0 + j * monitor_every for j in range(1, m + 1))
-    if snap_times is not None:
-        events.update(float(t) for t in snap_times if t0 < t <= t_end)
     out = sorted(events)
     # merge events closer than time round-off
     merged = [out[0]]
@@ -257,22 +317,35 @@ def _event_times(t0: float, t_end: float, monitor_every, snap_times):
     return merged
 
 
+def _record_columns(grid: PeriodicGrid, H, t, dt) -> DiagnosticsRecord:
+    """compute_record on the stacked states H, in blocks of at most
+    RECORD_BLOCK samples so that its temporaries stay small."""
+    rows = max(1, RECORD_BLOCK // grid.n)
+    return DiagnosticsRecord.concat([
+        compute_record(SupportGrid(GridFunction(grid, H[i:i + rows]), validate=False),
+                       t[i:i + rows], dt[i:i + rows])
+        for i in range(0, len(H), rows)])
+
+
 def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
            monitor_every: float | None = None,
            snap_times=None) -> Trajectory:
     """Advance the flow to t_end with adaptive steps and a convexity guard.
 
-    Snapshots and diagnostics records are emitted at the start, at every
-    multiple of monitor_every, at each requested snap_time, and at t_end.
-    RK4 takes dt = min(c_stab * margin^2, max_dt) afresh at every step; the
+    States are recorded at the start, at every multiple of monitor_every, at
+    each requested snap_time, and at t_end, into one (R, n) array; their
+    diagnostics records are computed in blocks when the run ends.  RK4 takes
+    dt = min(c_stab * margin^2, max_dt) afresh at every step; the
     semi-implicit scheme carries dt from step to step, keeping a halved dt
     and growing it 1.2x after a clean step that the next event did not
-    clip.  Raises FlowBreakdownError (with the last accepted state
-    attached) when a step fails the guard after 40 halvings, or at once
-    when the state has no positive convexity margin.
+    clip.  Raises ValueError above MAX_RECORDS records, and
+    FlowBreakdownError (with the last accepted state attached) when a step
+    fails the guard after 40 halvings, or at once when the state has no
+    positive convexity margin.
     """
     if t_end <= state.time:
         raise ValueError("t_end must exceed the state time")
+    events = _event_times(state.time, t_end, monitor_every, snap_times)
     s = state.support
     ws = workspace(s.grid)
     lam = variant_shift(state.variant, s.omega)
@@ -280,16 +353,6 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     rk4 = cfg.scheme == "explicit_rk4"
     c_stab = cfg.safety * RK4_REAL_AXIS / ws.ximax4
     max_dt, guard_ratio, stab = cfg.max_dt, cfg.guard_ratio, cfg.stabilization_coeff
-
-    traj = Trajectory(variant=state.variant)
-
-    def emit(h_now, t_now, dt_now):
-        # h > 0 is checked on input only: the flow may translate the curve
-        # past the origin, and the step guard keeps h_thth + h > 0
-        sup = SupportGrid(GridFunction(s.grid, h_now.copy()), validate=False)
-        st = FlowState(support=sup, time=t_now, variant=state.variant)
-        traj.states.append(st)
-        traj.records.append(compute_record(sup, t_now, dt_now))
 
     def breakdown():
         last = FlowState(
@@ -308,8 +371,11 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     # without a positive margin there is nothing to guard, nor to record
     if not margin > 0.0:
         raise breakdown()
-    emit(h, t, 0.0)
-    for t_stop in _event_times(state.time, t_end, monitor_every, snap_times):
+    H = np.empty((len(events) + 1, s.n))
+    times = np.empty(len(H))
+    dts = np.empty(len(H))
+    H[0], times[0], dts[0] = h, t, 0.0
+    for i, t_stop in enumerate(events, start=1):
         tol = 1e-14 * max(1.0, abs(t_stop))
         while t_stop - t > tol:
             if rk4:
@@ -339,8 +405,9 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
                 elif not clipped:
                     dt = min(dt * 1.2, max_dt)
         t = t_stop
-        emit(h, t, dt_last)
-    return traj
+        H[i], times[i], dts[i] = h, t, dt_last
+    return Trajectory(state.variant, s.grid, H,
+                      _record_columns(s.grid, H, times, dts))
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +438,17 @@ def rescale_trajectory(tr: Trajectory, L0: float) -> Trajectory:
     """
     if tr.variant != "unscaled":
         raise ValueError("rescale_trajectory expects an unscaled trajectory")
-    out = Trajectory(variant="rescaled_chainrule")
-    for st, rec in zip(tr.states, tr.records):
-        omega = st.grid.omega
-        phi = scale_factor(st.time, L0, omega)
-        h_eta = st.support.values / phi
-        sup = SupportGrid(GridFunction(st.grid, h_eta), validate=False)
-        t_eta = slow_time(st.time, L0, omega)
-        out.states.append(FlowState(support=sup, time=t_eta,
-                                    variant="rescaled_chainrule"))
-        out.records.append(compute_record(sup, t_eta, rec.dt_used / phi**2))
-    return out
+    omega = tr.grid.omega
+    # phi, t_slow and dt/phi^2 per Python float: numpy's phi**2 of an array
+    # differs from the float power in the last bit of a few dt
+    t = tr.times.tolist()
+    phi = [scale_factor(x, L0, omega) for x in t]
+    t_eta = np.array([slow_time(x, L0, omega) for x in t])
+    dt_eta = np.array([d / p**2 for d, p
+                       in zip(tr.record_series("dt_used").tolist(), phi)])
+    H = tr.H / np.array(phi)[:, None]
+    return Trajectory("rescaled_chainrule", tr.grid, H,
+                      _record_columns(tr.grid, H, t_eta, dt_eta))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,11 @@ CONVENTIONS = ("self_consistent", "paper_literal")
 RESIDUAL_TOL = 1e-8          # bundle-versus-direct and operator split
 CONCENTRIC_TOL = 1e-10       # concentric-circle velocity
 PARAMETRIZATION_TOL = 1e-9   # k_thth + k against its arclength form
+# largest spectral tail of the base curvature at which the thresholds above
+# judge the formulas rather than the resolution: over 1.2:1 to 3:1 ellipse
+# bases at n = 48-384, every tail up to 2.2e-9 passed the battery and every
+# tail from 5.5e-9 up failed
+RESOLUTION_TOL = 1e-9
 
 _ELLIPSE_FINE = 2048         # samples of 1/k behind the ellipse's arclength
 
@@ -494,6 +499,19 @@ def composite_support(scene: GraphCurveScene, n_out: int) -> SupportGrid:
     gy = trig_eval_values(bundle.gamma[:, 1], L0, uu)
     h = gx * np.cos(tgt) + gy * np.sin(tgt)
     return SupportGrid(GridFunction(grid, h))
+
+
+def require_resolved(base: GraphCurveScene) -> None:
+    """Raise ValueError unless the base curvature is resolved on its grid:
+    max |rfft(k0)| over the top n/8 modes, over its largest coefficient, at
+    most RESOLUTION_TOL."""
+    c = np.abs(np.fft.rfft(base.k0))
+    tail = float(np.max(c[-(base.n // 8):]) / np.max(c))
+    if tail > RESOLUTION_TOL:
+        raise ValueError(
+            f"base curvature under-resolved at n={base.n}: spectral tail "
+            f"{tail:.2e} > {RESOLUTION_TOL:.0e} (top n/8 modes of k0 over its "
+            f"largest); raise n")
 
 
 def crosscheck(base: GraphCurveScene, seed0: int, draws: int,

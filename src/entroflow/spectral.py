@@ -47,15 +47,21 @@ class PeriodicGrid:
 
 @dataclass
 class GridFunction:
-    """Real samples of a periodic function on a :class:`PeriodicGrid`."""
+    """Real samples of a periodic function on a :class:`PeriodicGrid`.
+
+    A stack of shape (R, n) holds R functions, one per row.
+    periodic_derivs_values, curvature and compute_record work row by row on
+    stacks; deriv, integrate, interpolate and lowpass take one function.
+    """
 
     grid: PeriodicGrid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n,):
-            raise ValueError(f"values must have shape ({self.grid.n},), got {v.shape}")
+        if v.ndim not in (1, 2) or v.shape[-1] != self.grid.n:
+            raise ValueError(f"values must have shape ({self.grid.n},) or "
+                             f"(R, {self.grid.n}), got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
         self.values = v
@@ -85,7 +91,9 @@ def periodic_deriv_values(values: np.ndarray, period: float, order: int) -> np.n
 def periodic_derivs_values(values: np.ndarray, period: float, orders) -> list:
     """Spectral derivatives of several orders from one rfft of the samples.
 
-    Order 0 is a copy of the samples; each other order costs one irfft.
+    Differentiates along the last axis, so a stack of shape (R, n) gives R
+    rows, each equal to the one-row call.  Order 0 is a copy of the samples;
+    each other order costs one irfft.
     """
     for order in orders:
         if order < 0 or int(order) != order:
@@ -94,7 +102,7 @@ def periodic_derivs_values(values: np.ndarray, period: float, orders) -> list:
         if order > MAX_DERIV_ORDER:
             raise UnsupportedOrderError(
                 f"derivative order {order} exceeds supported maximum {MAX_DERIV_ORDER}")
-    n = len(values)
+    n = np.shape(values)[-1]
     xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
     coeff = np.fft.rfft(values) if any(orders) else None
     return [np.fft.irfft(coeff * _deriv_factor(xi, order), n=n) if order

@@ -29,7 +29,17 @@ def radius_of_curvature_values(h: GridFunction) -> np.ndarray:
 
 def require_convexity(h: np.ndarray, w: np.ndarray) -> None:
     """Raise NotLocallyConvexError unless the samples w of h_thth + h all
-    exceed CONVEXITY_RTOL * mean(h)."""
+    exceed CONVEXITY_RTOL * mean(h).
+
+    On stacks of shape (R, n) each row is held to its own mean, and the
+    first failing row raises as its one-row call would.
+    """
+    if w.ndim > 1:
+        low = w.min(axis=-1) <= CONVEXITY_RTOL * np.mean(h, axis=-1)
+        if np.any(low):
+            r = int(np.argmax(low))
+            require_convexity(h[r], w[r])
+        return
     j = int(np.argmin(w))
     threshold = CONVEXITY_RTOL * float(np.mean(h))
     if w[j] <= threshold:

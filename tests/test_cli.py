@@ -137,6 +137,19 @@ class TestSimulate:
         assert main([command, "--config", str(cfgp)]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("over,flag", [
+        ({"monitor_every": 1e-9, "t_end": 1.0}, []),
+        ({"monitor_every": 0.01}, ["--t-end", "1e4"]),
+    ], ids=["fine_cadence", "long_t_end_flag"])
+    def test_record_cap_exit1(self, tmp_path, capsys, over, flag):
+        # 1e9 and 1e6 records, refused before any events are built
+        cfgp = write_config(tmp_path, fast_config(tmp_path, **over))
+        assert main(["simulate", "--config", str(cfgp)] + flag) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "cap of 100000" in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_flag_overrides(self, tmp_path):
         cfgp = write_config(tmp_path, fast_config(tmp_path))
         out2 = tmp_path / "other"
@@ -244,6 +257,17 @@ class TestCrosscheck:
                            initial={"kind": "ellipse", "a": 2.0, "b": 1.0})
         cfgp = write_config(tmp_path, data)
         assert main(["crosscheck", "--config", str(cfgp)]) == 0
+
+    def test_under_resolved_base(self, tmp_path, capsys):
+        # at n = 48 the 2:1 ellipse's curvature spectrum is not resolved
+        # (tail 2.7e-3), so the residuals would judge the grid, not the formulas
+        data = fast_config(tmp_path, n=48,
+                           initial={"kind": "ellipse", "a": 2.0, "b": 1.0})
+        cfgp = write_config(tmp_path, data)
+        assert main(["crosscheck", "--config", str(cfgp)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation failure:")
+        assert "spectral tail 2.74e-03" in err[0]
 
     def test_unsupported_base(self, tmp_path):
         data = fast_config(tmp_path, initial={

@@ -10,11 +10,11 @@ from entroflow.diagnostics import (area, compute_record, entropy,
                                    fit_decay_rate, read_csv, run_monitors,
                                    seminorm, velocity_l2sq, write_csv,
                                    CSV_HEADER)
-from entroflow.errors import NotApplicableError
+from entroflow.errors import NotApplicableError, NotLocallyConvexError
 from entroflow.flow import FlowState, StepperConfig, evolve
 from entroflow.spectral import GridFunction, PeriodicGrid, deriv, integrate
 from entroflow.support import (SupportGrid, circle_support, curvature,
-                               ellipse_support)
+                               ellipse_support, fourier_support)
 
 
 def support(fn, omega=1, n=64):
@@ -207,6 +207,53 @@ class TestRecordsAndCsv:
         line = open(p).readlines()[1]
         assert ",," in line
         assert read_csv(p)[0].area is None
+
+
+def _stack(s, rows=5):
+    """rows supports: s scaled and with a growing mode-2 wobble added, so
+    that each row has its own functionals."""
+    th = s.grid.nodes
+    return np.array([(1.0 + 0.1 * j) * s.values + 0.01 * j * np.cos(2.0 * th / s.omega)
+                     for j in range(rows)])
+
+
+def _one(grid, h):
+    return SupportGrid(GridFunction(grid, h), validate=False)
+
+
+class TestBatchedRecords:
+    @pytest.mark.parametrize("s", [
+        ellipse_support(PeriodicGrid(1, 48), 1.3, 1.0),
+        ellipse_support(PeriodicGrid(1, 50), 1.3, 1.0),
+        fourier_support(PeriodicGrid(2, 96), 1.0, [(1, 0.3, 0.0)]),
+    ], ids=["omega1_n48", "omega1_n50", "omega2_n96"])
+    def test_stack_equals_one_state_calls(self, s):
+        H = _stack(s)
+        t = np.linspace(0.0, 0.4, len(H))
+        dt = np.full(len(H), 1e-4)
+        cols = compute_record(_one(s.grid, H), t, dt)
+        ones = [compute_record(_one(s.grid, h), float(x), 1e-4) for h, x in zip(H, t)]
+        for f in dataclasses.fields(cols):
+            col = getattr(cols, f.name)
+            if f.name == "area" and s.omega != 1:
+                assert col is None and all(r.area is None for r in ones)
+                continue
+            assert np.array_equal(col, np.array([getattr(r, f.name) for r in ones])), f.name
+        assert cols.row(2) == ones[2]
+
+    def test_stack_names_the_first_nonconvex_row(self):
+        # min(h_thth + h) = 1 - 3 * 0.8 < 0 on rows 2 and 4
+        g = PeriodicGrid(1, 32)
+        good = ellipse_support(g, 1.3, 1.0).values
+        bad = 1.0 + 0.8 * np.cos(2.0 * g.nodes)
+        H = np.array([good, 1.1 * good, bad, good, 2.0 * bad])
+        with pytest.raises(NotLocallyConvexError) as one:
+            compute_record(_one(g, H[2]), 0.0, 0.0)
+        with pytest.raises(NotLocallyConvexError) as stack:
+            compute_record(_one(g, H), np.zeros(5), np.zeros(5))
+        assert str(stack.value) == str(one.value)
+        assert stack.value.node == one.value.node
+        assert stack.value.margin == one.value.margin
 
 
 class TestMonitors:

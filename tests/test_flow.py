@@ -8,8 +8,9 @@ import entroflow.flow as flow
 from entroflow.errors import (FlowBreakdownError, NotLocallyConvexError,
                               StepRejectedError)
 from entroflow.spectral import GridFunction, PeriodicGrid, deriv, integrate
+from entroflow.diagnostics import compute_record
 from entroflow.support import (SupportGrid, circle_support, curvature,
-                               fourier_support)
+                               ellipse_support, fourier_support)
 from entroflow.flow import (FlowState, StepperConfig, evolve, read_snapshot,
                             rescale_trajectory, rhs_rescaled, rhs_unscaled,
                             scale_factor, slow_time, step, unscaled_time,
@@ -264,6 +265,30 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(circle_state(1.0), 0.0, StepperConfig())
 
+    def test_record_cap(self):
+        # twice the cap, by cadence and by snap times
+        every = 1.0 / (2 * flow.MAX_RECORDS)
+        with pytest.raises(ValueError, match="cap"):
+            evolve(circle_state(1.0), 1.0, StepperConfig(), monitor_every=every)
+        with pytest.raises(ValueError, match="cap"):
+            evolve(circle_state(1.0), 1.0, StepperConfig(),
+                   snap_times=np.linspace(0.0, 1.0, flow.MAX_RECORDS + 1))
+
+    def test_records_in_several_blocks(self):
+        # n = 1024 takes 4 rows per compute_record call, so 11 records are
+        # three blocks; each equals the one-state record of its state
+        g = PeriodicGrid(omega=1, n=1024)
+        s = ellipse_support(g, 1.3, 1.0)
+        st = FlowState(support=SupportGrid(GridFunction(g, s.values / integrate(s.h))),
+                       variant="rescaled_chainrule")
+        cfg = StepperConfig(scheme="semi_implicit", dt_init=5e-4, max_dt=2e-3)
+        tr = evolve(st, 0.01, cfg, monitor_every=1e-3)
+        assert len(tr.records) == 11 > flow.RECORD_BLOCK // g.n
+        dts = tr.record_series("dt_used")
+        for i, (state, rec) in enumerate(zip(tr.states, tr.records)):
+            assert rec == compute_record(state.support, state.time, dts[i].item())
+        assert np.array_equal(tr.final.support.values, tr.H[-1])
+
 
 class TestRescaling:
     def test_time_maps(self):
@@ -286,6 +311,28 @@ class TestRescaling:
         res = rescale_trajectory(tr, 2 * math.pi)
         for st in res.states:
             assert np.max(np.abs(st.support.values - 1 / (2 * math.pi))) < 1e-12
+
+    def test_matches_per_state_mapping(self):
+        # the records of h/phi at t_slow with dt/phi^2, mapped one state at a
+        # time in Python floats; the snap times are ones where phi**2 in
+        # numpy's array power differs from the float power in the last bit
+        L0 = 2 * math.pi
+        cand = np.linspace(0.0, 0.1, 4001)[1:].tolist()
+        odd = [t for t in cand
+               if scale_factor(t, L0, 1)**2 != np.square(np.array([scale_factor(t, L0, 1)]))[0]]
+        tr = evolve(circle_state(1.0, n=16), 0.1, StepperConfig(),
+                    monitor_every=0.01, snap_times=odd[:6])
+        res = rescale_trajectory(tr, L0)
+        assert len(res.records) == len(tr.records)
+        for st, rec, got, got_state in zip(tr.states, tr.records, res.records, res.states):
+            phi = scale_factor(st.time, L0, 1)
+            h = st.support.values / phi
+            t_eta = slow_time(st.time, L0, 1)
+            want = compute_record(SupportGrid(GridFunction(st.grid, h), validate=False),
+                                  t_eta, rec.dt_used / phi**2)
+            assert got == want
+            assert got_state.time == t_eta
+            assert np.array_equal(got_state.support.values, h)
 
     def test_scale_factor(self):
         assert scale_factor(0.0, 3.0, 2) == 3.0
