@@ -16,10 +16,10 @@ for omega, t_end in ((1, 1.5), (2, 4.0)):
     s0 = circle_support(PeriodicGrid(omega=omega, n=32), 1.0)
     tr = evolve(FlowState(support=s0), t_end, StepperConfig(), monitor_every=t_end / 8)
     print(f"omega = {omega}:")
-    for st in tr.states:
-        r_exact = math.sqrt(1.0 + 2.0 * st.time)
-        err = np.max(np.abs(st.support.values - r_exact))
-        print(f"  t = {st.time:5.3f}   radius = {st.support.values[0]:.9f}"
+    for t, h in zip(tr.times, tr.H):
+        r_exact = math.sqrt(1.0 + 2.0 * t)
+        err = np.max(np.abs(h - r_exact))
+        print(f"  t = {t:5.3f}   radius = {h[0]:.9f}"
               f"   exact = {r_exact:.9f}   max error = {err:.2e}")
     print()
 
@@ -27,6 +27,6 @@ for omega, t_end in ((1, 1.5), (2, 4.0)):
 # below: L(t)^2 >= L0^2 + 8 omega^2 pi^2 t, with equality exactly on circles
 s0 = circle_support(PeriodicGrid(omega=1, n=32), 1.0)
 tr = evolve(FlowState(support=s0), 2.0, StepperConfig(), monitor_every=0.5)
-for rec in tr.records:
-    lower = math.sqrt((2 * math.pi) ** 2 + 8 * math.pi**2 * rec.t)
-    print(f"t = {rec.t:4.2f}   L = {rec.length:.9f}   sqrt-law = {lower:.9f}")
+for t, L in zip(tr.times, tr.record_series("length")):
+    lower = math.sqrt((2 * math.pi) ** 2 + 8 * math.pi**2 * t)
+    print(f"t = {t:4.2f}   L = {L:.9f}   sqrt-law = {lower:.9f}")

@@ -15,9 +15,10 @@ s0 = ellipse_support(PeriodicGrid(omega=1, n=48), 1.3, 1.0)
 tr = evolve(FlowState(support=s0), 0.5, StepperConfig(), monitor_every=1e-3)
 
 print("      t     entropy      length        area     ||F||^2    int sigma^2")
-for rec in tr.records[:: len(tr.records) // 8]:
-    print(f"{rec.t:7.3f}  {rec.entropy:10.6f}  {rec.length:10.6f}  "
-          f"{rec.area:10.6f}  {rec.f_l2sq:10.6f}  {rec.logk_dirichlet:12.8f}")
+c = tr.columns
+for i in range(0, len(c.t), len(c.t) // 8):
+    print(f"{c.t[i]:7.3f}  {c.entropy[i]:10.6f}  {c.length[i]:10.6f}  "
+          f"{c.area[i]:10.6f}  {c.f_l2sq[i]:10.6f}  {c.logk_dirichlet[i]:12.8f}")
 
 # the squared L2 norm of h grows exactly linearly with slope 4*omega*pi
 t = tr.record_series("t")

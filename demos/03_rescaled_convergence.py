@@ -26,11 +26,12 @@ tr = evolve(FlowState(support=s0n, variant="rescaled_chainrule"), 1.0, cfg,
             monitor_every=0.02)
 
 print(" slow t    ||h_th||^2      ||h_4th||^2    max|h - mean|      k range")
-for rec, st in zip(tr.records[::5], tr.states[::5]):
-    h = st.support.values
+c = tr.columns
+for i in range(0, len(c.t), 5):
+    h = tr.H[i]
     dev = np.max(np.abs(h - h.mean()))
-    print(f"{rec.t:7.3f}  {rec.h_seminorms[1]:13.4e}  {rec.h_seminorms[4]:13.4e}"
-          f"  {dev:13.4e}  [{rec.kmin:6.3f}, {rec.kmax:6.3f}]")
+    print(f"{c.t[i]:7.3f}  {c.h_seminorms[i, 1]:13.4e}  {c.h_seminorms[i, 4]:13.4e}"
+          f"  {dev:13.4e}  [{c.kmin[i]:6.3f}, {c.kmax[i]:6.3f}]")
 print(f"\nfixed point: h = 1/(2 pi) = {1 / (2 * math.pi):.6f}, k = 2 pi")
 
 # exactness of the rescaling: the mapped unscaled run and the direct
@@ -50,6 +51,5 @@ print("\n slow t    max |direct - mapped|")
 for x in teta:
     i = int(np.argmin(np.abs(mapped.times - slow_time(unscaled_time(x, L0, 1), L0, 1))))
     j = int(np.argmin(np.abs(direct.times - x)))
-    err = np.max(np.abs(mapped.states[i].support.values
-                        - direct.states[j].support.values))
+    err = np.max(np.abs(mapped.H[i] - direct.H[j]))
     print(f"{x:7.4f}   {err:.3e}")

@@ -23,7 +23,8 @@ tr2 = evolve(FlowState(support=s2), 0.2, cfg, monitor_every=0.02)
 
 w = grid.period / grid.n
 print("    t        D(t)          contraction rate")
-for a, b in zip(tr1.states, tr2.states):
+for i in range(len(tr1.times)):
+    a, b = tr1.state(i), tr2.state(i)
     D = np.sum((a.support.values - b.support.values) ** 2) * w
     k1 = curvature(a.support).values
     k2 = curvature(b.support).values

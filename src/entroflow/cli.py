@@ -154,11 +154,13 @@ def build_initial_support(cfg: RunConfig) -> SupportGrid:
 
 
 def _emit_artifacts(cfg: RunConfig, tr, outdir: Path):
-    write_csv(tr.records, outdir / "diagnostics.csv")
-    for i, st in enumerate(tr.states):
+    write_csv(tr.columns, outdir / "diagnostics.csv")
+    for i in range(len(tr.times)):
+        st = tr.state(i)
         write_snapshot(outdir / f"snapshot_{i:06d}.txt", st)
-        pts = reconstruct(st.support).points
-        np.savetxt(outdir / f"points_{i:06d}.txt", pts, fmt="%.17g")
+        pts = reconstruct(st.support).points.tolist()
+        with open(outdir / f"points_{i:06d}.txt", "w") as fh:
+            fh.write("".join(f"{x:.17g} {y:.17g}\n" for x, y in pts))
     cfg.write_json(outdir / "effective_config.json")
 
 

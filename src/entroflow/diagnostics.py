@@ -61,8 +61,9 @@ def logk_dirichlet(s: SupportGrid) -> float:
 
 @dataclass
 class DiagnosticsRecord:
-    """The functionals of one state, or length-R columns of them for a stack
-    of R states (h_seminorms then of shape (R, 5), area None when omega != 1).
+    """The functionals of one state as numpy scalars (h_seminorms of shape
+    (5,)), or length-R columns of them for a stack of R states (h_seminorms
+    then of shape (R, 5)); area is None when omega != 1.
     """
 
     t: float
@@ -70,7 +71,7 @@ class DiagnosticsRecord:
     length: float
     area: float | None
     f_l2sq: float
-    h_seminorms: tuple
+    h_seminorms: np.ndarray
     logk_dirichlet: float
     kmin: float
     kmax: float
@@ -82,30 +83,15 @@ class DiagnosticsRecord:
     # written to the CSV, so records read back from one carry NaN
     dissipation: float = math.nan
 
-    def _cells(self):
-        return [getattr(self, f.name) for f in fields(self)]
-
-    def _map(self, cell) -> "DiagnosticsRecord":
-        return DiagnosticsRecord(*(None if c is None else cell(c)
-                                   for c in self._cells()))
-
-    def row(self, i) -> "DiagnosticsRecord":
-        """Record i of a record of columns."""
-        return self._map(lambda c: _python(c[i]))
-
     @staticmethod
     def concat(parts) -> "DiagnosticsRecord":
         """One record of columns from records of columns, in order."""
         if len(parts) == 1:
             return parts[0]
-        return DiagnosticsRecord(*(None if cs[0] is None else np.concatenate(cs)
-                                   for cs in zip(*(p._cells() for p in parts))))
-
-
-def _python(v):
-    """A one-state cell as Python numbers: a float, or a tuple of floats."""
-    v = np.asarray(v).tolist()
-    return tuple(v) if isinstance(v, list) else v
+        return DiagnosticsRecord(**{
+            f.name: None if getattr(parts[0], f.name) is None
+            else np.concatenate([getattr(p, f.name) for p in parts])
+            for f in fields(DiagnosticsRecord)})
 
 
 def compute_record(s: SupportGrid, t, dt_used) -> DiagnosticsRecord:
@@ -114,7 +100,7 @@ def compute_record(s: SupportGrid, t, dt_used) -> DiagnosticsRecord:
     s holds one state, or a stack of R states with t and dt_used length-R
     vectors.  Every transform and reduction runs along the last axis, so a
     stack gives a record of length-R columns whose row j equals the
-    one-state call on row j; a one-state record holds Python floats.
+    one-state call on row j.
     """
     hv, period = s.values, s.grid.period
     dx = period / s.n
@@ -128,7 +114,7 @@ def compute_record(s: SupportGrid, t, dt_used) -> DiagnosticsRecord:
     k = 1.0 / w
     kp, ktt = periodic_derivs_values(k, period, (1, 2))
     f = ktt + k
-    rec = DiagnosticsRecord(
+    return DiagnosticsRecord(
         t=t,
         entropy=integral(np.log(k)),
         length=integral(hv),
@@ -145,7 +131,6 @@ def compute_record(s: SupportGrid, t, dt_used) -> DiagnosticsRecord:
         dt_used=dt_used,
         dissipation=integral(0.5 * k * ktt**2 + k**3 / 3.0),
     )
-    return rec if hv.ndim > 1 else rec._map(_python)
 
 
 CSV_HEADER = ("t,entropy,length,area,f_l2sq,h0,h1,h2,h3,h4,"
@@ -153,24 +138,25 @@ CSV_HEADER = ("t,entropy,length,area,f_l2sq,h0,h1,h2,h3,h4,"
 _CSV_COLUMNS = CSV_HEADER.split(",")
 
 
-def _csv_values(r: DiagnosticsRecord) -> tuple:
-    """A record's CSV columns: its fields in order, h_seminorms spread out."""
-    return (r.t, r.entropy, r.length, r.area, r.f_l2sq, *r.h_seminorms,
-            r.logk_dirichlet, r.kmin, r.kmax, r.kgrad_inf, r.k_l1, r.margin,
-            r.dt_used)
-
-
-def write_csv(records, path):
-    """Full-double-precision CSV time series; area empty when omega != 1."""
+def write_csv(columns: DiagnosticsRecord, path):
+    """Full-double-precision CSV time series, one line per row of a record
+    of columns; the area column is empty when omega != 1."""
+    c = columns
+    cols = [c.t, c.entropy, c.length, c.area, c.f_l2sq, *c.h_seminorms.T,
+            c.logk_dirichlet, c.kmin, c.kmax, c.kgrad_inf, c.k_l1, c.margin,
+            c.dt_used]
+    line = ",".join("" if x is None else "{:.17g}" for x in cols) + "\n"
+    table = np.column_stack([x for x in cols if x is not None])
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(",".join("" if v is None else f"{v:.17g}"
-                              for v in _csv_values(r)) + "\n")
+        for row in table:
+            fh.write(line.format(*row.tolist()))
 
 
-def read_csv(path):
-    records = []
+def read_csv(path) -> DiagnosticsRecord:
+    """The record of columns in a write_csv file: area None when its column
+    is empty, dissipation (not written) NaN."""
+    rows = []
     with open(path) as fh:
         if fh.readline().strip() != CSV_HEADER:
             raise ValueError(f"unexpected CSV header in {path}")
@@ -178,11 +164,14 @@ def read_csv(path):
             parts = line.strip().split(",")
             if len(parts) != len(_CSV_COLUMNS):
                 raise ValueError(f"{path}:{lineno}: expected {len(_CSV_COLUMNS)} columns")
-            v = [None if c == "area" and p == "" else float(p)
-                 for c, p in zip(_CSV_COLUMNS, parts)]
-            # positional, mirroring _csv_values
-            records.append(DiagnosticsRecord(*v[:5], tuple(v[5:10]), *v[10:]))
-    return records
+            rows.append([math.nan if c == "area" and p == "" else float(p)
+                         for c, p in zip(_CSV_COLUMNS, parts)])
+    # positional, mirroring write_csv's column order
+    (t, ent, L, A, f2, *h, sig, kmin, kmax, kgrad, k1, margin,
+     dt) = np.array(rows).reshape(-1, len(_CSV_COLUMNS)).T
+    return DiagnosticsRecord(t, ent, L, None if np.isnan(A).all() else A, f2,
+                             np.stack(h, axis=-1), sig, kmin, kmax, kgrad, k1,
+                             margin, dt, np.full(len(t), math.nan))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ unconditionally linearly stable.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,32 +83,13 @@ class FlowState:
         return self.support.grid
 
 
-class _Rows(Sequence):
-    """A sequence whose items are built from row i on access."""
-
-    def __init__(self, count, build):
-        self._count, self._build = count, build
-
-    def __len__(self):
-        return self._count
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._build(j) for j in range(*i.indices(self._count))]
-        j = i + self._count if i < 0 else i
-        if not 0 <= j < self._count:
-            raise IndexError(i)
-        return self._build(j)
-
-
 @dataclass
 class Trajectory:
     """Recorded states as columns.
 
     H holds one recorded support function per row, R * n * 8 bytes; columns
     is a DiagnosticsRecord of length-R columns, t and dt_used among them.
-    states and records are views that build a FlowState or DiagnosticsRecord
-    when read.
+    state(i) builds recorded state i as a FlowState.
     """
 
     variant: str
@@ -123,7 +104,8 @@ class Trajectory:
     def record_series(self, name) -> np.ndarray:
         return getattr(self.columns, name)
 
-    def _state(self, i) -> FlowState:
+    def state(self, i) -> FlowState:
+        """Recorded state i (negative i counts from the end)."""
         # h > 0 is checked on input only: the flow may translate the curve
         # past the origin, and the step guard keeps h_thth + h > 0
         sup = SupportGrid(GridFunction(self.grid, self.H[i]), validate=False)
@@ -131,16 +113,8 @@ class Trajectory:
                          variant=self.variant)
 
     @property
-    def states(self) -> Sequence:
-        return _Rows(len(self.H), self._state)
-
-    @property
-    def records(self) -> Sequence:
-        return _Rows(len(self.H), self.columns.row)
-
-    @property
     def final(self) -> FlowState:
-        return self._state(len(self.H) - 1)
+        return self.state(-1)
 
 
 def variant_shift(variant: str, omega: int) -> float:
@@ -174,9 +148,6 @@ def rhs_for_variant(s: SupportGrid, variant: str) -> GridFunction:
 # ---------------------------------------------------------------------------
 # spectral workspace (dense circulant operator for small grids)
 
-_WORKSPACES: dict = {}
-
-
 class _Workspace:
     def __init__(self, grid: PeriodicGrid):
         n, period = grid.n, grid.period
@@ -195,11 +166,12 @@ class _Workspace:
         self.ximax4 = (n / (2.0 * grid.omega))**4
 
 
+# one n = 1024 operator is 8.4 MB and one n = 4096 operator 134 MB, so only
+# the eight most recently used grids keep theirs; a rebuilt D2I is
+# bit-identical
+@functools.lru_cache(maxsize=8)
 def workspace(grid: PeriodicGrid) -> _Workspace:
-    key = (grid.omega, grid.n)
-    if key not in _WORKSPACES:
-        _WORKSPACES[key] = _Workspace(grid)
-    return _WORKSPACES[key]
+    return _Workspace(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +427,11 @@ def rescale_trajectory(tr: Trajectory, L0: float) -> Trajectory:
 # snapshot files
 
 def write_snapshot(path, state: FlowState):
+    lines = [f"# omega={state.grid.omega}", f"# n={state.grid.n}",
+             f"# t={state.time:.17g}", f"# variant={state.variant}"]
+    lines += [f"{v:.17g}" for v in state.support.values]
     with open(path, "w") as fh:
-        fh.write(f"# omega={state.grid.omega}\n")
-        fh.write(f"# n={state.grid.n}\n")
-        fh.write(f"# t={state.time:.17g}\n")
-        fh.write(f"# variant={state.variant}\n")
-        for v in state.support.values:
-            fh.write(f"{v:.17g}\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_snapshot(path) -> FlowState:

@@ -300,7 +300,7 @@ def criterion_10_rescaling_consistency() -> CriterionResult:
             i = int(np.argmin(np.abs(tr.times - x)))
             if abs(tr.times[i] - x) > 1e-9:
                 raise AssertionError(f"snapshot at t={x} missing")
-            out.append(tr.states[i].support.values)
+            out.append(tr.H[i])
         return np.array(out)
 
     a = at_times(tr_mapped, [slow_time(x, L0, 1) for x in tun])

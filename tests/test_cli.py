@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from entroflow.cli import ExitStatus, RunConfig, build_initial_support, main
+import entroflow.flow as flow
+from entroflow.cli import ExitStatus, RunConfig, _simulate, build_initial_support, main
 from entroflow.errors import ConfigError
+from entroflow.flow import read_snapshot
+from entroflow.support import reconstruct
 
 
 def fast_config(tmp_path, **over):
@@ -79,6 +82,47 @@ class TestSimulate:
         assert h == pytest.approx(math.sqrt(1 + 2 * 0.05), abs=1e-10)
         pts = np.loadtxt(out / "points_000005.txt")
         assert pts.shape == (16, 2)
+
+    def test_ellipse_text_artifacts(self, tmp_path):
+        # each snapshot reads back == to its trajectory row, and each points
+        # file holds the "%.17g %.17g" rows of its snapshot's reconstruction
+        cfg = RunConfig.from_dict(fast_config(
+            tmp_path, n=32, monitor_every=0.001,
+            initial={"kind": "ellipse", "a": 1.3, "b": 1.0}))
+        status, tr = _simulate(cfg)
+        assert status == 0
+        out = tmp_path / "out"
+        assert len(sorted(out.glob("points_*.txt"))) == len(tr.times) == 51
+        for i in range(len(tr.times)):
+            snap = read_snapshot(out / f"snapshot_{i:06d}.txt")
+            assert snap.time == tr.times[i]
+            assert np.array_equal(snap.support.values, tr.H[i])
+            rows = "".join("%.17g %.17g\n" % tuple(p)
+                           for p in reconstruct(snap.support).points)
+            assert (out / f"points_{i:06d}.txt").read_text() == rows
+
+    def test_monitor_failure_exit3(self, tmp_path):
+        # a strongly non-round datum at coarse cadence: the centered-difference
+        # identities cannot resolve its fast start
+        data = fast_config(tmp_path, n=48, t_end=0.05, monitor_every=1e-3,
+                           initial={"kind": "fourier", "constant": 1.0,
+                                    "modes": [[2, 0.3, 0.0]]})
+        cfgp = write_config(tmp_path, data)
+        assert main(["simulate", "--config", str(cfgp)]) == ExitStatus.MONITOR
+        monitors = json.loads((tmp_path / "out" / "monitors.json").read_text())
+        failing = sorted(k for k, v in monitors.items() if v["status"] == "fail")
+        assert failing == ["M1", "M11", "M3", "M7", "M8", "M9"]
+
+    def test_breakdown_exit2(self, tmp_path, capsys, monkeypatch):
+        # every attempt returns a state with negative h_thth + h
+        monkeypatch.setattr(flow, "_rk4_attempt", lambda h, w, *rest: (h, -w))
+        cfgp = write_config(tmp_path, fast_config(tmp_path))
+        assert main(["simulate", "--config", str(cfgp)]) == ExitStatus.BREAKDOWN
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("flow breakdown:")
+        last = read_snapshot(tmp_path / "out" / "breakdown_state.txt")
+        assert last.time == 0.0
+        assert np.array_equal(last.support.values, np.ones(16))
 
     def test_invalid_initial_exit1(self, tmp_path):
         data = fast_config(tmp_path, initial={

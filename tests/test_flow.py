@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,12 @@ ATTEMPTS = {"explicit_rk4": "_rk4_attempt", "semi_implicit": "_semi_implicit_att
 def circle_state(r=1.0, omega=1, n=16, variant="unscaled"):
     s = circle_support(PeriodicGrid(omega=omega, n=n), r)
     return FlowState(support=s, time=0.0, variant=variant)
+
+
+def assert_row(columns, i, rec):
+    """Row i of a record of columns equals the one-state record rec."""
+    for f in dataclasses.fields(rec):
+        assert np.array_equal(getattr(columns, f.name)[i], getattr(rec, f.name)), f.name
 
 
 class TestRhs:
@@ -138,6 +145,20 @@ class TestVelocityKernel:
         assert applies[0] == per_step * 16 + 1
 
 
+class TestWorkspace:
+    def test_cache_is_bounded(self):
+        g = PeriodicGrid(omega=1, n=16)
+        first = flow.workspace(g)
+        assert flow.workspace(PeriodicGrid(omega=1, n=16)) is first
+        # eight other grids push the first out of the cache; rebuilt, its
+        # operator is bit-identical
+        for n in range(18, 34, 2):
+            flow.workspace(PeriodicGrid(omega=1, n=n))
+        again = flow.workspace(g)
+        assert again is not first
+        assert np.array_equal(again.D2I, first.D2I)
+
+
 class TestStep:
     def test_rk4_scalar_ode(self):
         # on constant data the flow is h' = 1/h with solution sqrt(1 + 2t)
@@ -179,7 +200,7 @@ class TestEvolve:
         tr = evolve(circle_state(1.0, n=16), 0.1, StepperConfig(),
                     monitor_every=0.02)
         assert np.allclose(tr.times, np.arange(6) * 0.02)
-        assert len(tr.records) == 6
+        assert len(tr.times) == 6
 
     def test_snap_times(self):
         snap = [0.013, 0.037]
@@ -209,7 +230,7 @@ class TestEvolve:
         s = fourier_support(PeriodicGrid(omega=1, n=32), 1.0,
                             [(2, 0.15, 0.0), (3, 0.0, 0.05)])
         tr = evolve(FlowState(support=s), 0.05, StepperConfig(), monitor_every=0.01)
-        assert all(r.margin > 0 for r in tr.records)
+        assert np.all(tr.record_series("margin") > 0)
 
     @pytest.mark.parametrize("scheme", flow.SCHEMES)
     def test_breakdown_reports_last_state(self, monkeypatch, scheme):
@@ -256,7 +277,7 @@ class TestEvolve:
         tr = evolve(FlowState(support=moved), 0.002, cfg, monitor_every=1e-3)
         ref = evolve(FlowState(support=centred), 0.002, cfg, monitor_every=1e-3)
         assert np.min(tr.final.support.values) < 0.0
-        assert len(tr.records) == len(ref.records) == 3
+        assert len(tr.times) == len(ref.times) == 3
         for name in ("entropy", "f_l2sq", "kmin", "kmax"):
             a, b = tr.record_series(name), ref.record_series(name)
             assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-10, name
@@ -283,10 +304,12 @@ class TestEvolve:
                        variant="rescaled_chainrule")
         cfg = StepperConfig(scheme="semi_implicit", dt_init=5e-4, max_dt=2e-3)
         tr = evolve(st, 0.01, cfg, monitor_every=1e-3)
-        assert len(tr.records) == 11 > flow.RECORD_BLOCK // g.n
+        assert len(tr.times) == 11 > flow.RECORD_BLOCK // g.n
         dts = tr.record_series("dt_used")
-        for i, (state, rec) in enumerate(zip(tr.states, tr.records)):
-            assert rec == compute_record(state.support, state.time, dts[i].item())
+        for i in range(len(tr.times)):
+            state = tr.state(i)
+            assert_row(tr.columns, i, compute_record(state.support, state.time,
+                                                     dts[i].item()))
         assert np.array_equal(tr.final.support.values, tr.H[-1])
 
 
@@ -300,17 +323,17 @@ class TestRescaling:
     def test_initial_snapshot(self):
         tr = evolve(circle_state(1.0, n=16), 0.2, StepperConfig(),
                     monitor_every=0.05)
-        L0 = integrate(tr.states[0].support.h)
+        L0 = integrate(tr.state(0).support.h)
         res = rescale_trajectory(tr, L0)
-        assert res.states[0].time == 0.0
-        assert np.allclose(res.states[0].support.values, 1.0 / L0)
+        assert res.state(0).time == 0.0
+        assert np.allclose(res.state(0).support.values, 1.0 / L0)
 
     def test_circle_is_fixed_point_of_rescaling(self):
         tr = evolve(circle_state(1.0, n=16), 1.0, StepperConfig(),
                     monitor_every=0.25)
         res = rescale_trajectory(tr, 2 * math.pi)
-        for st in res.states:
-            assert np.max(np.abs(st.support.values - 1 / (2 * math.pi))) < 1e-12
+        for h in res.H:
+            assert np.max(np.abs(h - 1 / (2 * math.pi))) < 1e-12
 
     def test_matches_per_state_mapping(self):
         # the records of h/phi at t_slow with dt/phi^2, mapped one state at a
@@ -323,14 +346,16 @@ class TestRescaling:
         tr = evolve(circle_state(1.0, n=16), 0.1, StepperConfig(),
                     monitor_every=0.01, snap_times=odd[:6])
         res = rescale_trajectory(tr, L0)
-        assert len(res.records) == len(tr.records)
-        for st, rec, got, got_state in zip(tr.states, tr.records, res.records, res.states):
+        assert len(res.times) == len(tr.times)
+        dts = tr.record_series("dt_used")
+        for i in range(len(tr.times)):
+            st, got_state = tr.state(i), res.state(i)
             phi = scale_factor(st.time, L0, 1)
             h = st.support.values / phi
             t_eta = slow_time(st.time, L0, 1)
             want = compute_record(SupportGrid(GridFunction(st.grid, h), validate=False),
-                                  t_eta, rec.dt_used / phi**2)
-            assert got == want
+                                  t_eta, dts[i].item() / phi**2)
+            assert_row(res.columns, i, want)
             assert got_state.time == t_eta
             assert np.array_equal(got_state.support.values, h)
 
