@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import IntEnum
@@ -23,11 +24,11 @@ from .diagnostics import fit_decay_rate, run_monitors, write_csv
 from .errors import (ConfigError, CurveIngestionError, EntroflowError,
                      FlowBreakdownError, NotLocallyConvexError)
 from .flow import (VARIANTS, FlowState, StepperConfig, check_record_count, evolve,
-                   write_snapshot)
-from .spectral import PeriodicGrid
+                   record_blocks, snapshot_format, write_snapshot)
+from .spectral import GridFunction, PeriodicGrid
 from .support import (SupportGrid, circle_support, ellipse_support,
                       fourier_support, read_curve_file, read_support_file,
-                      reconstruct, support_from_curve)
+                      reconstruct, support_from_curve, write_text)
 
 
 class ExitStatus(IntEnum):
@@ -123,9 +124,12 @@ class RunConfig:
             return cls.from_dict(json.load(fh))
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_text(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+
+
+def _io_error(exc: OSError) -> ExitStatus:
+    print(f"i/o error: {exc}", file=sys.stderr)
+    return ExitStatus.IO
 
 
 def build_initial_support(cfg: RunConfig) -> SupportGrid:
@@ -153,22 +157,35 @@ def build_initial_support(cfg: RunConfig) -> SupportGrid:
     raise ConfigError(f"unhandled initial kind {kind}")
 
 
-def _emit_artifacts(cfg: RunConfig, tr, outdir: Path):
-    write_csv(tr.columns, outdir / "diagnostics.csv")
-    for i in range(len(tr.times)):
-        st = tr.state(i)
-        write_snapshot(outdir / f"snapshot_{i:06d}.txt", st)
-        pts = reconstruct(st.support).points.tolist()
-        with open(outdir / f"points_{i:06d}.txt", "w") as fh:
-            fh.write("".join(f"{x:.17g} {y:.17g}\n" for x, y in pts))
-    cfg.write_json(outdir / "effective_config.json")
+def _emit_artifacts(cfg: RunConfig, tr):
+    """Write diagnostics.csv, a snapshot and a points file per recorded
+    state, and effective_config.json into cfg.output_dir.
+
+    The curves are reconstructed one record block at a time.  Names are
+    plain str: pathlib interns every name it parses, which kept ~1 MB alive
+    per thousand artifacts.
+    """
+    outdir = cfg.output_dir
+    write_csv(tr.columns, os.path.join(outdir, "diagnostics.csv"))
+    grid = tr.grid
+    snapshot = snapshot_format(grid, tr.variant)
+    points = "%.17g %.17g\n" * grid.n
+    times = tr.times.tolist()
+    for b in record_blocks(grid, len(times)):
+        H = tr.H[b]
+        P = reconstruct(SupportGrid(GridFunction(grid, H), validate=False)).points
+        for i, h, p in zip(range(b.start, b.start + len(H)), H, P):
+            write_text(os.path.join(outdir, f"snapshot_{i:06d}.txt"),
+                       snapshot % (times[i], *h.tolist()))
+            write_text(os.path.join(outdir, f"points_{i:06d}.txt"),
+                       points % tuple(p.ravel().tolist()))
+    cfg.write_json(os.path.join(outdir, "effective_config.json"))
 
 
 def _simulate(cfg: RunConfig):
     """Run, write the artifacts, return (status, trajectory or None)."""
-    outdir = Path(cfg.output_dir)
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(cfg.output_dir, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create output dir: {exc}", file=sys.stderr)
         return ExitStatus.IO, None
@@ -179,19 +196,25 @@ def _simulate(cfg: RunConfig):
         print(f"validation failure: {exc}", file=sys.stderr)
         return ExitStatus.VALIDATION, None
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return ExitStatus.IO, None
+        return _io_error(exc), None
     state = FlowState(support=s0, time=0.0, variant=cfg.variant)
     try:
         tr = evolve(state, cfg.t_end, cfg.stepper, monitor_every=cfg.monitor_every)
     except FlowBreakdownError as exc:
         print(f"flow breakdown: {exc}", file=sys.stderr)
         if exc.last_state is not None:
-            write_snapshot(outdir / "breakdown_state.txt", exc.last_state)
+            try:
+                write_snapshot(os.path.join(cfg.output_dir, "breakdown_state.txt"),
+                               exc.last_state)
+            except OSError as err:
+                return _io_error(err), None
         return ExitStatus.BREAKDOWN, None
-    _emit_artifacts(cfg, tr, outdir)
-    report = run_monitors(tr)
-    report.to_json(outdir / "monitors.json")
+    try:
+        _emit_artifacts(cfg, tr)
+        report = run_monitors(tr)
+        report.to_json(os.path.join(cfg.output_dir, "monitors.json"))
+    except OSError as exc:
+        return _io_error(exc), None
     return (ExitStatus.OK if report.passed else ExitStatus.MONITOR), tr
 
 
@@ -217,9 +240,11 @@ def cmd_rescaled(cfg: RunConfig) -> ExitStatus:
     h = tr.final.support.values
     payload = {"fitted_decay_rates": rates,
                "final_sup_deviation_from_mean": float(np.max(np.abs(h - h.mean())))}
-    with open(Path(cfg.output_dir) / "decay_rates.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        write_text(os.path.join(cfg.output_dir, "decay_rates.json"),
+                   json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        return _io_error(exc)
     return status
 
 
@@ -251,12 +276,13 @@ def cmd_crosscheck(cfg: RunConfig, draws: int = 20) -> ExitStatus:
     rows.append(("parametrization_identity",
                  graph.check_parametrization_identity(s0),
                  graph.PARAMETRIZATION_TOL))
-    with open(outdir / "crosscheck.csv", "w") as fh:
-        fh.write("check,residual,threshold,pass\n")
-        for name, value, threshold in rows:
-            ok = value <= threshold
-            fh.write(f"{name},{value:.17g},{threshold:.3g},{int(ok)}\n")
-    cfg.write_json(outdir / "effective_config.json")
+    try:
+        write_text(outdir / "crosscheck.csv", "check,residual,threshold,pass\n" + "".join(
+            f"{name},{value:.17g},{threshold:.3g},{int(value <= threshold)}\n"
+            for name, value, threshold in rows))
+        cfg.write_json(outdir / "effective_config.json")
+    except OSError as exc:
+        return _io_error(exc)
     bad = [row for row in rows if not row[1] <= row[2]]
     for name, value, threshold in bad:
         print(f"residual failure: {name} = {value:.3e} > {threshold:.1e}",
@@ -291,7 +317,10 @@ def cmd_plots(csv_path: str, out_path: str) -> ExitStatus:
         print(f"error: {csv} not found", file=sys.stderr)
         return ExitStatus.IO
     script = Path(out_path)
-    script.write_text(GNUPLOT_TEMPLATE.format(name=script.name, csv=csv))
+    try:
+        write_text(script, GNUPLOT_TEMPLATE.format(name=script.name, csv=csv))
+    except OSError as exc:
+        return _io_error(exc)
     return ExitStatus.OK
 
 
@@ -339,8 +368,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return int(ExitStatus.VALIDATION)
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return int(ExitStatus.IO)
+        return int(_io_error(exc))
     if args.command == "simulate":
         return int(cmd_simulate(cfg))
     if args.command == "rescaled":

@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .diagnostics import DiagnosticsRecord, compute_record
 from .errors import FlowBreakdownError, StepRejectedError
 from .spectral import GridFunction, PeriodicGrid
-from .support import SupportGrid
+from .support import SupportGrid, write_text
 
 VARIANTS = ("unscaled", "rescaled_chainrule", "rescaled_paper")
 SCHEMES = ("explicit_rk4", "semi_implicit")
@@ -289,14 +289,20 @@ def _event_times(t0: float, t_end: float, monitor_every, snap_times):
     return merged
 
 
-def _record_columns(grid: PeriodicGrid, H, t, dt) -> DiagnosticsRecord:
-    """compute_record on the stacked states H, in blocks of at most
-    RECORD_BLOCK samples so that its temporaries stay small."""
+def record_blocks(grid: PeriodicGrid, R: int) -> list:
+    """Slices cutting R stacked states on grid into blocks of at most
+    RECORD_BLOCK samples, so that the temporaries of a stacked call stay
+    small."""
     rows = max(1, RECORD_BLOCK // grid.n)
+    return [slice(i, i + rows) for i in range(0, R, rows)]
+
+
+def _record_columns(grid: PeriodicGrid, H, t, dt) -> DiagnosticsRecord:
+    """compute_record on the stacked states H, one call per record block."""
     return DiagnosticsRecord.concat([
-        compute_record(SupportGrid(GridFunction(grid, H[i:i + rows]), validate=False),
-                       t[i:i + rows], dt[i:i + rows])
-        for i in range(0, len(H), rows)])
+        compute_record(SupportGrid(GridFunction(grid, H[b]), validate=False),
+                       t[b], dt[b])
+        for b in record_blocks(grid, len(H))])
 
 
 def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
@@ -426,12 +432,15 @@ def rescale_trajectory(tr: Trajectory, L0: float) -> Trajectory:
 # ---------------------------------------------------------------------------
 # snapshot files
 
+def snapshot_format(grid: PeriodicGrid, variant: str) -> str:
+    """The text of a snapshot file as a %-format of (t, h_0, ..., h_{n-1})."""
+    return (f"# omega={grid.omega}\n# n={grid.n}\n# t=%.17g\n# variant={variant}\n"
+            + "%.17g\n" * grid.n)
+
+
 def write_snapshot(path, state: FlowState):
-    lines = [f"# omega={state.grid.omega}", f"# n={state.grid.n}",
-             f"# t={state.time:.17g}", f"# variant={state.variant}"]
-    lines += [f"{v:.17g}" for v in state.support.values]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fmt = snapshot_format(state.grid, state.variant)
+    write_text(path, fmt % (state.time, *state.support.values.tolist()))
 
 
 def read_snapshot(path) -> FlowState:

@@ -124,6 +124,28 @@ class TestSimulate:
         assert last.time == 0.0
         assert np.array_equal(last.support.values, np.ones(16))
 
+    @pytest.mark.parametrize("command,name", [
+        ("simulate", "snapshot_000001.txt"),
+        ("simulate", "monitors.json"),
+        ("rescaled", "decay_rates.json"),
+    ])
+    def test_artifact_write_failure_exit4(self, tmp_path, capsys, command, name):
+        # a directory stands where the artifact goes, so writing it fails
+        (tmp_path / "out" / name).mkdir(parents=True)
+        cfgp = write_config(tmp_path, fast_config(tmp_path))
+        assert main([command, "--config", str(cfgp), "--t-end", "0.02"]) == ExitStatus.IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:")
+
+    def test_breakdown_state_write_failure_exit4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(flow, "_rk4_attempt", lambda h, w, *rest: (h, -w))
+        (tmp_path / "out" / "breakdown_state.txt").mkdir(parents=True)
+        cfgp = write_config(tmp_path, fast_config(tmp_path))
+        assert main(["simulate", "--config", str(cfgp)]) == ExitStatus.IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("flow breakdown:")
+        assert err[1].startswith("i/o error:")
+
     def test_invalid_initial_exit1(self, tmp_path):
         data = fast_config(tmp_path, initial={
             "kind": "fourier", "constant": 1.0, "modes": [[2, 0.8, 0.0]]})
@@ -277,6 +299,25 @@ class TestRescaled:
         fits = json.loads((out / "decay_rates.json").read_text())
         assert fits["final_sup_deviation_from_mean"] < 1e-12
 
+    def test_overwrite_leaves_no_stale_tail(self, tmp_path):
+        # the n = 64 run leaves longer files behind; the n = 48 run over them
+        # must leave exactly what it writes into a fresh directory
+        data = fast_config(tmp_path, initial={"kind": "ellipse", "a": 1.3, "b": 1.0})
+        data["stepper"].update(scheme="semi_implicit", max_dt=1e-3)
+        cfgp = write_config(tmp_path, data)
+        over, fresh = tmp_path / "over", tmp_path / "fresh"
+        for out, n in ((over, "64"), (over, "48"), (fresh, "48")):
+            assert main(["rescaled", "--config", str(cfgp), "--out", str(out),
+                         "--n", n]) == 0
+        names = sorted(p.name for p in fresh.iterdir())
+        assert len(names) == 16
+        assert sorted(p.name for p in over.iterdir()) == names
+        for name in names:
+            got, want = (over / name).read_bytes(), (fresh / name).read_bytes()
+            if name == "effective_config.json":
+                got, want = (dict(json.loads(x), output_dir=None) for x in (got, want))
+            assert got == want, name
+
     def test_unscaled_variant_rejected(self, tmp_path):
         data = fast_config(tmp_path)
         cfgp = write_config(tmp_path, data)
@@ -313,6 +354,13 @@ class TestCrosscheck:
         assert len(err) == 1 and err[0].startswith("validation failure:")
         assert "spectral tail 2.74e-03" in err[0]
 
+    def test_write_failure_exit4(self, tmp_path, capsys):
+        (tmp_path / "out" / "crosscheck.csv").mkdir(parents=True)
+        cfgp = write_config(tmp_path, fast_config(tmp_path, n=64))
+        assert main(["crosscheck", "--config", str(cfgp)]) == ExitStatus.IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:")
+
     def test_unsupported_base(self, tmp_path):
         data = fast_config(tmp_path, initial={
             "kind": "fourier", "constant": 1.0, "modes": [[2, 0.1, 0.0]]})
@@ -336,3 +384,12 @@ class TestVerifyAndPlots:
 
     def test_plots_missing_csv(self, tmp_path):
         assert main(["plots", str(tmp_path / "nope.csv")]) == 4
+
+    def test_plots_write_failure_exit4(self, tmp_path, capsys):
+        csv = tmp_path / "diagnostics.csv"
+        csv.write_text("")
+        gp = tmp_path / "plots.gp"
+        gp.mkdir()
+        assert main(["plots", str(csv), "--out", str(gp)]) == ExitStatus.IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:")

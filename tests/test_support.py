@@ -104,6 +104,35 @@ class TestReconstruct:
         th = s.grid.nodes
         assert np.max(np.abs(c.tangents - np.stack([-np.sin(th), np.cos(th)], 1))) == 0
 
+    @pytest.mark.parametrize("omega,n", [(1, 48), (1, 50), (2, 96)])
+    def test_stack_rows_match_one_row_calls(self, omega, n):
+        g = grid(omega, n)
+        th = g.nodes
+        H = np.stack([1 + a * np.cos(m * th / omega) + b * np.sin(th / omega)
+                      for a, b, m in [(0.0, 0.0, 1), (0.1, 0.05, 2), (0.05, -0.2, 3),
+                                      (0.02, 0.3, 5)]])
+        c = reconstruct(SupportGrid(GridFunction(g, H)))
+        assert c.points.shape == (len(H), n, 2)
+        for j, h in enumerate(H):
+            one = reconstruct(SupportGrid(GridFunction(g, h)))
+            assert np.array_equal(c.points[j], one.points)
+            assert np.array_equal(c.tangents, one.tangents)
+            assert np.array_equal(c.thetas, one.thetas)
+
+    def test_stack_raises_as_first_nonconvex_row(self):
+        g = grid(1, 48)
+        th = g.nodes
+        good = 1 + 0.1 * np.cos(2 * th)
+        bad = [1 + 0.5 * np.cos(2 * th), 1 + 0.4 * np.cos(3 * th + 0.3)]
+        stack = SupportGrid(GridFunction(g, np.stack([good, bad[0], good, bad[1]])),
+                            validate=False)
+        with pytest.raises(NotLocallyConvexError) as got:
+            reconstruct(stack)
+        with pytest.raises(NotLocallyConvexError) as want:
+            reconstruct(SupportGrid(GridFunction(g, bad[0]), validate=False))
+        assert str(got.value) == str(want.value)
+        assert (got.value.node, got.value.margin) == (want.value.node, want.value.margin)
+
 
 class TestIngestion:
     def test_circle_polyline_embedded(self):
