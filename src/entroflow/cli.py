@@ -61,9 +61,13 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("omega", "n", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         try:
             PeriodicGrid(omega=self.omega, n=self.n)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not self.t_end > 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
@@ -76,8 +80,6 @@ class RunConfig:
             check_record_count(0.0, self.t_end, every)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if self.variant not in VARIANTS:
@@ -248,7 +250,7 @@ def cmd_rescaled(cfg: RunConfig) -> ExitStatus:
     return status
 
 
-def cmd_crosscheck(cfg: RunConfig, draws: int = 20) -> ExitStatus:
+def cmd_crosscheck(cfg: RunConfig) -> ExitStatus:
     outdir = Path(cfg.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -272,7 +274,7 @@ def cmd_crosscheck(cfg: RunConfig, draws: int = 20) -> ExitStatus:
         print(f"validation failure: {exc}", file=sys.stderr)
         return ExitStatus.VALIDATION
 
-    rows = graph.crosscheck(base, cfg.seed * 1000, draws, radius=radius)
+    rows = graph.crosscheck(base, cfg.seed * 1000, draws=20, radius=radius)
     rows.append(("parametrization_identity",
                  graph.check_parametrization_identity(s0),
                  graph.PARAMETRIZATION_TOL))

@@ -216,11 +216,8 @@ class MonitorReport:
                          "note": c.note}
                 for c in self.checks}
 
-    def to_json(self, path=None):
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            write_text(path, text + "\n")
-        return text
+    def to_json(self, path):
+        write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def _cd_first(t, x):

@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .diagnostics import DiagnosticsRecord, compute_record
 from .errors import FlowBreakdownError, StepRejectedError
-from .spectral import GridFunction, PeriodicGrid
+from .spectral import GridFunction, PeriodicGrid, periodic_derivs_values
 from .support import SupportGrid, write_text
 
 VARIANTS = ("unscaled", "rescaled_chainrule", "rescaled_paper")
@@ -54,17 +54,18 @@ class StepperConfig:
     stabilization_coeff: float = 1.0
 
     def __post_init__(self):
-        if self.dt_init <= 0:
+        # written as "not x > 0" so that NaN fails them too
+        if not self.dt_init > 0:
             raise ValueError("dt_init must be positive")
         if not 0.0 < self.safety <= 1.0:
             raise ValueError("safety must lie in (0, 1]")
-        if self.max_dt <= 0:
+        if not self.max_dt > 0:
             raise ValueError("max_dt must be positive")
         if not 0.0 < self.guard_ratio < 1.0:
             raise ValueError("guard_ratio must lie in (0, 1)")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.stabilization_coeff < 0:
+        if not self.stabilization_coeff >= 0:
             raise ValueError("stabilization_coeff must be >= 0")
 
 
@@ -150,19 +151,18 @@ def rhs_for_variant(s: SupportGrid, variant: str) -> GridFunction:
 
 class _Workspace:
     def __init__(self, grid: PeriodicGrid):
-        n, period = grid.n, grid.period
-        xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
+        n = grid.n
         e0 = np.zeros(n)
         e0[0] = 1.0
-        col = np.fft.irfft(-xi**2 * np.fft.rfft(e0), n=n)
+        col = periodic_derivs_values(e0, grid.period, (2,))[0]
         # circulant D2I[i, j] = col[(i - j) % n] + delta_ij: row i is a window
         # of the reversed col repeated.  Unlike an (n, n) index gather it
         # builds no index array, which kept peak memory ~6 MB lower at n = 1024
         rev = col[::-1]
         windows = sliding_window_view(np.concatenate([rev, rev[:-1]]), n)
         self.D2I = windows[::-1] + np.eye(n)
-        self.xi = xi
-        self.xi4 = xi**4
+        self.xi = grid.wavenumbers
+        self.xi4 = self.xi**4
         self.ximax4 = (n / (2.0 * grid.omega))**4
 
 

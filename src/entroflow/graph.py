@@ -13,8 +13,9 @@ The closed-form derivative and velocity formulas are evaluated in the
 self-consistent rotating frame (T0' = k0*N0, N0' = -k0*T0 with N0 inner),
 in which they describe gamma0 + rho_eff*N0; the default convention
 therefore evaluates them at rho_eff = -rho so that they describe the actual
-composite.  Flipping the convention to "paper_literal" evaluates them at
-+rho, which describes the reflected graph and is detected by the
+composite.  Every scene builder uses that convention;
+``scene.with_convention("paper_literal")`` evaluates them at +rho instead,
+which describes the reflected graph and is detected by the
 bundle-versus-direct residual (a deliberate sanity property).
 
 Every bundle quantity is recomputed independently by spectral
@@ -346,8 +347,7 @@ def _invert_monotone(a: float, p: np.ndarray, dp: np.ndarray, period: float,
     return x
 
 
-def _scene(u, L0, theta, h, h1, k, k1, k2, k3, rho,
-           convention) -> GraphCurveScene:
+def _scene(u, L0, theta, h, h1, k, k1, k2, k3, rho) -> GraphCurveScene:
     """Scene from support data h, h1 and curvature data k, k1..k3 (all in
     theta) at the tangent angles theta(u); the chain rule d/du = k d/dtheta
     gives the u-derivatives of k."""
@@ -357,22 +357,20 @@ def _scene(u, L0, theta, h, h1, k, k1, k2, k3, rho,
         tangents=np.stack([-sn, c], axis=1), normals=-np.stack([c, sn], axis=1),
         k0=k, k0_u=k * k1, k0_uu=k * (k1**2 + k * k2),
         k0_u3=k * (k1**3 + 4.0 * k * k1 * k2 + k**2 * k3), length=L0,
-        rho=np.zeros(len(u)) if rho is None else rho, convention=convention)
+        rho=np.zeros(len(u)) if rho is None else rho)
 
 
-def scene_circle(radius: float, n: int, rho=None,
-                 convention: str = "self_consistent") -> GraphCurveScene:
+def scene_circle(radius: float, n: int, rho=None) -> GraphCurveScene:
     """Unit-speed circle base of given radius (counterclockwise)."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     L0 = 2.0 * math.pi * radius
     u = np.arange(n) * (L0 / n)
     return _scene(u, L0, u / radius, radius, 0.0, np.full(n, 1.0 / radius),
-                  0.0, 0.0, 0.0, rho, convention)
+                  0.0, 0.0, 0.0, rho)
 
 
-def scene_from_support(s: SupportGrid, n: int, rho=None,
-                       convention: str = "self_consistent") -> GraphCurveScene:
+def scene_from_support(s: SupportGrid, n: int, rho=None) -> GraphCurveScene:
     """Arclength-resampled scene for any valid support grid.
 
     Curvature derivatives in u come from spectral theta-derivatives and the
@@ -392,7 +390,7 @@ def scene_from_support(s: SupportGrid, n: int, rho=None,
     theta = _invert_monotone(mean, p, w, period, u)
     hj, h1j, kj, k1j, k2j, k3j = (trig_eval_values(v, period, theta)
                                   for v in (hv, h1, k, kt1, kt2, kt3))
-    return _scene(u, L0, theta, hj, h1j, kj, k1j, k2j, k3j, rho, convention)
+    return _scene(u, L0, theta, hj, h1j, kj, k1j, k2j, k3j, rho)
 
 
 def _ellipse_theta_data(a: float, b: float, theta: np.ndarray):
@@ -421,8 +419,7 @@ def _ellipse_theta_data(a: float, b: float, theta: np.ndarray):
     return h, h1, k, k1, k2, k3
 
 
-def scene_ellipse(a: float, b: float, n: int, rho=None,
-                  convention: str = "self_consistent") -> GraphCurveScene:
+def scene_ellipse(a: float, b: float, n: int, rho=None) -> GraphCurveScene:
     """Ellipse base with analytically exact curvature-derivative data.
 
     Only the arclength inversion theta(u) is numerical (a spectral
@@ -438,28 +435,25 @@ def scene_ellipse(a: float, b: float, n: int, rho=None,
     L0 = mean * period
     u = np.arange(n) * (L0 / n)
     theta = _invert_monotone(mean, p, w_fine, period, u)
-    return _scene(u, L0, theta, *_ellipse_theta_data(a, b, theta), rho,
-                  convention)
+    return _scene(u, L0, theta, *_ellipse_theta_data(a, b, theta), rho)
 
 
-def band_limited_rho(scene: GraphCurveScene, seed: int, max_mode: int = 8,
-                     amplitude: float | None = None) -> np.ndarray:
+def band_limited_rho(scene: GraphCurveScene, seed: int) -> np.ndarray:
     """Seeded random band-limited graph function.
 
     Draws come from numpy's default PCG64 generator (a documented,
-    platform-independent permuted congruential generator); mode m gets
-    standard-normal cosine/sine coefficients damped by 1/(1 + m^2).  The
-    result is scaled to the requested sup amplitude (default 5 percent of
-    the admissible bound min(1/k0)).
+    platform-independent permuted congruential generator); mode m = 1..8
+    gets standard-normal cosine/sine coefficients damped by 1/(1 + m^2).
+    The result is scaled to a sup amplitude of 5 percent of the admissible
+    bound min(1/k0).
     """
     rng = np.random.default_rng(seed)
     x = 2.0 * np.pi * scene.u / scene.length
     v = np.zeros(scene.n)
-    for m in range(1, max_mode + 1):
+    for m in range(1, 9):
         am, bm = rng.standard_normal(2) / (1.0 + m * m)
         v += am * np.cos(m * x) + bm * np.sin(m * x)
-    if amplitude is None:
-        amplitude = 0.05 * float(np.min(1.0 / scene.k0))
+    amplitude = 0.05 * float(np.min(1.0 / scene.k0))
     peak = float(np.max(np.abs(v)))
     if peak > 0:
         v *= amplitude / peak

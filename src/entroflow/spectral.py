@@ -41,8 +41,10 @@ class PeriodicGrid:
 
     @property
     def wavenumbers(self) -> np.ndarray:
-        """Radian wavenumbers m/omega for the rfft layout (m = 0..n/2)."""
-        return np.arange(self.n // 2 + 1) / self.omega
+        """Radian wavenumbers of the rfft layout, the ones every derivative
+        uses: rfft_wavenumbers(n, period), equal to m/omega (m = 0..n/2) up
+        to round-off."""
+        return rfft_wavenumbers(self.n, self.period)
 
 
 @dataclass
@@ -66,12 +68,14 @@ class GridFunction:
             raise ValueError("values must be finite")
         self.values = v
 
-    @classmethod
-    def from_callable(cls, grid: PeriodicGrid, fn) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
-
     def copy_with(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.grid, values)
+
+
+def rfft_wavenumbers(n: int, period: float) -> np.ndarray:
+    """Radian wavenumbers 2*pi*m/period of the rfft of n samples over one
+    period (m = 0..n/2)."""
+    return 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
 
 
 def _deriv_factor(xi: np.ndarray, order: int) -> np.ndarray:
@@ -103,16 +107,15 @@ def periodic_derivs_values(values: np.ndarray, period: float, orders) -> list:
             raise UnsupportedOrderError(
                 f"derivative order {order} exceeds supported maximum {MAX_DERIV_ORDER}")
     n = np.shape(values)[-1]
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
+    xi = rfft_wavenumbers(n, period)
     coeff = np.fft.rfft(values) if any(orders) else None
     return [np.fft.irfft(coeff * _deriv_factor(xi, order), n=n) if order
             else np.array(values, dtype=float) for order in orders]
 
 
-def denoised_deriv_values(values: np.ndarray, period: float, orders,
-                          rel_floor: float = 1e-15):
+def denoised_deriv_values(values: np.ndarray, period: float, orders):
     """Spectral derivatives of several orders from one transform, zeroing
-    modes whose coefficients sit below rel_floor * max|coeff|.
+    modes whose coefficients sit below 1e-15 * max|coeff|.
 
     High-order spectral differentiation multiplies per-mode round-off by
     xi^order; for data whose true spectrum has decayed to round-off this
@@ -120,9 +123,9 @@ def denoised_deriv_values(values: np.ndarray, period: float, orders,
     data and keeps fourth derivatives accurate near machine precision.
     """
     n = len(values)
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
+    xi = rfft_wavenumbers(n, period)
     coeff = np.fft.rfft(values)
-    coeff[np.abs(coeff) < rel_floor * np.max(np.abs(coeff))] = 0.0
+    coeff[np.abs(coeff) < 1e-15 * np.max(np.abs(coeff))] = 0.0
     return [np.fft.irfft(coeff * _deriv_factor(xi, order), n=n) for order in orders]
 
 
@@ -131,7 +134,7 @@ def trig_eval_values(values: np.ndarray, period: float, points: np.ndarray) -> n
     n = len(values)
     x = np.atleast_1d(np.asarray(points, dtype=float)) % period
     c = np.fft.rfft(values)
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
+    xi = rfft_wavenumbers(n, period)
     phase = np.outer(x, xi)
     weights = np.full(n // 2 + 1, 2.0)
     weights[0] = 1.0
@@ -149,7 +152,7 @@ def periodic_antideriv_values(values: np.ndarray, period: float):
     n = len(values)
     c = np.fft.rfft(values)
     mean = c[0].real / n
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
+    xi = rfft_wavenumbers(n, period)
     cint = np.zeros_like(c)
     cint[1:] = c[1:] / (1j * xi[1:])
     cint[-1] = 0.0  # Nyquist has no representable antiderivative partner

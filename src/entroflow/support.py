@@ -90,9 +90,6 @@ class SupportGrid:
     def values(self) -> np.ndarray:
         return self.h.values
 
-    def copy(self) -> "SupportGrid":
-        return SupportGrid(self.h.copy_with(self.h.values.copy()), validate=False)
-
 
 @dataclass
 class CurveSample:
@@ -235,48 +232,31 @@ def _support_from_immersed(points, thetas, omega, grid: PeriodicGrid) -> Support
     return SupportGrid(GridFunction(grid, h))
 
 
-def support_from_curve(curve, omega: int, n: int | None = None,
-                       mode: str = "auto") -> SupportGrid:
+def support_from_curve(curve, omega: int, n: int | None = None) -> SupportGrid:
     """Resample a closed locally convex curve onto a uniform theta grid.
 
-    Parameters
-    ----------
-    curve : CurveSample or (m, 2) array
-        Curve data; a raw array is a closed polyline (first point not
-        repeated).
-    omega : int
-        Winding number of the curve.
-    n : int, optional
-        Output grid size; defaults to the input sample count (made even).
-    mode : {"auto", "embedded", "immersed"}
-        "embedded" evaluates the polygonal-hull support (omega must be 1);
-        "immersed" inverts the monotone tangent-angle map.  "auto" picks
-        "immersed" for CurveSample input, otherwise "embedded" when
-        omega == 1.
+    A CurveSample is resampled by inverting its monotone tangent-angle map.
+    A raw (m, 2) array is a closed polyline (first point not repeated): with
+    omega == 1 its h is the support function of its polygonal hull;
+    otherwise its tangent angles are estimated from its points and the
+    tangent-angle map is inverted as for a CurveSample.  n is the output grid
+    size and defaults to the input sample count (made even).
     """
     if isinstance(curve, CurveSample):
         pts, thetas = curve.points, curve.thetas
-        if mode == "auto":
-            mode = "immersed"
     else:
         pts = np.asarray(curve, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 8:
             raise CurveIngestionError("need at least 8 planar points")
         thetas = None
-        if mode == "auto":
-            mode = "embedded" if omega == 1 else "immersed"
     if n is None:
         n = len(pts) - (len(pts) % 2)
     grid = PeriodicGrid(omega=omega, n=n)
-    if mode == "embedded":
-        if omega != 1:
-            raise CurveIngestionError("embedded ingestion requires omega == 1")
-        return _support_from_embedded(pts, grid)
-    if mode == "immersed":
-        if thetas is None:
-            thetas = _tangent_angles_from_points(pts)
-        return _support_from_immersed(pts, thetas, omega, grid)
-    raise ValueError(f"unknown mode {mode!r}")
+    if thetas is None:
+        if omega == 1:
+            return _support_from_embedded(pts, grid)
+        thetas = _tangent_angles_from_points(pts)
+    return _support_from_immersed(pts, thetas, omega, grid)
 
 
 # ---------------------------------------------------------------------------

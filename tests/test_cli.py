@@ -192,12 +192,22 @@ class TestSimulate:
         ("crosscheck", {"seed": True}),
         ("simulate", {"output_dir": 3}),
         ("crosscheck", {"output_dir": 3}),
+        ("simulate", {"stepper": {"scheme": "semi_implicit", "dt_init": math.nan}}),
+        ("simulate", {"stepper": {"scheme": "semi_implicit",
+                                  "stabilization_coeff": math.nan}}),
+        ("simulate", {"stepper": {"max_dt": math.nan}}),
+        ("simulate", {"omega": True}),
+        ("simulate", {"omega": 2.0}),
+        ("simulate", {"n": 48.0}),
+        ("simulate", {"n": True}),
     ], ids=["safety_zero", "stepper_not_object", "dt_init_string",
             "initial_not_object", "circle_negative_r", "crosscheck_negative_r",
             "ellipse_flat", "fourier_mode_pair", "monitor_every_string",
             "monitor_every_zero", "monitor_every_negative", "monitor_every_inf",
             "monitor_every_bool", "seed_string", "seed_float", "seed_bool",
-            "output_dir_number", "crosscheck_output_dir_number"])
+            "output_dir_number", "crosscheck_output_dir_number", "dt_init_nan",
+            "stabilization_coeff_nan", "max_dt_nan", "omega_bool", "omega_float",
+            "n_float", "n_bool"])
     def test_bad_config_value_exit1(self, tmp_path, capsys, command, over):
         cfgp = write_config(tmp_path, fast_config(tmp_path, **over))
         assert main([command, "--config", str(cfgp)]) == 1

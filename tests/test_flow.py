@@ -376,7 +376,11 @@ class TestStepperConfig:
                                     dict(safety=1.5), dict(max_dt=-1.0),
                                     dict(guard_ratio=0.0), dict(guard_ratio=1.0),
                                     dict(scheme="euler"),
-                                    dict(stabilization_coeff=-1.0)])
+                                    dict(stabilization_coeff=-1.0),
+                                    dict(dt_init=math.nan), dict(max_dt=math.nan),
+                                    dict(safety=math.nan),
+                                    dict(guard_ratio=math.nan),
+                                    dict(stabilization_coeff=math.nan)])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             StepperConfig(**kw)

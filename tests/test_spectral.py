@@ -39,6 +39,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             PeriodicGrid(omega=omega, n=n)
 
+    @pytest.mark.parametrize("omega", [1, 2, 3])
+    def test_wavenumbers_are_the_derivative_wavenumbers(self, omega):
+        # every spectral derivative multiplies the rfft by powers of i*xi
+        # with xi = 2*pi*rfftfreq(n, period/n); m/omega differs in the last bits
+        for n in range(8, 1026, 2):
+            g = PeriodicGrid(omega=omega, n=n)
+            xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=g.period / n)
+            assert np.array_equal(g.wavenumbers, xi), n
+
     def test_values_must_be_finite(self):
         g = PeriodicGrid(omega=1, n=8)
         with pytest.raises(ValueError):
