@@ -77,7 +77,7 @@ class RunConfig:
             raise ConfigError(
                 f"monitor_every must be a finite number > 0, got {every!r}")
         try:
-            check_record_count(0.0, self.t_end, every)
+            check_record_count(self.n, 0.0, self.t_end, every)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not isinstance(self.output_dir, str):

@@ -33,7 +33,8 @@ SCHEMES = ("explicit_rk4", "semi_implicit")
 
 RK4_REAL_AXIS = 2.7       # RK4 real-axis stability bound 2.79, rounded down
 MAX_HALVINGS = 40
-MAX_RECORDS = 100_000     # states a run may record: R * n * 8 bytes, 51 MB at n = 64
+MAX_RECORDS = 100_000     # states a run may record, in at most MAX_RECORD_BYTES
+MAX_RECORD_BYTES = 2**28  # of the (R, n) array, R * n * 8: 1,024 states at n = 32768
 RECORD_BLOCK = 4096       # samples per compute_record call
 
 
@@ -147,27 +148,55 @@ def rhs_for_variant(s: SupportGrid, variant: str) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# spectral workspace (dense circulant operator for small grids)
+# spectral workspace: the operator D2I = d^2/dtheta^2 + 1, dense or by rfft
+
+# largest n whose D2I is the dense circulant; above it the rfft route is
+# faster (measured in README) and needs O(n) memory, not O(n^2)
+DENSE_MAX_N = 352
+
+
+class _RfftOperator(np.ndarray):
+    """The circulant D2I held as its rfft symbol 1 - xi^2, shape (n//2 + 1,).
+
+    D2I @ x is irfft(symbol * rfft(x)) along axis 0 of an (n,) or (n, B) x;
+    no other arithmetic is defined on it.  It stays an ndarray, so that a
+    view of it may wrap the apply and call np.matmul(D2I, x).
+    """
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if (ufunc is not np.matmul or method != "__call__" or kwargs
+                or inputs[0] is not self):
+            return NotImplemented
+        x = np.asarray(inputs[1])
+        sym = self.view(np.ndarray)
+        if x.ndim == 2:
+            sym = sym[:, None]
+        # np.fft's attributes are looked up per call, so wrappers see them
+        return np.fft.irfft(sym * np.fft.rfft(x, axis=0), 2 * (len(self) - 1), axis=0)
+
 
 class _Workspace:
     def __init__(self, grid: PeriodicGrid):
         n = grid.n
+        self.xi = grid.wavenumbers
+        self.xi4 = self.xi**4
+        self.ximax4 = (n / (2.0 * grid.omega))**4
+        if n > DENSE_MAX_N:
+            self.D2I = (1.0 - self.xi**2).view(_RfftOperator)
+            return
         e0 = np.zeros(n)
         e0[0] = 1.0
         col = periodic_derivs_values(e0, grid.period, (2,))[0]
         # circulant D2I[i, j] = col[(i - j) % n] + delta_ij: row i is a window
         # of the reversed col repeated.  Unlike an (n, n) index gather it
-        # builds no index array, which kept peak memory ~6 MB lower at n = 1024
+        # builds no index array
         rev = col[::-1]
         windows = sliding_window_view(np.concatenate([rev, rev[:-1]]), n)
         self.D2I = windows[::-1] + np.eye(n)
-        self.xi = grid.wavenumbers
-        self.xi4 = self.xi**4
-        self.ximax4 = (n / (2.0 * grid.omega))**4
 
 
-# one n = 1024 operator is 8.4 MB and one n = 4096 operator 134 MB, so only
-# the eight most recently used grids keep theirs; a rebuilt D2I is
+# a dense operator is at most DENSE_MAX_N^2 * 8 bytes (1 MB) and an rfft one
+# O(n), so the eight most recently used grids keep theirs; a rebuilt D2I is
 # bit-identical
 @functools.lru_cache(maxsize=8)
 def workspace(grid: PeriodicGrid) -> _Workspace:
@@ -258,11 +287,11 @@ def step(state: FlowState, dt: float, cfg: StepperConfig) -> FlowState:
     return FlowState(support=support, time=state.time + dt, variant=state.variant)
 
 
-def check_record_count(t0: float, t_end: float, monitor_every=None,
+def check_record_count(n: int, t0: float, t_end: float, monitor_every=None,
                        snap_times=()) -> None:
-    """Raise ValueError when a run from t0 to t_end could record more than
-    MAX_RECORDS states: the start, each multiple of monitor_every, each snap
-    time and t_end."""
+    """Raise ValueError when a run on n nodes from t0 to t_end could record
+    more than MAX_RECORDS states, or more than MAX_RECORD_BYTES of them: the
+    start, each multiple of monitor_every, each snap time and t_end."""
     count = 2 + len(snap_times)
     if monitor_every is not None and monitor_every > 0:
         count += (t_end - t0) / monitor_every + 1e-9
@@ -270,12 +299,17 @@ def check_record_count(t0: float, t_end: float, monitor_every=None,
         raise ValueError(
             f"a run from t={t0:g} to t_end={t_end:g} records up to {count:.6g} "
             f"states, above the cap of {MAX_RECORDS} (each takes n * 8 bytes)")
+    if not count * n * 8 <= MAX_RECORD_BYTES:
+        raise ValueError(
+            f"a run from t={t0:g} to t_end={t_end:g} records up to {count:.6g} "
+            f"states of n={n}, {count * n * 8:.4g} bytes, above the cap of "
+            f"{MAX_RECORD_BYTES} bytes")
 
 
-def _event_times(t0: float, t_end: float, monitor_every, snap_times):
+def _event_times(n: int, t0: float, t_end: float, monitor_every, snap_times):
     snap_times = [] if snap_times is None else [float(t) for t in snap_times
                                                 if t0 < t <= t_end]
-    check_record_count(t0, t_end, monitor_every, snap_times)
+    check_record_count(n, t0, t_end, monitor_every, snap_times)
     events = {t_end, *snap_times}
     if monitor_every is not None and monitor_every > 0:
         m = int(math.floor((t_end - t0) / monitor_every + 1e-9))
@@ -316,14 +350,14 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     dt = min(c_stab * margin^2, max_dt) afresh at every step; the
     semi-implicit scheme carries dt from step to step, keeping a halved dt
     and growing it 1.2x after a clean step that the next event did not
-    clip.  Raises ValueError above MAX_RECORDS records, and
-    FlowBreakdownError (with the last accepted state attached) when a step
-    fails the guard after 40 halvings, or at once when the state has no
-    positive convexity margin.
+    clip.  Raises ValueError above MAX_RECORDS records or MAX_RECORD_BYTES
+    of them, and FlowBreakdownError (with the last accepted state attached)
+    when a step fails the guard after 40 halvings, or at once when the state
+    has no positive convexity margin.
     """
     if t_end <= state.time:
         raise ValueError("t_end must exceed the state time")
-    events = _event_times(state.time, t_end, monitor_every, snap_times)
+    events = _event_times(state.grid.n, state.time, t_end, monitor_every, snap_times)
     s = state.support
     ws = workspace(s.grid)
     lam = variant_shift(state.variant, s.omega)

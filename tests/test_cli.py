@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,17 +214,26 @@ class TestSimulate:
         assert main([command, "--config", str(cfgp)]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
 
-    @pytest.mark.parametrize("over,flag", [
-        ({"monitor_every": 1e-9, "t_end": 1.0}, []),
-        ({"monitor_every": 0.01}, ["--t-end", "1e4"]),
-    ], ids=["fine_cadence", "long_t_end_flag"])
-    def test_record_cap_exit1(self, tmp_path, capsys, over, flag):
-        # 1e9 and 1e6 records, refused before any events are built
+    @pytest.mark.parametrize("over,flag,cap", [
+        ({"monitor_every": 1e-9, "t_end": 1.0}, [], "cap of 100000"),
+        ({"monitor_every": 0.01}, ["--t-end", "1e4"], "cap of 100000"),
+        ({"n": 32768, "monitor_every": 1.0 / 2000, "t_end": 1.0}, [],
+         f"cap of {flow.MAX_RECORD_BYTES} bytes"),
+    ], ids=["fine_cadence", "long_t_end_flag", "record_bytes"])
+    def test_record_cap_exit1(self, tmp_path, capsys, over, flag, cap):
+        # 1e9 and 1e6 records, and 2,002 records of n = 32768 (537 MB),
+        # refused before the events, the record array or the workspace
         cfgp = write_config(tmp_path, fast_config(tmp_path, **over))
-        assert main(["simulate", "--config", str(cfgp)] + flag) == 1
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(cfgp)] + flag) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
-        assert "cap of 100000" in err[0]
+        assert cap in err[0]
+        assert peak < 1e7
         assert not (tmp_path / "out").exists()
 
     def test_flag_overrides(self, tmp_path):

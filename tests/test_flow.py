@@ -26,6 +26,14 @@ def circle_state(r=1.0, omega=1, n=16, variant="unscaled"):
     return FlowState(support=s, time=0.0, variant=variant)
 
 
+def rolled_column_operator(ws, n):
+    """The dense D2I built column by column: column j is the second
+    derivative of e_0 rolled by j, plus e_j."""
+    e0 = np.eye(n)[0]
+    col = np.fft.irfft(-ws.xi**2 * np.fft.rfft(e0), n=n)
+    return np.stack([np.roll(col, j) for j in range(n)], axis=1) + np.eye(n)
+
+
 def assert_row(columns, i, rec):
     """Row i of a record of columns equals the one-state record rec."""
     for f in dataclasses.fields(rec):
@@ -82,15 +90,56 @@ class TestVelocityKernel:
         f = flow.velocity(s.values, flow.workspace(s.grid).D2I, lam)
         assert np.max(np.abs(f - ref)) <= 1e-10 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("omega,n", [(1, 48), (2, 32), (1, 1024)])
+    @pytest.mark.parametrize("omega,n", [(1, 48), (2, 32), (1, flow.DENSE_MAX_N)])
     def test_operator_is_the_rolled_column(self, omega, n):
-        # reference: column j of D2 is the second derivative of e_0 rolled by j
         ws = flow._Workspace(PeriodicGrid(omega=omega, n=n))
-        e0 = np.eye(n)[0]
-        col = np.fft.irfft(-ws.xi**2 * np.fft.rfft(e0), n=n)
-        ref = np.stack([np.roll(col, j) for j in range(n)], axis=1) + np.eye(n)
+        ref = rolled_column_operator(ws, n)
         assert ws.D2I.flags["C_CONTIGUOUS"]
         assert ws.D2I.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("omega", [1, 2])
+    def test_rfft_route_matches_dense(self, omega, n):
+        ws = flow._Workspace(PeriodicGrid(omega=omega, n=n))
+        assert isinstance(ws.D2I, np.ndarray) and ws.D2I.shape == (n // 2 + 1,)
+        dense = rolled_column_operator(ws, n)
+        rng = np.random.default_rng(n + omega)
+        for x in (1.0 + 0.1 * rng.standard_normal(n), rng.standard_normal((n, 8))):
+            ref = dense @ x
+            out = ws.D2I @ x
+            assert out.shape == x.shape
+            assert np.max(np.abs(out - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_rfft_route_evolves_as_dense(self, monkeypatch):
+        # the 1.3:1 rescaled ellipse at n = 1024, once on the rfft route and
+        # once on a dense D2I injected into the workspace
+        g = PeriodicGrid(omega=1, n=1024)
+        s = ellipse_support(g, 1.3, 1.0)
+        st = FlowState(support=SupportGrid(GridFunction(g, s.values / integrate(s.h))),
+                       variant="rescaled_chainrule")
+        cfg = StepperConfig(scheme="semi_implicit", dt_init=5e-4, max_dt=2e-3)
+        real_attempt = flow._semi_implicit_attempt
+
+        def run():
+            inputs = []
+
+            def recording_attempt(h, *rest):
+                inputs.append(h)
+                return real_attempt(h, *rest)
+
+            monkeypatch.setattr(flow, "_semi_implicit_attempt", recording_attempt)
+            final = evolve(st, 0.02, cfg).final.support.values
+            # a rejected attempt is retried from the same state array
+            return final, len({id(h) for h in inputs})
+
+        rfft, rfft_steps = run()
+        real = flow.workspace(g)
+        dense_ws = copy.copy(real)
+        dense_ws.D2I = rolled_column_operator(real, g.n)
+        monkeypatch.setattr(flow, "workspace", lambda grid: dense_ws)
+        dense, dense_steps = run()
+        assert rfft_steps == dense_steps > 10
+        assert np.max(np.abs(rfft - dense)) <= 1e-9 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("steps", [1, 4])
     @pytest.mark.parametrize("scheme", flow.SCHEMES)
@@ -113,20 +162,22 @@ class TestVelocityKernel:
     @pytest.mark.parametrize("scheme,per_step", [("explicit_rk4", 8),
                                                  ("semi_implicit", 2)])
     def test_operator_applies(self, monkeypatch, scheme, per_step):
+        # a view that counts each D2I @ x and applies the wrapped operator by
+        # np.matmul, so the rfft route is counted as the dense one
         class Counting(np.ndarray):
             def __matmul__(self, other):
                 applies[0] += 1
-                return np.matmul(self.view(np.ndarray), other)
+                return np.matmul(self.plain, other)
 
-        applies = [0]
         real = flow.workspace
 
         def counting_workspace(grid):
             ws = copy.copy(real(grid))
-            ws.D2I = ws.D2I.view(Counting)
+            op = ws.D2I.view(Counting)
+            op.plain = ws.D2I
+            ws.D2I = op
             return ws
 
-        attempts = [0]
         real_attempt = flow._semi_implicit_attempt
 
         def counting_attempt(*args):
@@ -135,14 +186,17 @@ class TestVelocityKernel:
 
         monkeypatch.setattr(flow, "workspace", counting_workspace)
         monkeypatch.setattr(flow, "_semi_implicit_attempt", counting_attempt)
-        # dyadic step and cadence: exactly 8 accepted steps in each of 2 spans
-        dt = 2.0**-17
-        cfg = StepperConfig(scheme=scheme, dt_init=dt, max_dt=dt)
-        evolve(circle_state(1.0, n=16), 2.0**-13, cfg, monitor_every=2.0**-14)
-        if scheme == "semi_implicit":
-            assert attempts[0] == 16
-        # plus one apply for the starting state's D2I @ h, carried across spans
-        assert applies[0] == per_step * 16 + 1
+        # dense and rfft routes; a dyadic step below both RK4 step bounds and
+        # a dyadic cadence: exactly 8 accepted steps in each of 2 spans
+        for n, dt in ((16, 2.0**-17), (512, 2.0**-32)):
+            assert (real(PeriodicGrid(omega=1, n=n)).D2I.ndim == 1) == (n > flow.DENSE_MAX_N)
+            applies, attempts = [0], [0]
+            cfg = StepperConfig(scheme=scheme, dt_init=dt, max_dt=dt)
+            evolve(circle_state(1.0, n=n), 16 * dt, cfg, monitor_every=8 * dt)
+            if scheme == "semi_implicit":
+                assert attempts[0] == 16
+            # plus one apply for the starting state's D2I @ h, carried across spans
+            assert applies[0] == per_step * 16 + 1
 
 
 class TestWorkspace:
@@ -157,6 +211,12 @@ class TestWorkspace:
         again = flow.workspace(g)
         assert again is not first
         assert np.array_equal(again.D2I, first.D2I)
+
+    def test_large_grid_memory_is_linear(self):
+        # the dense operator at n = 32768 would be 8.6 GB
+        ws = flow.workspace(PeriodicGrid(omega=1, n=32768))
+        assert sum(v.nbytes for v in vars(ws).values()
+                   if isinstance(v, np.ndarray)) < 1e6
 
 
 class TestStep:
@@ -294,6 +354,12 @@ class TestEvolve:
         with pytest.raises(ValueError, match="cap"):
             evolve(circle_state(1.0), 1.0, StepperConfig(),
                    snap_times=np.linspace(0.0, 1.0, flow.MAX_RECORDS + 1))
+        # 2,002 states: 537 MB at n = 32768, above the byte cap, and 17 MB at
+        # n = 1024, under it
+        with pytest.raises(ValueError, match="bytes"):
+            evolve(circle_state(1.0, n=32768), 1.0, StepperConfig(),
+                   monitor_every=1.0 / 2000)
+        flow.check_record_count(1024, 0.0, 1.0, 1.0 / 2000)
 
     def test_records_in_several_blocks(self):
         # n = 1024 takes 4 rows per compute_record call, so 11 records are
