@@ -211,6 +211,9 @@ def _simulate(cfg: RunConfig):
             except OSError as err:
                 return _io_error(err), None
         return ExitStatus.BREAKDOWN, None
+    except ValueError as exc:
+        print(f"validation failure: {exc}", file=sys.stderr)
+        return ExitStatus.VALIDATION, None
     try:
         _emit_artifacts(cfg, tr)
         report = run_monitors(tr)

@@ -33,6 +33,7 @@ SCHEMES = ("explicit_rk4", "semi_implicit")
 
 RK4_REAL_AXIS = 2.7       # RK4 real-axis stability bound 2.79, rounded down
 MAX_HALVINGS = 40
+MAX_RK4_STEPS = 10**9     # RK4 steps a run may take at its starting step bound
 MAX_RECORDS = 100_000     # states a run may record, in at most MAX_RECORD_BYTES
 MAX_RECORD_BYTES = 2**28  # of the (R, n) array, R * n * 8: 1,024 states at n = 32768
 RECORD_BLOCK = 4096       # samples per compute_record call
@@ -155,8 +156,29 @@ def rhs_for_variant(s: SupportGrid, variant: str) -> GridFunction:
 DENSE_MAX_N = 352
 
 
+class _DenseOperator(np.ndarray):
+    """The circulant D2I as its dense (n, n) matrix.
+
+    D2I @ x is the BLAS product ndarray.dot(D2I, x) along axis 0 of an (n,)
+    or (n, B) x: the bits of np.matmul at less dispatch cost.  Its array
+    priority is below ndarray's, so that dot returns a plain ndarray.  A
+    view of it that calls np.matmul(D2I, x) reaches the same dot; no other
+    arithmetic is defined on it.
+    """
+
+    __array_priority__ = -1.0
+    __matmul__ = np.ndarray.dot
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if (ufunc is not np.matmul or method != "__call__" or kwargs
+                or inputs[0] is not self):
+            return NotImplemented
+        return np.ndarray.dot(self, inputs[1])
+
+
 class _RfftOperator(np.ndarray):
-    """The circulant D2I held as its rfft symbol 1 - xi^2, shape (n//2 + 1,).
+    """The circulant D2I held as its rfft symbol 1 - xi^2, shape (n//2 + 1,),
+    the twin of _DenseOperator above DENSE_MAX_N.
 
     D2I @ x is irfft(symbol * rfft(x)) along axis 0 of an (n,) or (n, B) x;
     no other arithmetic is defined on it.  It stays an ndarray, so that a
@@ -192,7 +214,7 @@ class _Workspace:
         # builds no index array
         rev = col[::-1]
         windows = sliding_window_view(np.concatenate([rev, rev[:-1]]), n)
-        self.D2I = windows[::-1] + np.eye(n)
+        self.D2I = (windows[::-1] + np.eye(n)).view(_DenseOperator)
 
 
 # a dense operator is at most DENSE_MAX_N^2 * 8 bytes (1 MB) and an rfft one
@@ -214,44 +236,71 @@ def velocity(h, D2I, lam, w=None):
     """
     if w is None:
         w = D2I @ h
-    f = D2I @ (1.0 / w)
-    if lam == 0.0:
-        return f
-    return f - lam * h
+        np.reciprocal(w, out=w)
+    else:
+        w = np.reciprocal(w)
+    f = D2I @ w
+    if lam != 0.0:
+        f -= lam * h
+    return f
 
 
-def _rk4_attempt(h, w, dt, ws, lam, stab_coeff):
+# The attempts below work in place on arrays they made themselves, in the
+# order of operations of the plain formulas, so that they give the same bits:
+# x + x is 2.0 * x, and + and * commute exactly.
+
+def _rk4_attempt(h, w, margin, dt, ws, lam, stab_coeff):
     """One classical RK4 step of size dt from h, with w = D2I @ h.
 
-    Returns (h_new, D2I @ h_new); stab_coeff is unused, so that both
-    schemes' attempts share one signature.
+    Returns (h_new, D2I @ h_new), h_new = h + dt/6 * (f1 + 2 f2 + 2 f3 + f4);
+    margin and stab_coeff are unused, so that both schemes' attempts share
+    one signature.
     """
     D2I = ws.D2I
+    half = 0.5 * dt
     f1 = velocity(h, D2I, lam, w)
-    f2 = velocity(h + (0.5 * dt) * f1, D2I, lam)
-    f3 = velocity(h + (0.5 * dt) * f2, D2I, lam)
-    f4 = velocity(h + dt * f3, D2I, lam)
-    hn = h + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    y = f1 * half
+    y += h
+    f2 = velocity(y, D2I, lam)
+    y = f2 * half
+    y += h
+    f3 = velocity(y, D2I, lam)
+    y = f3 * dt
+    y += h
+    f4 = velocity(y, D2I, lam)
+    hn = f2 + f2
+    hn += f1
+    f3 += f3
+    hn += f3
+    hn += f4
+    hn *= dt / 6.0
+    hn += h
     return hn, D2I @ hn
 
 
-def _semi_implicit_attempt(h, w, dt, ws, lam, stab_coeff):
-    """One linearly stabilized step from h, with w = D2I @ h.
+def _semi_implicit_attempt(h, w, margin, dt, ws, lam, stab_coeff):
+    """One linearly stabilized step from h, with w = D2I @ h and margin =
+    min(w) > 0.
 
-    Returns (h_new, D2I @ h_new).
+    Returns (h_new, D2I @ h_new), h_new = irfft(rfft(h) + dt * rfft(F(h)) /
+    (1 + dt * c * xi^4)) with c = stab_coeff / margin^2; h and F(h) take one
+    stacked rfft.
     """
-    kmax = 1.0 / w.min()
+    kmax = 1.0 / margin
     c = stab_coeff * kmax * kmax
-    rhs = velocity(h, ws.D2I, lam, w)
-    hhat = np.fft.rfft(h)
-    denom = 1.0 + dt * c * ws.xi4
-    hn = np.fft.irfft(hhat + dt * np.fft.rfft(rhs) / denom, n=len(h))
+    hhat, r = np.fft.rfft(np.array((h, velocity(h, ws.D2I, lam, w))))
+    denom = ws.xi4 * (dt * c)
+    denom += 1.0
+    r *= dt
+    r /= denom
+    r += hhat
+    hn = np.fft.irfft(r, n=len(h))
     return hn, ws.D2I @ hn
 
 
 def _attempt_for(scheme):
-    """The attempt function (h, w, dt, ws, lam, stab_coeff) -> (h_new, D2I @
-    h_new) of a stepping scheme."""
+    """The attempt function (h, w, margin, dt, ws, lam, stab_coeff) ->
+    (h_new, D2I @ h_new) of a stepping scheme; margin is min(w)."""
     return _rk4_attempt if scheme == "explicit_rk4" else _semi_implicit_attempt
 
 
@@ -276,7 +325,7 @@ def step(state: FlowState, dt: float, cfg: StepperConfig) -> FlowState:
     w = ws.D2I @ h
     margin = float(w.min())
     attempt = _attempt_for(cfg.scheme)
-    hn, wn = attempt(h, w, dt, ws, lam, cfg.stabilization_coeff)
+    hn, wn = attempt(h, w, margin, dt, ws, lam, cfg.stabilization_coeff)
     margin_new = float(wn.min())
     if not _guard_holds(margin_new, margin, cfg.guard_ratio):
         raise StepRejectedError(
@@ -304,6 +353,17 @@ def check_record_count(n: int, t0: float, t_end: float, monitor_every=None,
             f"a run from t={t0:g} to t_end={t_end:g} records up to {count:.6g} "
             f"states of n={n}, {count * n * 8:.4g} bytes, above the cap of "
             f"{MAX_RECORD_BYTES} bytes")
+
+
+def _check_rk4_steps(n: int, t0: float, t_end: float, dt: float) -> None:
+    """Raise ValueError when RK4 steps of size dt from t0 to t_end number
+    more than MAX_RK4_STEPS."""
+    count = (t_end - t0) / dt if dt > 0.0 else math.inf
+    if not count <= MAX_RK4_STEPS:
+        raise ValueError(
+            f"explicit RK4 on n={n} starts at dt={dt:.3g}, about {count:.3g} "
+            f"steps from t={t0:g} to t_end={t_end:g}, above the cap of "
+            f"{MAX_RK4_STEPS:.0e} steps")
 
 
 def _event_times(n: int, t0: float, t_end: float, monitor_every, snap_times):
@@ -351,9 +411,10 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     semi-implicit scheme carries dt from step to step, keeping a halved dt
     and growing it 1.2x after a clean step that the next event did not
     clip.  Raises ValueError above MAX_RECORDS records or MAX_RECORD_BYTES
-    of them, and FlowBreakdownError (with the last accepted state attached)
-    when a step fails the guard after 40 halvings, or at once when the state
-    has no positive convexity margin.
+    of them, or when RK4's starting dt would take more than MAX_RK4_STEPS
+    steps to t_end, and FlowBreakdownError (with the last accepted state
+    attached) when a step fails the guard after 40 halvings, or at once when
+    the state has no positive convexity margin.
     """
     if t_end <= state.time:
         raise ValueError("t_end must exceed the state time")
@@ -383,6 +444,8 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     # without a positive margin there is nothing to guard, nor to record
     if not margin > 0.0:
         raise breakdown()
+    if rk4:
+        _check_rk4_steps(s.n, t, t_end, min(c_stab * margin * margin, max_dt))
     H = np.empty((len(events) + 1, s.n))
     times = np.empty(len(H))
     dts = np.empty(len(H))
@@ -400,7 +463,7 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
             # a margin lost to underflow leaves nothing to guard: no attempt
             halvings = 0 if margin > 0.0 else MAX_HALVINGS + 1
             while halvings <= MAX_HALVINGS:
-                hn, wn = attempt(h, w, dt_try, ws, lam, stab)
+                hn, wn = attempt(h, w, margin, dt_try, ws, lam, stab)
                 mn = float(wn.min())
                 if _guard_holds(mn, margin, guard_ratio):
                     break

@@ -147,6 +147,14 @@ class TestSimulate:
         assert len(err) == 2 and err[0].startswith("flow breakdown:")
         assert err[1].startswith("i/o error:")
 
+    def test_rk4_step_cap_exit1(self, tmp_path, capsys):
+        # RK4 at n = 32768 would take ~3e14 steps to t = 0.01
+        cfgp = write_config(tmp_path, fast_config(tmp_path))
+        argv = ["simulate", "--config", str(cfgp), "--n", "32768", "--t-end", "0.01"]
+        assert main(argv) == ExitStatus.VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation failure: explicit RK4")
+
     def test_invalid_initial_exit1(self, tmp_path):
         data = fast_config(tmp_path, initial={
             "kind": "fourier", "constant": 1.0, "modes": [[2, 0.8, 0.0]]})

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -32,6 +33,43 @@ def rolled_column_operator(ws, n):
     e0 = np.eye(n)[0]
     col = np.fft.irfft(-ws.xi**2 * np.fft.rfft(e0), n=n)
     return np.stack([np.roll(col, j) for j in range(n)], axis=1) + np.eye(n)
+
+
+def reference_apply(D2I):
+    """D2I @ x by np.matmul: on the plain dense matrix, or through the rfft
+    operator's own np.matmul."""
+    op = D2I if isinstance(D2I, flow._RfftOperator) else D2I.view(np.ndarray)
+    return lambda x: np.matmul(op, x)
+
+
+def reference_velocity(h, apply, lam, w=None):
+    if w is None:
+        w = apply(h)
+    f = apply(1.0 / w)
+    return f if lam == 0.0 else f - lam * h
+
+
+def reference_rk4(h, w, dt, ws, lam):
+    """The RK4 attempt in its plain formulas."""
+    apply = reference_apply(ws.D2I)
+    f1 = reference_velocity(h, apply, lam, w)
+    f2 = reference_velocity(h + (0.5 * dt) * f1, apply, lam)
+    f3 = reference_velocity(h + (0.5 * dt) * f2, apply, lam)
+    f4 = reference_velocity(h + dt * f3, apply, lam)
+    hn = h + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    return hn, apply(hn)
+
+
+def reference_semi_implicit(h, w, dt, ws, lam, stab_coeff):
+    """The semi-implicit attempt in its plain formulas, with three FFTs."""
+    apply = reference_apply(ws.D2I)
+    kmax = 1.0 / w.min()
+    c = stab_coeff * kmax * kmax
+    rhs = reference_velocity(h, apply, lam, w)
+    hhat = np.fft.rfft(h)
+    denom = 1.0 + dt * c * ws.xi4
+    hn = np.fft.irfft(hhat + dt * np.fft.rfft(rhs) / denom, n=len(h))
+    return hn, apply(hn)
 
 
 def assert_row(columns, i, rec):
@@ -199,6 +237,74 @@ class TestVelocityKernel:
             assert applies[0] == per_step * 16 + 1
 
 
+class TestAttempts:
+    @pytest.mark.parametrize("n", [32, 48, 512])
+    @pytest.mark.parametrize("omega", [1, 2])
+    @pytest.mark.parametrize("variant", flow.VARIANTS)
+    def test_bit_identical_to_plain_formulas(self, variant, omega, n):
+        # lam = 0, 1 and 4 omega^2 pi^2; n = 32 and 48 on the dense route,
+        # 512 on the rfft route
+        g = PeriodicGrid(omega=omega, n=n)
+        s = fourier_support(g, 1.0, [(2, 0.1, 0.0), (3, 0.0, 0.03)])
+        ws = flow.workspace(g)
+        assert isinstance(ws.D2I, flow._DenseOperator) == (n <= flow.DENSE_MAX_N)
+        lam = flow.variant_shift(variant, omega)
+        h = s.values
+        w = reference_apply(ws.D2I)(h)
+        margin = float(w.min())
+        dt = 0.9 * flow.RK4_REAL_AXIS / ws.ximax4 * margin**2
+        got = flow._rk4_attempt(h, w, margin, dt, ws, lam, 1.0)
+        ref = reference_rk4(h, w, dt, ws, lam)
+        for a, b in zip(got, ref):
+            assert type(a) is np.ndarray and np.array_equal(a, b)
+        for dt in (1e-4, 2e-3):
+            got = flow._semi_implicit_attempt(h, w, margin, dt, ws, lam, 1.0)
+            ref = reference_semi_implicit(h, w, dt, ws, lam, 1.0)
+            for a, b in zip(got, ref):
+                assert type(a) is np.ndarray and np.array_equal(a, b)
+        # the attempts leave their inputs as they were
+        assert np.array_equal(h, s.values)
+        assert np.array_equal(w, reference_apply(ws.D2I)(h))
+
+    def test_fft_calls(self, monkeypatch):
+        # np.fft's rfft and irfft wrapped by counters, as perfbench's tracer
+        # wraps them: at n = 48 a semi-implicit attempt takes one stacked
+        # rfft and one irfft, an RK4 attempt none
+        calls = []
+
+        def counted(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        g = PeriodicGrid(omega=1, n=48)
+        ws = flow.workspace(g)
+        h = ellipse_support(g, 1.3, 1.0).values
+        w = ws.D2I @ h
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        flow._semi_implicit_attempt(h, w, float(w.min()), 1e-3, ws, 1.0, 1.0)
+        assert calls == ["rfft", "irfft"]
+        calls.clear()
+        flow._rk4_attempt(h, w, float(w.min()), 1e-6, ws, 1.0, 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [8, 32, 48, flow.DENSE_MAX_N])
+    def test_dense_apply_is_matmul(self, n):
+        ws = flow._Workspace(PeriodicGrid(omega=1, n=n))
+        plain = ws.D2I.view(np.ndarray)
+        rng = np.random.default_rng(n)
+        for x in (rng.standard_normal(n), rng.standard_normal((n, 8))):
+            for out in (ws.D2I @ x, np.matmul(ws.D2I, x)):
+                assert type(out) is np.ndarray
+                assert np.array_equal(out, np.matmul(plain, x))
+        # like the rfft operator, it defines no other arithmetic
+        with pytest.raises(TypeError):
+            ws.D2I + 1.0
+
+
 class TestWorkspace:
     def test_cache_is_bounded(self):
         g = PeriodicGrid(omega=1, n=16)
@@ -298,7 +404,7 @@ class TestEvolve:
         # guard fails through all 40 halvings of the first step
         calls = []
 
-        def nonconvex(h, w, dt, ws, lam, c):
+        def nonconvex(h, w, margin, dt, ws, lam, c):
             calls.append(dt)
             return h, -w
 
@@ -341,6 +447,34 @@ class TestEvolve:
         for name in ("entropy", "f_l2sq", "kmin", "kmax"):
             a, b = tr.record_series(name), ref.record_series(name)
             assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-10, name
+
+    def test_rk4_step_cap(self, monkeypatch):
+        # at n = 32768 RK4's starting bound is 3.4e-17, ~3e14 steps to 0.01:
+        # refused before any attempt
+        calls = []
+        monkeypatch.setattr(flow, "_rk4_attempt", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=r"n=32768 .*dt=3.37e-17.*2.97e\+14 steps"):
+            evolve(circle_state(1.0, n=32768), 0.01, StepperConfig())
+        assert calls == []
+
+    def test_rk4_step_cap_spares_long_runs(self, monkeypatch):
+        # criterion-04's Fourier run (~2e5 steps, 2.6e6 at its starting dt)
+        # and criterion-01's circles reach their first attempt
+        class Attempted(Exception):
+            pass
+
+        def attempt(*args):
+            raise Attempted
+
+        monkeypatch.setattr(flow, "_rk4_attempt", attempt)
+        fourier = fourier_support(PeriodicGrid(omega=1, n=64), 1.0,
+                                  [(2, 0.15, 0.0), (3, 0.0, 0.05)])
+        runs = [(FlowState(support=fourier), 0.5),
+                (circle_state(1.0, omega=1, n=32), 1.5),
+                (circle_state(1.0, omega=2, n=32), 4.0)]
+        for st, t_end in runs:
+            with pytest.raises(Attempted):
+                evolve(st, t_end, StepperConfig())
 
     def test_t_end_must_advance(self):
         with pytest.raises(ValueError):
