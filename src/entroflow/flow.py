@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import spectral  # spectral.rfft/irfft looked up per call: one seam
 from .diagnostics import DiagnosticsRecord, compute_record
 from .errors import FlowBreakdownError, StepRejectedError
 from .spectral import GridFunction, PeriodicGrid, periodic_derivs_values
@@ -180,9 +181,10 @@ class _RfftOperator(np.ndarray):
     """The circulant D2I held as its rfft symbol 1 - xi^2, shape (n//2 + 1,),
     the twin of _DenseOperator above DENSE_MAX_N.
 
-    D2I @ x is irfft(symbol * rfft(x)) along axis 0 of an (n,) or (n, B) x;
-    no other arithmetic is defined on it.  It stays an ndarray, so that a
-    view of it may wrap the apply and call np.matmul(D2I, x).
+    D2I @ x is irfft(symbol * rfft(x)) along axis 0 of an (n,) or (n, B) x,
+    an (n, B) x transformed through its transposed view; no other arithmetic
+    is defined on it.  It stays an ndarray, so that a view of it may wrap
+    the apply and call np.matmul(D2I, x).
     """
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -191,10 +193,10 @@ class _RfftOperator(np.ndarray):
             return NotImplemented
         x = np.asarray(inputs[1])
         sym = self.view(np.ndarray)
+        n = 2 * (len(self) - 1)
         if x.ndim == 2:
-            sym = sym[:, None]
-        # np.fft's attributes are looked up per call, so wrappers see them
-        return np.fft.irfft(sym * np.fft.rfft(x, axis=0), 2 * (len(self) - 1), axis=0)
+            return spectral.irfft(sym * spectral.rfft(x.T), n).T
+        return spectral.irfft(sym * spectral.rfft(x), n)
 
 
 class _Workspace:
@@ -288,13 +290,13 @@ def _semi_implicit_attempt(h, w, margin, dt, ws, lam, stab_coeff):
     """
     kmax = 1.0 / margin
     c = stab_coeff * kmax * kmax
-    hhat, r = np.fft.rfft(np.array((h, velocity(h, ws.D2I, lam, w))))
+    hhat, r = spectral.rfft(np.array((h, velocity(h, ws.D2I, lam, w))))
     denom = ws.xi4 * (dt * c)
     denom += 1.0
     r *= dt
     r /= denom
     r += hhat
-    hn = np.fft.irfft(r, n=len(h))
+    hn = spectral.irfft(r, len(h))
     return hn, ws.D2I @ hn
 
 

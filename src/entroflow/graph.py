@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import spectral  # spectral.rfft/irfft looked up per call: one seam
 from .errors import DegenerateGraphError, NotLocallyConvexError
 from .spectral import (GridFunction, PeriodicGrid, denoised_deriv_values,
                        periodic_antideriv_values, trig_eval_values)
@@ -499,7 +500,7 @@ def require_resolved(base: GraphCurveScene) -> None:
     """Raise ValueError unless the base curvature is resolved on its grid:
     max |rfft(k0)| over the top n/8 modes, over its largest coefficient, at
     most RESOLUTION_TOL."""
-    c = np.abs(np.fft.rfft(base.k0))
+    c = np.abs(spectral.rfft(base.k0))
     tail = float(np.max(c[-(base.n // 8):]) / np.max(c))
     if tail > RESOLUTION_TOL:
         raise ValueError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import UnsupportedOrderError
 
@@ -78,6 +79,25 @@ def rfft_wavenumbers(n: int, period: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
 
 
+def rfft(x: np.ndarray) -> np.ndarray:
+    """np.fft.rfft(x) of float64 samples along the last axis, bit for bit.
+
+    Calls the pocketfft kernel that np.fft.rfft ends in, with the same
+    factor 1.0, and skips np.fft's Python wrapper.  Every real-input
+    transform of the package goes through this function or irfft below.
+    """
+    x = np.asarray(x)
+    n = x.shape[-1]
+    kernel = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
+    return kernel(x, 1.0, out=np.empty(x.shape[:-1] + (n // 2 + 1,), complex))
+
+
+def irfft(c: np.ndarray, n: int) -> np.ndarray:
+    """np.fft.irfft(c, n=n) along the last axis, bit for bit: the pocketfft
+    kernel with np.fft's factor 1/n, writing n real samples per row."""
+    return _pocketfft.irfft(c, 1.0 / n, out=np.empty(c.shape[:-1] + (n,)))
+
+
 def _deriv_factor(xi: np.ndarray, order: int) -> np.ndarray:
     """(i*xi)^order, with the Nyquist mode zeroed for odd orders (its sine
     partner is not representable on the grid) and kept for even orders."""
@@ -108,8 +128,8 @@ def periodic_derivs_values(values: np.ndarray, period: float, orders) -> list:
                 f"derivative order {order} exceeds supported maximum {MAX_DERIV_ORDER}")
     n = np.shape(values)[-1]
     xi = rfft_wavenumbers(n, period)
-    coeff = np.fft.rfft(values) if any(orders) else None
-    return [np.fft.irfft(coeff * _deriv_factor(xi, order), n=n) if order
+    coeff = rfft(values) if any(orders) else None
+    return [irfft(coeff * _deriv_factor(xi, order), n) if order
             else np.array(values, dtype=float) for order in orders]
 
 
@@ -124,16 +144,16 @@ def denoised_deriv_values(values: np.ndarray, period: float, orders):
     """
     n = len(values)
     xi = rfft_wavenumbers(n, period)
-    coeff = np.fft.rfft(values)
+    coeff = rfft(values)
     coeff[np.abs(coeff) < 1e-15 * np.max(np.abs(coeff))] = 0.0
-    return [np.fft.irfft(coeff * _deriv_factor(xi, order), n=n) for order in orders]
+    return [irfft(coeff * _deriv_factor(xi, order), n) for order in orders]
 
 
 def trig_eval_values(values: np.ndarray, period: float, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of ``values`` at ``points``."""
     n = len(values)
     x = np.atleast_1d(np.asarray(points, dtype=float)) % period
-    c = np.fft.rfft(values)
+    c = rfft(values)
     xi = rfft_wavenumbers(n, period)
     phase = np.outer(x, xi)
     weights = np.full(n // 2 + 1, 2.0)
@@ -150,13 +170,13 @@ def periodic_antideriv_values(values: np.ndarray, period: float):
     returned as samples with P(0) = 0.
     """
     n = len(values)
-    c = np.fft.rfft(values)
+    c = rfft(values)
     mean = c[0].real / n
     xi = rfft_wavenumbers(n, period)
     cint = np.zeros_like(c)
     cint[1:] = c[1:] / (1j * xi[1:])
     cint[-1] = 0.0  # Nyquist has no representable antiderivative partner
-    p = np.fft.irfft(cint, n=n)
+    p = irfft(cint, n)
     return mean, p - p[0]
 
 
@@ -183,7 +203,7 @@ def lowpass(f: GridFunction, keep_fraction: float) -> GridFunction:
         return f.copy_with(f.values.copy())
     n = f.grid.n
     cutoff = keep_fraction * (n / 2.0)
-    c = np.fft.rfft(f.values)
+    c = rfft(f.values)
     m = np.arange(n // 2 + 1)
     c[m > cutoff] = 0.0
-    return f.copy_with(np.fft.irfft(c, n=n))
+    return f.copy_with(irfft(c, n))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import entroflow.spectral as spectral
 from entroflow.diagnostics import (area, compute_record, entropy,
                                    length, logk_dirichlet, noise_floor,
                                    fit_decay_rate, read_csv, run_monitors,
@@ -145,7 +146,7 @@ class TestRecordsAndCsv:
         calls = []
 
         def counted(name):
-            fn = getattr(np.fft, name)
+            fn = getattr(spectral, name)
 
             def wrapper(*args, **kwargs):
                 calls.append(name)
@@ -153,7 +154,7 @@ class TestRecordsAndCsv:
             return wrapper
 
         for name in ("rfft", "irfft"):
-            monkeypatch.setattr(np.fft, name, counted(name))
+            monkeypatch.setattr(spectral, name, counted(name))
         compute_record(s, 0.0, 0.0)
         assert calls.count("rfft") == 2
         assert len(calls) <= 9

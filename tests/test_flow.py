@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import entroflow.flow as flow
+import entroflow.spectral as spectral
 from entroflow.errors import (FlowBreakdownError, NotLocallyConvexError,
                               StepRejectedError)
 from entroflow.spectral import GridFunction, PeriodicGrid, deriv, integrate
@@ -267,9 +268,9 @@ class TestAttempts:
         assert np.array_equal(w, reference_apply(ws.D2I)(h))
 
     def test_fft_calls(self, monkeypatch):
-        # np.fft's rfft and irfft wrapped by counters, as perfbench's tracer
-        # wraps them: at n = 48 a semi-implicit attempt takes one stacked
-        # rfft and one irfft, an RK4 attempt none
+        # spectral's rfft and irfft, the package's only real-input
+        # transforms, wrapped by counters: at n = 48 a semi-implicit attempt
+        # takes one stacked rfft and one irfft, an RK4 attempt none
         calls = []
 
         def counted(fn):
@@ -284,7 +285,7 @@ class TestAttempts:
         h = ellipse_support(g, 1.3, 1.0).values
         w = ws.D2I @ h
         for name in ("rfft", "irfft"):
-            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+            monkeypatch.setattr(spectral, name, counted(getattr(spectral, name)))
         flow._semi_implicit_attempt(h, w, float(w.min()), 1e-3, ws, 1.0, 1.0)
         assert calls == ["rfft", "irfft"]
         calls.clear()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entroflow import flow, spectral
 from entroflow.errors import UnsupportedOrderError
 from entroflow.spectral import (GridFunction, PeriodicGrid, deriv, integrate,
                                 interpolate, lowpass)
@@ -52,6 +53,32 @@ class TestGrid:
         g = PeriodicGrid(omega=1, n=8)
         with pytest.raises(ValueError):
             GridFunction(g, np.array([1.0] * 7 + [np.nan]))
+
+
+class TestTransforms:
+    # spectral.rfft/irfft call numpy's private pocketfft kernels; these pin
+    # their bits to np.fft's, and fail first if numpy changes those kernels
+    SIZES = [*range(8, flow.DENSE_MAX_N + 1, 2), 512, 1000, 1024, 2048, 4096,
+             9, 15, 101, 255]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_bit_identical_to_np_fft(self, n):
+        rng = np.random.default_rng(n)
+        for shape in ((n,), (2, n), (5, n)):
+            x = rng.standard_normal(shape)
+            c = spectral.rfft(x)
+            assert np.array_equal(c, np.fft.rfft(x)), shape
+            assert np.array_equal(spectral.irfft(c, n), np.fft.irfft(c, n=n)), shape
+
+    @pytest.mark.parametrize("n", [512, 1000, 1024, 2048, 4096])
+    def test_rfft_operator_on_columns(self, n):
+        # D2I @ x of an (n, 7) x transforms its transposed view, with the bits
+        # of np.fft along axis 0
+        D2I = flow.workspace(PeriodicGrid(omega=1, n=n)).D2I
+        sym = D2I.view(np.ndarray)[:, None]
+        x = np.random.default_rng(n).standard_normal((n, 7))
+        want = np.fft.irfft(sym * np.fft.rfft(x, axis=0), n, axis=0)
+        assert np.array_equal(D2I @ x, want)
 
 
 class TestDeriv:
