@@ -10,8 +10,8 @@ composite curve, and the velocity against the support-function pipeline.
 import numpy as np
 
 from entroflow import (build_bundle, check_parametrization_identity,
-                       composite_support, fourier_support, rhs_unscaled,
-                       scene_circle, scene_ellipse, velocity_graph, PeriodicGrid)
+                       composite_support, fourier_support, rhs, scene_circle,
+                       scene_ellipse, velocity_graph, PeriodicGrid)
 from entroflow.graph import crosscheck
 from entroflow.spectral import trig_eval_values
 
@@ -34,7 +34,7 @@ scene = base.with_rho(0.05 * np.sin(2 * np.pi * base.u / base.length))
 v = velocity_graph(scene)
 bundle = build_bundle(scene)
 sup = composite_support(scene, 256)
-F = rhs_unscaled(sup)
+F = rhs(sup, "unscaled")
 theta = np.unwrap(np.arctan2(-bundle.N[:, 1], -bundle.N[:, 0]))
 Fat = trig_eval_values(F.values, sup.grid.period, theta)
 print(f"graph velocity vs support velocity: max diff {np.max(np.abs(v - Fat)):.2e}")

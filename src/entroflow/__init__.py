@@ -17,11 +17,10 @@ from .support import (CurveSample, SupportGrid, circle_support, convexity_margin
                       curvature, ellipse_support, fourier_support, reconstruct,
                       support_from_curve)
 from .flow import (FlowState, StepperConfig, Trajectory, evolve, rescale_trajectory,
-                   rhs_rescaled, rhs_unscaled, scale_factor, slow_time, step,
-                   unscaled_time)
-from .diagnostics import (DiagnosticsRecord, MonitorReport, MonitorTolerances,
-                          area, compute_record, entropy, length, logk_dirichlet,
-                          run_monitors, seminorm, velocity_l2sq)
+                   rhs, scale_factor, slow_time, step, unscaled_time)
+from .diagnostics import (DiagnosticsRecord, MonitorReport, area, compute_record,
+                          entropy, length, logk_dirichlet, run_monitors, seminorm,
+                          velocity_l2sq)
 from .graph import (DerivativeBundle, GraphCurveScene, OperatorSplit,
                     band_limited_rho, build_bundle, check_parametrization_identity,
                     composite_support, operator_split, scene_circle,

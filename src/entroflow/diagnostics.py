@@ -82,7 +82,7 @@ class DiagnosticsRecord:
     dt_used: float
     # integral of (1/2) k k_thth^2 + (1/3) k^3, the M4/M7 dissipation; not
     # written to the CSV, so records read back from one carry NaN
-    dissipation: float = math.nan
+    dissipation: float
 
     @staticmethod
     def concat(parts) -> "DiagnosticsRecord":
@@ -187,9 +187,9 @@ def read_csv(path) -> DiagnosticsRecord:
 class CheckResult:
     name: str
     status: str           # "pass" | "fail" | "not-applicable"
-    slack: float = math.nan
-    worst_t: float = math.nan
-    note: str = ""
+    slack: float
+    worst_t: float
+    note: str
 
 
 @dataclass
@@ -246,11 +246,8 @@ def _closest(t, gap):
     return float(gap[j]), float(t[j])
 
 
-@dataclass
-class MonitorTolerances:
-    identity_rel: float = 1e-3       # centered-difference identity residuals
-    inequality_slack: float = 1e-6   # inequalities: violation <= slack * scale
-    h2_slope_rel: float = 1e-3       # the exact (||h||^2)' = 4*omega*pi law
+IDENTITY_REL = 1e-3   # centered-difference identity residuals, relative
+H2_SLOPE_REL = 1e-3   # the exact (||h||^2)' = 4*omega*pi law, relative
 
 
 def _length_upper_bound(t, L0, c1, omega):
@@ -267,8 +264,7 @@ def rescaled_length_cap(c1_rescaled: float, tau_max: float, omega: int) -> float
     """
     wpi = omega * math.pi
     tau = np.linspace(0.0, max(tau_max, 1.0), 20001)
-    upper = 1.0 + 4.0 * wpi**2 / c1_rescaled * (
-        np.sqrt(4.0 * wpi**2 + tau * c1_rescaled**2) - 2.0 * wpi)
+    upper = _length_upper_bound(tau, 1.0, c1_rescaled, omega)
     ratio = upper / np.sqrt(1.0 + 8.0 * wpi**2 * tau)
     return float(max(np.max(ratio), math.sqrt(2.0) * wpi))
 
@@ -317,9 +313,13 @@ _UNSCALED_CHECKS = ("M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M8-growth",
                     "M9")
 
 
-def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
-    """Evaluate every proved identity/inequality on a recorded trajectory."""
-    tol = tol or MonitorTolerances()
+def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
+    """Evaluate every proved identity/inequality on a recorded trajectory.
+
+    Identities hold to IDENTITY_REL relative (the (||h||^2)' law to
+    H2_SLOPE_REL); an inequality fails where it is violated by more than
+    inequality_slack times its scale.
+    """
     rep = MonitorReport()
     t = tr.record_series("t")
     if len(t) < 3:
@@ -349,10 +349,10 @@ def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
         # M1: entropy dissipation  SE' = -||F||_2^2
         resid = np.abs(_cd_first(t, ent) + fl2[1:-1]) / np.maximum(fl2[1:-1], 1e-300)
         s, wt = _worst(ti, resid)
-        rep.add("M1", "pass" if s <= tol.identity_rel else "fail", s, wt)
+        rep.add("M1", "pass" if s <= IDENTITY_REL else "fail", s, wt)
 
         # M2: ||F||_2^2 nonincreasing
-        viol = np.diff(fl2) - tol.inequality_slack * np.max(fl2)
+        viol = np.diff(fl2) - inequality_slack * np.max(fl2)
         j = int(np.argmax(viol))
         rep.add("M2", "pass" if viol[j] <= 0 else "fail",
                 float(np.max(np.diff(fl2))), float(t[j + 1]))
@@ -360,15 +360,15 @@ def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
         # M3: L' = integral k > 0 and L nondecreasing
         resid = np.abs(_cd_first(t, L) - k1[1:-1]) / np.maximum(k1[1:-1], 1e-300)
         s, wt = _worst(ti, resid)
-        ok = s <= tol.identity_rel and np.all(k1 > 0) \
-            and np.all(np.diff(L) >= -tol.inequality_slack * np.max(L))
+        ok = s <= IDENTITY_REL and np.all(k1 > 0) \
+            and np.all(np.diff(L) >= -inequality_slack * np.max(L))
         rep.add("M3", "pass" if ok else "fail", s, wt)
 
         # M4: concavity with the dissipation bound
         lhs = _cd_second(t, L)
         rhs = -diss[1:-1]
-        viol = lhs - rhs - tol.identity_rel * np.abs(rhs) \
-            - tol.inequality_slack * np.max(np.abs(rhs))
+        viol = lhs - rhs - IDENTITY_REL * np.abs(rhs) \
+            - inequality_slack * np.max(np.abs(rhs))
         s, wt = _worst(ti, viol)
         rep.add("M4", "pass" if s <= 0 else "fail", s, wt)
 
@@ -376,14 +376,14 @@ def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
         c1 = k1[0]
         lower = np.sqrt(L[0]**2 + 8.0 * wpi**2 * (t - t[0]))
         upper = _length_upper_bound(t - t[0], L[0], c1, omega)
-        slack = tol.inequality_slack * np.max(L)
+        slack = inequality_slack * np.max(L)
         ok = np.all(L >= lower - slack) and np.all(L <= upper + slack)
         rep.add("M5", "pass" if ok else "fail",
                 *_closest(t, np.minimum(L - lower, upper - L)))
 
         # M6: entropy bracketing
         lower = 2.0 * wpi * np.log(2.0 * wpi / L)
-        slackv = tol.inequality_slack * max(1.0, float(np.max(np.abs(ent))))
+        slackv = inequality_slack * max(1.0, float(np.max(np.abs(ent))))
         ok = np.all(ent >= lower - slackv) and np.all(ent <= ent[0] + slackv)
         rep.add("M6", "pass" if ok else "fail",
                 *_closest(t, np.minimum(ent - lower, ent[0] - ent)))
@@ -391,7 +391,7 @@ def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
         # M7: integral bound on k_l1 plus accumulated dissipation
         cumdiss = np.concatenate([[0.0], np.cumsum(
             0.5 * (diss[1:] + diss[:-1]) * np.diff(t))])
-        viol = k1 + cumdiss - c1 - tol.inequality_slack * c1
+        viol = k1 + cumdiss - c1 - inequality_slack * c1
         s, wt = _worst(t, viol)
         rep.add("M7", "pass" if s <= 0 else "fail", s, wt)
 
@@ -400,7 +400,7 @@ def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
             A = tr.record_series("area")
             resid = np.abs(_cd_first(t, A) - 2.0 * math.pi - sig[1:-1]) / (2.0 * math.pi)
             s, wt = _worst(ti, resid)
-            rep.add("M8", "pass" if s <= tol.identity_rel else "fail", s, wt)
+            rep.add("M8", "pass" if s <= IDENTITY_REL else "fail", s, wt)
             # the exact consequence A - A0 >= 2 pi (t - t0), separate because
             # it also holds where the centered difference cannot resolve A'
             growth = A - A[0] - 2.0 * math.pi * (t - t[0])
@@ -417,8 +417,8 @@ def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
         resid0 = np.abs(slope - 4.0 * wpi) / (4.0 * wpi)
         s = max(float(np.max(resid1)), float(np.max(resid0)))
         wt = float(ti[int(np.argmax(np.maximum(resid1, resid0)))])
-        ok = float(np.max(resid0)) <= tol.h2_slope_rel \
-            and float(np.max(resid1)) <= tol.identity_rel
+        ok = float(np.max(resid0)) <= H2_SLOPE_REL \
+            and float(np.max(resid1)) <= IDENTITY_REL
         rep.add("M9", "pass" if ok else "fail", s, wt)
     else:
         for name in _UNSCALED_CHECKS:
@@ -432,7 +432,7 @@ def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
     else:
         j0 = int(below[0])
         tail = sig[j0:]
-        viol = np.diff(tail) - tol.inequality_slack * thresh
+        viol = np.diff(tail) - inequality_slack * thresh
         if len(viol) == 0 or np.max(viol) <= 0:
             rep.add("M10", "pass", float(np.max(np.diff(tail), initial=-np.inf)),
                     float(t[j0]))
@@ -442,7 +442,7 @@ def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
 
     # M11: geometric gradient inequality from the convexity-preservation proof
     rhs = 2.0 * np.log1p(kginf * wpi / kmin)
-    viol = rhs - L - tol.inequality_slack * np.max(L)
+    viol = rhs - L - inequality_slack * np.max(L)
     s, wt = _worst(t, viol)
     rep.add("M11", "pass" if s <= 0 else "fail", s, wt)
 
@@ -453,7 +453,7 @@ def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
             a = 8.0 * wpi**2
             tau_max = math.expm1(a * (t[-1] - t[0])) / a
             cL = rescaled_length_cap(k1[0], tau_max, omega)
-            slack = tol.inequality_slack * max(1.0, cL)
+            slack = inequality_slack * max(1.0, cL)
             ok = np.all(L >= 1.0 - slack) and np.all(L <= cL + slack)
             worst = float(min(np.min(L - 1.0), np.min(cL - L)))
             j = int(np.argmin(np.minimum(L - 1.0, cL - L)))
@@ -473,7 +473,7 @@ def run_monitors(tr, tol: MonitorTolerances | None = None) -> MonitorReport:
             start = len(series) // 2
             tail = series[start:]
             live = tail > floor
-            grow = np.diff(tail) - tol.inequality_slack * np.max(series)
+            grow = np.diff(tail) - inequality_slack * np.max(series)
             grow = grow[live[:-1] & live[1:]]
             mono_ok = len(grow) == 0 or np.max(grow) <= 0
             rate, used = fit_decay_rate(t, series, floor=floor)

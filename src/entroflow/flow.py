@@ -27,7 +27,8 @@ from . import spectral  # spectral.rfft/irfft looked up per call: one seam
 from .diagnostics import DiagnosticsRecord, compute_record
 from .errors import FlowBreakdownError, StepRejectedError
 from .spectral import GridFunction, PeriodicGrid, periodic_derivs_values
-from .support import SupportGrid, write_text
+from .support import (SupportGrid, radius_of_curvature_values,
+                      require_convexity, write_text)
 
 VARIANTS = ("unscaled", "rescaled_chainrule", "rescaled_paper")
 SCHEMES = ("explicit_rk4", "semi_implicit")
@@ -132,21 +133,11 @@ def variant_shift(variant: str, omega: int) -> float:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def rhs_unscaled(s: SupportGrid) -> GridFunction:
-    """Flow velocity F = k_thth + k."""
-    return rhs_for_variant(s, "unscaled")
-
-
-def rhs_rescaled(s: SupportGrid, variant: str) -> GridFunction:
-    """Rescaled velocity k_thth + k - lam*h for the requested variant."""
-    if variant not in ("rescaled_chainrule", "rescaled_paper"):
-        raise ValueError("variant must be a rescaled variant")
-    return rhs_for_variant(s, variant)
-
-
-def rhs_for_variant(s: SupportGrid, variant: str) -> GridFunction:
-    lam = variant_shift(variant, s.omega)
-    return s.h.copy_with(velocity(s.values, workspace(s.grid).D2I, lam))
+def rhs(s: SupportGrid, variant: str) -> GridFunction:
+    """Velocity k_thth + k - lam*h of a variant, lam = variant_shift(variant,
+    omega): the flow's F = k_thth + k when variant is "unscaled"."""
+    return s.h.copy_with(velocity(s.values, workspace(s.grid).D2I,
+                                  variant_shift(variant, s.omega)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,5 +547,8 @@ def read_snapshot(path) -> FlowState:
             else:
                 vals.append(float(line))
     grid = PeriodicGrid(omega=int(meta["omega"]), n=int(meta["n"]))
-    sup = SupportGrid(GridFunction(grid, np.array(vals)))
+    # convexity only, as the flow checks it: it may carry the origin outside
+    h = GridFunction(grid, np.array(vals))
+    require_convexity(h.values, radius_of_curvature_values(h))
+    sup = SupportGrid(h, validate=False)
     return FlowState(support=sup, time=float(meta["t"]), variant=meta["variant"])

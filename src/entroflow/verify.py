@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph
-from .diagnostics import MonitorReport, MonitorTolerances, run_monitors
+from .diagnostics import MonitorReport, run_monitors
 from .flow import (FlowState, StepperConfig, evolve, rescale_trajectory,
                    slow_time, unscaled_time)
 from .spectral import GridFunction, PeriodicGrid, integrate
@@ -105,15 +105,13 @@ _SHARED_RUNS = {
     "contraction-b": lambda: _contraction_runs()[1],
 }
 
-# the criteria's pinned tolerances: identities to 1e-3 relative, inequalities
-# to 1e-9 of their scale
-_CRITERIA_TOLERANCES = MonitorTolerances(identity_rel=1e-3, inequality_slack=1e-9)
-
 
 @functools.lru_cache(maxsize=None)
 def _shared_report(run: str) -> MonitorReport:
-    """The monitor suite on a shared run, computed once per run."""
-    return run_monitors(_SHARED_RUNS[run](), _CRITERIA_TOLERANCES)
+    """The monitor suite on a shared run, computed once per run, at the
+    criteria's pinned tolerances: inequalities to 1e-9 of their scale,
+    identities to diagnostics.IDENTITY_REL = 1e-3 relative."""
+    return run_monitors(_SHARED_RUNS[run](), inequality_slack=1e-9)
 
 
 # ---------------------------------------------------------------------------

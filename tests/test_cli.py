@@ -7,9 +7,10 @@ import pytest
 
 import entroflow.flow as flow
 from entroflow.cli import ExitStatus, RunConfig, _simulate, build_initial_support, main
-from entroflow.errors import ConfigError
-from entroflow.flow import read_snapshot
-from entroflow.support import reconstruct
+from entroflow.errors import ConfigError, NotLocallyConvexError
+from entroflow.flow import FlowState, read_snapshot, write_snapshot
+from entroflow.spectral import GridFunction, PeriodicGrid
+from entroflow.support import SupportGrid, fourier_support, reconstruct
 
 
 def fast_config(tmp_path, **over):
@@ -101,6 +102,44 @@ class TestSimulate:
             rows = "".join("%.17g %.17g\n" % tuple(p)
                            for p in reconstruct(snap.support).points)
             assert (out / f"points_{i:06d}.txt").read_text() == rows
+
+    def test_translated_snapshots_read_back(self, tmp_path):
+        # mode 1 translates the curve; the flow carries the origin outside
+        # it (h < 0 from the first record on) while h_thth + h stays positive
+        cfg = RunConfig.from_dict(fast_config(
+            tmp_path, n=48, monitor_every=1e-3,
+            initial={"kind": "fourier", "constant": 1.0,
+                     "modes": [[1, 1.29, 0.0], [2, 0.3, 0.0]]}))
+        status, tr = _simulate(cfg)
+        assert status == ExitStatus.MONITOR
+        assert len(tr.times) == 51 and np.min(tr.H[1]) < 0.0
+        out = tmp_path / "out"
+        for i in range(len(tr.times)):
+            snap = read_snapshot(out / f"snapshot_{i:06d}.txt")
+            assert np.array_equal(snap.support.values, tr.H[i])
+        # a file that is not strictly locally convex is still refused, by
+        # its convexity and not by the sign of h
+        g = PeriodicGrid(omega=1, n=48)
+        bad = SupportGrid(GridFunction(g, 0.3 + 0.8 * np.cos(2 * g.nodes)),
+                          validate=False)
+        write_snapshot(out / "bad.txt", FlowState(support=bad))
+        with pytest.raises(NotLocallyConvexError, match="not strictly locally convex"):
+            read_snapshot(out / "bad.txt")
+
+    @pytest.mark.parametrize("mode", [[1.5, 0.001, 0.0], [30, 1e-4, 0.0]],
+                             ids=["non_integer", "aliased"])
+    def test_fourier_mode_refused_exit1(self, tmp_path, capsys, mode):
+        # at n = 32, m = 1.5 gives an h that jumps at theta = 2 pi, and the
+        # grid samples m = 30 as mode 2
+        with pytest.raises(ValueError, match=f"fourier mode m={mode[0]} "):
+            fourier_support(PeriodicGrid(omega=1, n=32), 1.0, [tuple(mode)])
+        cfgp = write_config(tmp_path, fast_config(
+            tmp_path, n=32,
+            initial={"kind": "fourier", "constant": 1.0, "modes": [mode]}))
+        assert main(["simulate", "--config", str(cfgp)]) == ExitStatus.VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"validation failure: fourier mode m={mode[0]} ")
 
     def test_monitor_failure_exit3(self, tmp_path):
         # a strongly non-round datum at coarse cadence: the centered-difference

@@ -12,7 +12,7 @@ from entroflow.diagnostics import (area, compute_record, entropy,
                                    seminorm, velocity_l2sq, write_csv,
                                    CSV_HEADER)
 from entroflow.errors import NotApplicableError, NotLocallyConvexError
-from entroflow.flow import FlowState, StepperConfig, evolve
+from entroflow.flow import FlowState, StepperConfig, Trajectory, evolve
 from entroflow.spectral import GridFunction, PeriodicGrid, deriv, integrate
 from entroflow.support import (SupportGrid, circle_support, curvature,
                                ellipse_support, fourier_support)
@@ -294,6 +294,23 @@ class TestMonitors:
             assert rep[name].status == "pass", name
             assert rep[name].slack > 0.0, name
             assert rep[name].worst_t > 0.0, name
+
+    def test_inequality_slack(self):
+        # one step of ||F||^2 rises by 1e-7 of its largest value: inside the
+        # default slack of 1e-6, outside the criteria's 1e-9
+        s = ellipse_support(PeriodicGrid(1, 48), 1.3, 1.0)
+        tr = evolve(FlowState(support=s), 0.05, StepperConfig(),
+                    monitor_every=1e-3)
+        assert run_monitors(tr, inequality_slack=1e-9)["M2"].status == "pass"
+        fl2 = tr.record_series("f_l2sq").copy()
+        fl2[21] = fl2[20] + 1e-7 * np.max(fl2)
+        risen = Trajectory(tr.variant, tr.grid, tr.H,
+                           dataclasses.replace(tr.columns, f_l2sq=fl2))
+        assert run_monitors(risen)["M2"].status == "pass"
+        m2 = run_monitors(risen, inequality_slack=1e-9)["M2"]
+        assert m2.status == "fail"
+        assert m2.worst_t == tr.times[21]
+        assert m2.slack == pytest.approx(1e-7 * np.max(fl2), rel=1e-6)
 
     def test_two_records_not_applicable(self):
         st = FlowState(support=circle_support(PeriodicGrid(1, 16), 1.0))

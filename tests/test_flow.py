@@ -15,9 +15,8 @@ from entroflow.diagnostics import compute_record
 from entroflow.support import (SupportGrid, circle_support, curvature,
                                ellipse_support, fourier_support)
 from entroflow.flow import (FlowState, StepperConfig, evolve, read_snapshot,
-                            rescale_trajectory, rhs_rescaled, rhs_unscaled,
-                            scale_factor, slow_time, step, unscaled_time,
-                            write_snapshot)
+                            rescale_trajectory, rhs, scale_factor, slow_time,
+                            step, unscaled_time, write_snapshot)
 
 
 ATTEMPTS = {"explicit_rk4": "_rk4_attempt", "semi_implicit": "_semi_implicit_attempt"}
@@ -66,10 +65,10 @@ def reference_semi_implicit(h, w, dt, ws, lam, stab_coeff):
     apply = reference_apply(ws.D2I)
     kmax = 1.0 / w.min()
     c = stab_coeff * kmax * kmax
-    rhs = reference_velocity(h, apply, lam, w)
+    f = reference_velocity(h, apply, lam, w)
     hhat = np.fft.rfft(h)
     denom = 1.0 + dt * c * ws.xi4
-    hn = np.fft.irfft(hhat + dt * np.fft.rfft(rhs) / denom, n=len(h))
+    hn = np.fft.irfft(hhat + dt * np.fft.rfft(f) / denom, n=len(h))
     return hn, apply(hn)
 
 
@@ -81,13 +80,13 @@ def assert_row(columns, i, rec):
 
 class TestRhs:
     def test_circle(self):
-        f = rhs_unscaled(circle_state(2.0).support)
+        f = rhs(circle_state(2.0).support, "unscaled")
         assert np.max(np.abs(f.values - 0.5)) < 1e-13
 
     def test_translation_invariance(self):
         g = PeriodicGrid(omega=1, n=32)
         s = SupportGrid(GridFunction(g, 1.5 + 0.1 * np.cos(g.nodes)))
-        f = rhs_unscaled(s)
+        f = rhs(s, "unscaled")
         assert np.max(np.abs(f.values - 1 / 1.5)) < 1e-11
 
     def test_two_mode_value(self):
@@ -95,26 +94,26 @@ class TestRhs:
         # (k's modes decay like 3^-j, so n = 128 resolves it to round-off)
         g = PeriodicGrid(omega=1, n=128)
         s = SupportGrid(GridFunction(g, 1 + 0.2 * np.cos(2 * g.nodes)))
-        f = rhs_unscaled(s)
+        f = rhs(s, "unscaled")
         assert f.values[0] == pytest.approx(-12.5, abs=5e-9)
 
     def test_rescaled_chainrule_fixed_point(self):
         for omega in (1, 2):
             st = circle_state(1.0 / (2 * omega * math.pi), omega=omega, n=16)
-            f = rhs_rescaled(st.support, "rescaled_chainrule")
+            f = rhs(st.support, "rescaled_chainrule")
             assert np.max(np.abs(f.values)) < 1e-12
 
     def test_rescaled_paper_fixed_point(self):
-        f = rhs_rescaled(circle_state(1.0).support, "rescaled_paper")
+        f = rhs(circle_state(1.0).support, "rescaled_paper")
         assert np.max(np.abs(f.values)) < 1e-13
 
     def test_rescaled_chainrule_constant(self):
-        f = rhs_rescaled(circle_state(1.0).support, "rescaled_chainrule")
+        f = rhs(circle_state(1.0).support, "rescaled_chainrule")
         assert np.max(np.abs(f.values - (1 - 4 * math.pi**2))) < 1e-12
 
     def test_variant_checked(self):
-        with pytest.raises(ValueError):
-            rhs_rescaled(circle_state().support, "unscaled")
+        with pytest.raises(ValueError, match="unknown variant"):
+            rhs(circle_state().support, "rescaled")
 
 
 class TestVelocityKernel:

@@ -5,7 +5,7 @@ import pytest
 
 from entroflow import graph
 from entroflow.errors import DegenerateGraphError
-from entroflow.flow import rhs_unscaled
+from entroflow.flow import rhs
 from entroflow.graph import (band_limited_rho, build_bundle,
                              check_parametrization_identity, composite_support,
                              crosscheck,
@@ -103,7 +103,7 @@ class TestVelocity:
         v = velocity_graph(sc)
         b = build_bundle(sc)
         sup = composite_support(sc, 256)
-        F = rhs_unscaled(sup)
+        F = rhs(sup, "unscaled")
         nout = -b.N
         theta = np.unwrap(np.arctan2(nout[:, 1], nout[:, 0]))
         Fat = trig_eval_values(F.values, sup.grid.period, theta)
@@ -117,7 +117,7 @@ class TestVelocity:
         v = velocity_graph(sc)
         b = build_bundle(sc)
         sup = composite_support(sc, 512)
-        F = rhs_unscaled(sup)
+        F = rhs(sup, "unscaled")
         nout = -b.N
         theta = np.unwrap(np.arctan2(nout[:, 1], nout[:, 0]))
         Fat = trig_eval_values(F.values, sup.grid.period, theta)

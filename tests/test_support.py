@@ -223,6 +223,14 @@ class TestBuildersAndFiles:
         s = fourier_support(grid(omega=2, n=32), 1.0, [(1, 0.1, 0.0)])
         assert s.values[0] == pytest.approx(1.1)
 
+    def test_fourier_modes_below_half_n(self):
+        # integer-valued m with |m| < n/2 is accepted, m = n/2 refused
+        s = fourier_support(grid(n=32), 1.0, [(15, 1e-4, 0.0), (-2, 0.1, 0.0),
+                                              (2.0, 0.0, 0.1)])
+        assert s.values[0] == pytest.approx(1.1001)
+        with pytest.raises(ValueError, match="m=16 "):
+            fourier_support(grid(n=32), 1.0, [(16, 1e-4, 0.0)])
+
     def test_curve_file_roundtrip(self, tmp_path):
         phi = np.arange(1024) * 2 * math.pi / 1024
         pts = np.stack([2 * np.cos(phi), np.sin(phi)], axis=1)
