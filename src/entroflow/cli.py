@@ -48,6 +48,29 @@ _INITIAL_KINDS = {
 }
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_modes(modes) -> None:
+    """initial.modes is a list of [m, a, b]: m a number, not a bool (whether
+    it is an integer below n/2 is fourier_support's check), and a, b finite
+    numbers."""
+    if not isinstance(modes, (list, tuple)):
+        raise ConfigError(f"initial.modes must be a list of [m, a, b], got {modes!r}")
+    for i, mode in enumerate(modes):
+        if not (isinstance(mode, (list, tuple)) and len(mode) == 3):
+            raise ConfigError(f"initial.modes[{i}] must be [m, a, b], got {mode!r}")
+        m, a, b = mode
+        if not _is_number(m):
+            raise ConfigError(f"initial.modes[{i}] mode number must be a number, "
+                              f"got {m!r}")
+        for name, x in (("a", a), ("b", b)):
+            if not (_is_number(x) and math.isfinite(x)):
+                raise ConfigError(f"initial.modes[{i}] coefficient {name} must be "
+                                  f"a finite number, got {x!r}")
+
+
 @dataclass
 class RunConfig:
     omega: int = 1
@@ -72,8 +95,7 @@ class RunConfig:
         if not self.t_end > 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         every = self.monitor_every
-        if (isinstance(every, bool) or not isinstance(every, (int, float))
-                or not (math.isfinite(every) and every > 0)):
+        if not (_is_number(every) and math.isfinite(every) and every > 0):
             raise ConfigError(
                 f"monitor_every must be a finite number > 0, got {every!r}")
         try:
@@ -95,6 +117,8 @@ class RunConfig:
         missing = _INITIAL_KINDS[kind] - set(self.initial)
         if missing:
             raise ConfigError(f"initial.{kind} requires keys {sorted(missing)}")
+        if kind == "fourier":
+            _check_modes(self.initial["modes"])
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

@@ -107,7 +107,7 @@ def compute_record(s: SupportGrid, t, dt_used) -> DiagnosticsRecord:
     dx = period / s.n
 
     def integral(x):  # spectral.integrate's rectangle rule, on plain samples
-        return np.sum(x, axis=-1) * dx
+        return np.add.reduce(x, -1) * dx  # np.sum's kernel, without its wrapper
 
     h1, h2, h3, h4 = periodic_derivs_values(hv, period, (1, 2, 3, 4))
     w = h2 + hv

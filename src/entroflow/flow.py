@@ -175,7 +175,10 @@ class _RfftOperator(np.ndarray):
     D2I @ x is irfft(symbol * rfft(x)) along axis 0 of an (n,) or (n, B) x,
     an (n, B) x transformed through its transposed view; no other arithmetic
     is defined on it.  It stays an ndarray, so that a view of it may wrap
-    the apply and call np.matmul(D2I, x).
+    the apply and call np.matmul(D2I, x).  The symbol is held as complex128
+    with zero imaginary parts and multiplies the spectrum in place: numpy
+    casts a real symbol to exactly that before a complex multiply, so the
+    bits are those of the real one, without the cast on every apply.
     """
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -183,11 +186,11 @@ class _RfftOperator(np.ndarray):
                 or inputs[0] is not self):
             return NotImplemented
         x = np.asarray(inputs[1])
-        sym = self.view(np.ndarray)
         n = 2 * (len(self) - 1)
-        if x.ndim == 2:
-            return spectral.irfft(sym * spectral.rfft(x.T), n).T
-        return spectral.irfft(sym * spectral.rfft(x), n)
+        c = spectral.rfft(x.T if x.ndim == 2 else x)
+        c *= self.view(np.ndarray)
+        y = spectral.irfft(c, n)
+        return y.T if x.ndim == 2 else y
 
 
 class _Workspace:
@@ -197,7 +200,7 @@ class _Workspace:
         self.xi4 = self.xi**4
         self.ximax4 = (n / (2.0 * grid.omega))**4
         if n > DENSE_MAX_N:
-            self.D2I = (1.0 - self.xi**2).view(_RfftOperator)
+            self.D2I = (1.0 - self.xi**2).astype(complex).view(_RfftOperator)
             return
         e0 = np.zeros(n)
         e0[0] = 1.0
@@ -211,8 +214,8 @@ class _Workspace:
 
 
 # a dense operator is at most DENSE_MAX_N^2 * 8 bytes (1 MB) and an rfft one
-# O(n), so the eight most recently used grids keep theirs; a rebuilt D2I is
-# bit-identical
+# 16 * (n//2 + 1) bytes, so the eight most recently used grids keep theirs; a
+# rebuilt D2I is bit-identical
 @functools.lru_cache(maxsize=8)
 def workspace(grid: PeriodicGrid) -> _Workspace:
     return _Workspace(grid)

@@ -9,6 +9,7 @@ omega-covered circles and immersed curves share one code path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,12 +99,19 @@ def irfft(c: np.ndarray, n: int) -> np.ndarray:
     return _pocketfft.irfft(c, 1.0 / n, out=np.empty(c.shape[:-1] + (n,)))
 
 
-def _deriv_factor(xi: np.ndarray, order: int) -> np.ndarray:
-    """(i*xi)^order, with the Nyquist mode zeroed for odd orders (its sine
-    partner is not representable on the grid) and kept for even orders."""
-    fac = (1j * xi) ** order
+# a factor is (n/2 + 1) complex values, 8 * (n + 2) bytes, so the 32 most
+# recently used (compute_record's four orders on eight grids) take at most
+# 8.4 MB up to n = 32768; a rebuilt factor is bit-identical
+@functools.lru_cache(maxsize=32)
+def _deriv_factor(n: int, period: float, order: int) -> np.ndarray:
+    """(i*xi)^order on rfft_wavenumbers(n, period), with the Nyquist mode
+    zeroed for odd orders (its sine partner is not representable on the
+    grid) and kept for even orders.  Built once per (n, period, order) and
+    read-only, since every caller shares it."""
+    fac = (1j * rfft_wavenumbers(n, period)) ** order
     if order % 2 == 1:
         fac[-1] = 0.0
+    fac.flags.writeable = False
     return fac
 
 
@@ -117,7 +125,7 @@ def periodic_derivs_values(values: np.ndarray, period: float, orders) -> list:
 
     Differentiates along the last axis, so a stack of shape (R, n) gives R
     rows, each equal to the one-row call.  Order 0 is a copy of the samples;
-    each other order costs one irfft.
+    each other order costs one irfft, by a cached factor from _deriv_factor.
     """
     for order in orders:
         if order < 0 or int(order) != order:
@@ -127,9 +135,8 @@ def periodic_derivs_values(values: np.ndarray, period: float, orders) -> list:
             raise UnsupportedOrderError(
                 f"derivative order {order} exceeds supported maximum {MAX_DERIV_ORDER}")
     n = np.shape(values)[-1]
-    xi = rfft_wavenumbers(n, period)
     coeff = rfft(values) if any(orders) else None
-    return [irfft(coeff * _deriv_factor(xi, order), n) if order
+    return [irfft(coeff * _deriv_factor(n, period, order), n) if order
             else np.array(values, dtype=float) for order in orders]
 
 
@@ -140,13 +147,15 @@ def denoised_deriv_values(values: np.ndarray, period: float, orders):
     High-order spectral differentiation multiplies per-mode round-off by
     xi^order; for data whose true spectrum has decayed to round-off this
     amplifies pure noise.  Zeroing sub-round-off modes is lossless for such
-    data and keeps fourth derivatives accurate near machine precision.
+    data and keeps fourth derivatives accurate near machine precision.  A
+    stack of shape (R, n) gives R rows, each equal to the one-row call.
     """
-    n = len(values)
-    xi = rfft_wavenumbers(n, period)
+    n = np.shape(values)[-1]
     coeff = rfft(values)
-    coeff[np.abs(coeff) < 1e-15 * np.max(np.abs(coeff))] = 0.0
-    return [irfft(coeff * _deriv_factor(xi, order), n) for order in orders]
+    mag = np.abs(coeff)
+    coeff[mag < 1e-15 * np.max(mag, axis=-1, keepdims=True)] = 0.0
+    return [irfft(coeff * _deriv_factor(n, period, order), n)
+            for order in orders]
 
 
 def trig_eval_values(values: np.ndarray, period: float, points: np.ndarray) -> np.ndarray:

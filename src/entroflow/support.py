@@ -279,11 +279,12 @@ def ellipse_support(grid: PeriodicGrid, a: float, b: float) -> SupportGrid:
 
 def fourier_support(grid: PeriodicGrid, constant: float, modes) -> SupportGrid:
     """constant + sum of (m, cos_coeff, sin_coeff) modes with wavenumber m/omega;
-    each m an integer with |m| < n/2, so that h is periodic and not aliased."""
+    each m an integer (not a bool) with |m| < n/2, so that h is periodic and
+    not aliased."""
     th = grid.nodes
     h = np.full(grid.n, float(constant))
     for m, ac, bs in modes:
-        if not (float(m).is_integer() and abs(m) < grid.n / 2):
+        if isinstance(m, bool) or not (float(m).is_integer() and abs(m) < grid.n / 2):
             raise ValueError(f"fourier mode m={m!r} must be an integer with "
                              f"|m| < n/2 = {grid.n // 2}")
         xi = m / grid.omega

@@ -141,6 +141,26 @@ class TestSimulate:
         assert len(err) == 1
         assert err[0].startswith(f"validation failure: fourier mode m={mode[0]} ")
 
+    @pytest.mark.parametrize("modes,want", [
+        ([[True, 1e-4, 0.0]], "initial.modes[0] mode number must be a number"),
+        ([[2, 0.1, 0.0], ["x", 1e-4, 0.0]],
+         "initial.modes[1] mode number must be a number"),
+        ([[2, 0.1, 0.0, 0.0]], "initial.modes[0] must be [m, a, b]"),
+        ([2], "initial.modes[0] must be [m, a, b]"),
+        ([[2, "0.1", 0.0]], "initial.modes[0] coefficient a must be a finite"),
+        ({"2": [0.1, 0.0]}, "initial.modes must be a list of [m, a, b]"),
+    ], ids=["bool", "string", "arity", "entry_not_list", "coeff_string",
+            "not_list"])
+    def test_fourier_modes_config_error_exit1(self, tmp_path, capsys, modes, want):
+        cfgp = write_config(tmp_path, fast_config(
+            tmp_path, n=32,
+            initial={"kind": "fourier", "constant": 1.0, "modes": modes}))
+        assert main(["simulate", "--config", str(cfgp)]) == ExitStatus.VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: {want}")
+        assert not (tmp_path / "out").exists()
+
     def test_monitor_failure_exit3(self, tmp_path):
         # a strongly non-round datum at coarse cadence: the centered-difference
         # identities cannot resolve its fast start

@@ -148,6 +148,22 @@ class TestVelocityKernel:
             assert out.shape == x.shape
             assert np.max(np.abs(out - ref)) <= 1e-9 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n", [512, 1000, 1024])
+    def test_rfft_route_bits(self, n):
+        # np.fft's transforms around the real symbol 1 - xi^2, built here from
+        # rfftfreq: the bits of the route, on (n,) and (n, B) input
+        g = PeriodicGrid(omega=1, n=n)
+        D2I = flow.workspace(g).D2I
+        assert isinstance(D2I, flow._RfftOperator)
+        xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=g.period / n)
+        sym = 1 - xi**2
+        rng = np.random.default_rng(n)
+        x = 1.0 + 0.1 * rng.standard_normal(n)
+        assert np.array_equal(D2I @ x, np.fft.irfft(sym * np.fft.rfft(x), n))
+        x = rng.standard_normal((n, 6))
+        want = np.fft.irfft(sym[:, None] * np.fft.rfft(x, axis=0), n, axis=0)
+        assert np.array_equal(D2I @ x, want)
+
     def test_rfft_route_evolves_as_dense(self, monkeypatch):
         # the 1.3:1 rescaled ellipse at n = 1024, once on the rfft route and
         # once on a dense D2I injected into the workspace

@@ -128,6 +128,49 @@ class TestDeriv:
         assert errs[2] < 1e-12
 
 
+class TestDerivFactors:
+    @staticmethod
+    def factor(xi, p):
+        # (i xi)^p with the Nyquist mode zeroed for odd p
+        fac = (1j * xi) ** p
+        if p % 2 == 1:
+            fac[-1] = 0.0
+        return fac
+
+    @pytest.mark.parametrize("omega", [1, 2])
+    def test_match_per_order_formula(self, omega):
+        n = 64
+        g = PeriodicGrid(omega=omega, n=n)
+        xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=g.period / n)
+        orders = tuple(range(spectral.MAX_DERIV_ORDER + 1))
+        th = g.nodes / omega
+        # analytic data, whose top modes sit at round-off: the denoised
+        # threshold zeroes some of them, differently per row
+        one = np.exp(np.cos(th))
+        stack = np.stack([np.exp(a * np.cos(th + b))
+                          for a, b in ((0.5, 0.0), (1.0, 0.3), (2.0, 1.0))])
+        for x in (one, stack):
+            c = np.fft.rfft(x)
+            got = spectral.periodic_derivs_values(x, g.period, orders)
+            for p, d in zip(orders, got):
+                want = x if p == 0 else np.fft.irfft(c * self.factor(xi, p), n)
+                assert np.array_equal(d, want), (x.shape, p)
+            mag = np.abs(c)
+            c[mag < 1e-15 * mag.max(axis=-1, keepdims=True)] = 0.0
+            got = spectral.denoised_deriv_values(x, g.period, orders)
+            for p, d in zip(orders, got):
+                want = np.fft.irfft(c * self.factor(xi, p), n)
+                assert np.array_equal(d, want), (x.shape, p)
+
+    def test_cached_factor_is_shared_and_read_only(self):
+        g = PeriodicGrid(omega=1, n=32)
+        fac = spectral._deriv_factor(32, g.period, 3)
+        assert spectral._deriv_factor(32, g.period, 3) is fac
+        assert np.array_equal(fac, self.factor(g.wavenumbers, 3))
+        with pytest.raises(ValueError):
+            fac[0] = 1.0
+
+
 class TestIntegrate:
     def test_constant(self):
         assert integrate(gf(1, 8, lambda th: np.ones_like(th))) == pytest.approx(

@@ -231,6 +231,11 @@ class TestBuildersAndFiles:
         with pytest.raises(ValueError, match="m=16 "):
             fourier_support(grid(n=32), 1.0, [(16, 1e-4, 0.0)])
 
+    def test_fourier_mode_bool_refused(self):
+        # float(True) is 1.0, an integer: a bool is refused before that
+        with pytest.raises(ValueError, match="m=True "):
+            fourier_support(grid(n=32), 1.0, [(True, 1e-4, 0.0)])
+
     def test_curve_file_roundtrip(self, tmp_path):
         phi = np.arange(1024) * 2 * math.pi / 1024
         pts = np.stack([2 * np.cos(phi), np.sin(phi)], axis=1)
