@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from entroflow import (FlowState, GridFunction, PeriodicGrid, StepperConfig,
-                       SupportGrid, curvature, ellipse_support, evolve,
+                       SupportGrid, ellipse_support, evolve, l2_contraction,
                        reconstruct, support_from_curve)
 
 grid = PeriodicGrid(omega=1, n=48)
@@ -21,15 +21,9 @@ cfg = StepperConfig()
 tr1 = evolve(FlowState(support=s1), 0.2, cfg, monitor_every=0.02)
 tr2 = evolve(FlowState(support=s2), 0.2, cfg, monitor_every=0.02)
 
-w = grid.period / grid.n
 print("    t        D(t)          contraction rate")
-for i in range(len(tr1.times)):
-    a, b = tr1.state(i), tr2.state(i)
-    D = np.sum((a.support.values - b.support.values) ** 2) * w
-    k1 = curvature(a.support).values
-    k2 = curvature(b.support).values
-    rate = -2.0 * np.sum((k2 - k1) ** 2 / (k1 * k2)) * w
-    print(f"{a.time:6.3f}  {D:.6e}   {rate:.6e}")
+for t, D, rate in zip(tr1.times, *l2_contraction(grid, tr1.H, tr2.H)):
+    print(f"{t:6.3f}  {D:.6e}   {rate:.6e}")
 
 # ingest a polygonal approximation of a convex curve and evolve it
 phi = np.arange(8192) * 2 * math.pi / 8192

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import graph, verify
-from .diagnostics import fit_decay_rate, run_monitors, write_csv
+from .diagnostics import finite_or_none, fit_decay_rate, run_monitors, write_csv
 from .errors import (ConfigError, CurveIngestionError, EntroflowError,
                      FlowBreakdownError, NotLocallyConvexError)
 from .flow import (VARIANTS, FlowState, StepperConfig, check_record_count, evolve,
@@ -265,13 +265,14 @@ def cmd_rescaled(cfg: RunConfig) -> ExitStatus:
     rates = {}
     for p in (1, 2, 3, 4):
         rate, used = fit_decay_rate(t, seminorms[:, p])
-        rates[f"h{p}"] = {"rate": rate, "records_used": used}
+        rates[f"h{p}"] = {"rate": finite_or_none(rate), "records_used": used}
     h = tr.final.support.values
     payload = {"fitted_decay_rates": rates,
                "final_sup_deviation_from_mean": float(np.max(np.abs(h - h.mean())))}
     try:
         write_text(os.path.join(cfg.output_dir, "decay_rates.json"),
-                   json.dumps(payload, indent=2, sort_keys=True) + "\n")
+                   json.dumps(payload, indent=2, sort_keys=True,
+                              allow_nan=False) + "\n")
     except OSError as exc:
         return _io_error(exc)
     return status

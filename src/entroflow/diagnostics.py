@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import NotApplicableError
-from .spectral import deriv, integrate, periodic_derivs_values
-from .support import SupportGrid, require_convexity, write_text
+from .spectral import GridFunction, deriv, integrate, periodic_derivs_values
+from .support import SupportGrid, curvature, require_convexity, write_text
 
 SMALLNESS_FRACTION = 22.0  # threshold 1/(22*omega*pi) for the sigma energy
 
@@ -58,6 +58,18 @@ def seminorm(s: SupportGrid, p: int) -> float:
 def logk_dirichlet(s: SupportGrid) -> float:
     """Scale-invariant integral of (k_theta)^2 / k^2 dtheta."""
     return compute_record(s, 0.0, 0.0).logk_dirichlet
+
+
+def l2_contraction(grid, H1, H2):
+    """(D, rate) of two solutions on grid, row by row on (R, n) stacks: D =
+    integral of (h1 - h2)^2 dtheta, and rate = -2 integral of (k2 - k1)^2 /
+    (k1 k2) dtheta, its derivative under the unscaled flow."""
+    period, n = grid.period, grid.n
+    D = np.sum((H1 - H2)**2, axis=-1) * period / n
+    k1, k2 = (curvature(SupportGrid(GridFunction(grid, H), validate=False)).values
+              for H in (H1, H2))
+    rate = -2.0 * np.sum((k2 - k1)**2 / (k1 * k2), axis=-1) * period / n
+    return D, rate
 
 
 @dataclass
@@ -210,14 +222,20 @@ class MonitorReport:
         return all(c.status != "fail" for c in self.checks)
 
     def to_dict(self):
+        """Plain data for JSON, a non-finite slack or worst_t as None."""
         return {c.name: {"status": c.status,
-                         "slack": None if math.isnan(c.slack) else c.slack,
-                         "worst_t": None if math.isnan(c.worst_t) else c.worst_t,
+                         "slack": finite_or_none(c.slack),
+                         "worst_t": finite_or_none(c.worst_t),
                          "note": c.note}
                 for c in self.checks}
 
     def to_json(self, path):
-        write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
+        write_text(path, json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n")
+
+
+def finite_or_none(x):
+    """x, or None when x is NaN or infinite: strict JSON has no such numbers."""
+    return x if math.isfinite(x) else None
 
 
 def _cd_first(t, x):
@@ -260,13 +278,16 @@ def rescaled_length_cap(c1_rescaled: float, tau_max: float, omega: int) -> float
 
     Intrinsic form of the bound: with c1_eta = integral of k dtheta at the
     first rescaled record, the unscaled c1 satisfies c1 = c1_eta / L0 and L0
-    cancels from the ratio.
+    cancels from the ratio.  The ratio tends to sqrt(2)*omega*pi, the floor
+    of the result, as tau grows; where tau * c1_eta^2 overflows it has
+    reached that limit to round-off, so those samples are left out.
     """
     wpi = omega * math.pi
     tau = np.linspace(0.0, max(tau_max, 1.0), 20001)
-    upper = _length_upper_bound(tau, 1.0, c1_rescaled, omega)
+    with np.errstate(over="ignore"):
+        upper = _length_upper_bound(tau, 1.0, c1_rescaled, omega)
     ratio = upper / np.sqrt(1.0 + 8.0 * wpi**2 * tau)
-    return float(max(np.max(ratio), math.sqrt(2.0) * wpi))
+    return float(max(np.max(ratio[np.isfinite(ratio)]), math.sqrt(2.0) * wpi))
 
 
 def noise_floor(values) -> float:
@@ -284,18 +305,17 @@ def noise_floor(values) -> float:
     return floor
 
 
-def fit_decay_rate(t, values, floor=None):
+def fit_decay_rate(t, values):
     """Least-squares exponential rate over the last half of the series.
 
-    Samples at or below the noise floor are excluded; if fewer than five
-    remain the window is extended backwards.  The default floor sits just
-    above the final plateau, so a series that has collapsed to round-off is
-    fitted on its live decaying segment.  Returns (rate, n_used).
+    Samples at or below noise_floor(values) are excluded; if fewer than five
+    remain the window is extended backwards.  The floor sits just above the
+    final plateau, so a series that has collapsed to round-off is fitted on
+    its live decaying segment.  Returns (rate, n_used).
     """
     t = np.asarray(t, dtype=float)
     v = np.asarray(values, dtype=float)
-    if floor is None:
-        floor = noise_floor(v)
+    floor = noise_floor(v)
     start = len(t) // 2
     while True:
         sel = (np.arange(len(t)) >= start) & (v > floor)
@@ -451,7 +471,9 @@ def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
         if tr.variant == "rescaled_chainrule" and normalized:
             # the bracket facts presume unit initial rescaled length
             a = 8.0 * wpi**2
-            tau_max = math.expm1(a * (t[-1] - t[0])) / a
+            # exp overflows above 709.78; the cap's ratio is at its limit
+            # long before tau = expm1(709) / a
+            tau_max = math.expm1(min(a * (t[-1] - t[0]), 709.0)) / a
             cL = rescaled_length_cap(k1[0], tau_max, omega)
             slack = inequality_slack * max(1.0, cL)
             ok = np.all(L >= 1.0 - slack) and np.all(L <= cL + slack)
@@ -476,7 +498,7 @@ def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
             grow = np.diff(tail) - inequality_slack * np.max(series)
             grow = grow[live[:-1] & live[1:]]
             mono_ok = len(grow) == 0 or np.max(grow) <= 0
-            rate, used = fit_decay_rate(t, series, floor=floor)
+            rate, used = fit_decay_rate(t, series)
             ok = mono_ok and (math.isnan(rate) or rate > 0)
             rep.add(f"M12-decay-h{p}", "pass" if ok else "fail",
                     rate, note=f"fitted rate over {used} records")

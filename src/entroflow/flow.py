@@ -27,8 +27,7 @@ from . import spectral  # spectral.rfft/irfft looked up per call: one seam
 from .diagnostics import DiagnosticsRecord, compute_record
 from .errors import FlowBreakdownError, StepRejectedError
 from .spectral import GridFunction, PeriodicGrid, periodic_derivs_values
-from .support import (SupportGrid, radius_of_curvature_values,
-                      require_convexity, write_text)
+from .support import SupportGrid, curvature, write_text
 
 VARIANTS = ("unscaled", "rescaled_chainrule", "rescaled_paper")
 SCHEMES = ("explicit_rk4", "semi_implicit")
@@ -88,6 +87,14 @@ class FlowState:
         return self.support.grid
 
 
+def _unchecked_state(grid, values, time, variant) -> FlowState:
+    """FlowState of finite samples on grid without SupportGrid's h > 0 check:
+    h > 0 is checked on input only, since the flow may translate the curve
+    past the origin, and the step guard keeps h_thth + h > 0."""
+    return FlowState(SupportGrid(GridFunction(grid, values), validate=False),
+                     time, variant)
+
+
 @dataclass
 class Trajectory:
     """Recorded states as columns.
@@ -111,11 +118,8 @@ class Trajectory:
 
     def state(self, i) -> FlowState:
         """Recorded state i (negative i counts from the end)."""
-        # h > 0 is checked on input only: the flow may translate the curve
-        # past the origin, and the step guard keeps h_thth + h > 0
-        sup = SupportGrid(GridFunction(self.grid, self.H[i]), validate=False)
-        return FlowState(support=sup, time=self.columns.t[i].item(),
-                         variant=self.variant)
+        return _unchecked_state(self.grid, self.H[i], self.columns.t[i].item(),
+                                self.variant)
 
     @property
     def final(self) -> FlowState:
@@ -328,8 +332,7 @@ def step(state: FlowState, dt: float, cfg: StepperConfig) -> FlowState:
             f"convexity guard: margin {margin_new:.6g} < "
             f"{cfg.guard_ratio} * {margin:.6g} at dt={dt:.3g}",
             dt=dt, margin_before=margin, margin_after=margin_new)
-    support = SupportGrid(GridFunction(s.grid, hn), validate=False)
-    return FlowState(support=support, time=state.time + dt, variant=state.variant)
+    return _unchecked_state(s.grid, hn, state.time + dt, state.variant)
 
 
 def check_record_count(n: int, t0: float, t_end: float, monitor_every=None,
@@ -424,12 +427,9 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     max_dt, guard_ratio, stab = cfg.max_dt, cfg.guard_ratio, cfg.stabilization_coeff
 
     def breakdown():
-        last = FlowState(
-            support=SupportGrid(GridFunction(s.grid, h), validate=False),
-            time=t, variant=state.variant)
         return FlowBreakdownError(
             f"convexity guard failed at t={t:.6g} (margin {margin:.3g})",
-            last_state=last)
+            last_state=_unchecked_state(s.grid, h, t, state.variant))
 
     h = s.values.copy()
     t = state.time
@@ -550,8 +550,6 @@ def read_snapshot(path) -> FlowState:
             else:
                 vals.append(float(line))
     grid = PeriodicGrid(omega=int(meta["omega"]), n=int(meta["n"]))
-    # convexity only, as the flow checks it: it may carry the origin outside
-    h = GridFunction(grid, np.array(vals))
-    require_convexity(h.values, radius_of_curvature_values(h))
-    sup = SupportGrid(h, validate=False)
-    return FlowState(support=sup, time=float(meta["t"]), variant=meta["variant"])
+    state = _unchecked_state(grid, np.array(vals), float(meta["t"]), meta["variant"])
+    curvature(state.support)  # raises unless strictly convex, as the flow checks
+    return state

@@ -11,12 +11,8 @@ concentric circle of radius R + c).
 
 The closed-form derivative and velocity formulas are evaluated in the
 self-consistent rotating frame (T0' = k0*N0, N0' = -k0*T0 with N0 inner),
-in which they describe gamma0 + rho_eff*N0; the default convention
-therefore evaluates them at rho_eff = -rho so that they describe the actual
-composite.  Every scene builder uses that convention;
-``scene.with_convention("paper_literal")`` evaluates them at +rho instead,
-which describes the reflected graph and is detected by the
-bundle-versus-direct residual (a deliberate sanity property).
+in which they describe gamma0 + rho_eff*N0; they are therefore evaluated at
+rho_eff = -rho so that they describe the actual composite.
 
 Every bundle quantity is recomputed independently by spectral
 differentiation of the sampled composite curve and the disagreement is
@@ -34,9 +30,7 @@ from . import spectral  # spectral.rfft/irfft looked up per call: one seam
 from .errors import DegenerateGraphError, NotLocallyConvexError
 from .spectral import (GridFunction, PeriodicGrid, denoised_deriv_values,
                        periodic_antideriv_values, trig_eval_values)
-from .support import SupportGrid, curvature
-
-CONVENTIONS = ("self_consistent", "paper_literal")
+from .support import SupportGrid, curvature, curve_points
 
 # cross-check thresholds
 RESIDUAL_TOL = 1e-8          # bundle-versus-direct and operator split
@@ -65,15 +59,12 @@ class GraphCurveScene:
     k0_u3: np.ndarray
     length: float                 # base length L0 (period of u)
     rho: np.ndarray
-    convention: str = "self_consistent"
 
     def __post_init__(self):
         n = len(self.u)
         self.rho = np.asarray(self.rho, dtype=float)
         if self.rho.shape != (n,):
             raise ValueError("rho must match the base sampling")
-        if self.convention not in CONVENTIONS:
-            raise ValueError(f"convention must be one of {CONVENTIONS}")
         if np.any(self.k0 <= 0.0):
             raise DegenerateGraphError("base curvature must be positive")
         bound = float(np.min(1.0 / self.k0))
@@ -89,9 +80,6 @@ class GraphCurveScene:
     def with_rho(self, rho) -> "GraphCurveScene":
         return replace(self, rho=rho)
 
-    def with_convention(self, convention) -> "GraphCurveScene":
-        return replace(self, convention=convention)
-
     @property
     def composite_points(self) -> np.ndarray:
         # gamma0 + rho * N_out = gamma0 - rho * N0
@@ -99,15 +87,14 @@ class GraphCurveScene:
 
 
 def _frame_components(scene: GraphCurveScene):
-    """Closed-form frame components of gamma_u .. gamma_u4 at rho_eff."""
-    sign = -1.0 if scene.convention == "self_consistent" else 1.0
-    r = sign * scene.rho
+    """Closed-form frame components of gamma_u .. gamma_u4 at rho_eff = -rho."""
+    r = -scene.rho
     L0 = scene.length
     if np.max(np.abs(scene.rho)) > 0.0:
         d1, d2, d3, d4 = denoised_deriv_values(scene.rho, L0, (1, 2, 3, 4))
     else:
         d1 = d2 = d3 = d4 = np.zeros(scene.n)
-    r1, r2, r3, r4 = sign * d1, sign * d2, sign * d3, sign * d4
+    r1, r2, r3, r4 = -d1, -d2, -d3, -d4
     k0, k0u, k0uu, k0u3 = scene.k0, scene.k0_u, scene.k0_uu, scene.k0_u3
     q = 1.0 - k0 * r
 
@@ -354,7 +341,7 @@ def _scene(u, L0, theta, h, h1, k, k1, k2, k3, rho) -> GraphCurveScene:
     gives the u-derivatives of k."""
     c, sn = np.cos(theta), np.sin(theta)
     return GraphCurveScene(
-        u=u, points=np.stack([h * c - h1 * sn, h * sn + h1 * c], axis=1),
+        u=u, points=curve_points(h, h1, theta),
         tangents=np.stack([-sn, c], axis=1), normals=-np.stack([c, sn], axis=1),
         k0=k, k0_u=k * k1, k0_uu=k * (k1**2 + k * k2),
         k0_u3=k * (k1**3 + 4.0 * k * k1 * k2 + k**2 * k3), length=L0,

@@ -55,7 +55,7 @@ class GridFunction:
 
     A stack of shape (R, n) holds R functions, one per row.
     periodic_derivs_values, curvature and compute_record work row by row on
-    stacks; deriv, integrate, interpolate and lowpass take one function.
+    stacks; deriv and integrate take one function.
     """
 
     grid: PeriodicGrid
@@ -198,21 +198,3 @@ def integrate(f: GridFunction) -> float:
     """Rectangle rule over the full period; exact for trig polynomials."""
     return float(np.sum(f.values) * (f.grid.period / f.grid.n))
 
-
-def interpolate(f: GridFunction, points) -> np.ndarray:
-    """Trigonometric interpolant of ``f`` at arbitrary points (mod period)."""
-    return trig_eval_values(f.values, f.grid.period, points)
-
-
-def lowpass(f: GridFunction, keep_fraction: float) -> GridFunction:
-    """Zero all modes with |m| > keep_fraction * n/2; 1.0 is the identity."""
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    if keep_fraction == 1.0:
-        return f.copy_with(f.values.copy())
-    n = f.grid.n
-    cutoff = keep_fraction * (n / 2.0)
-    c = rfft(f.values)
-    m = np.arange(n // 2 + 1)
-    c[m > cutoff] = 0.0
-    return f.copy_with(irfft(c, n))

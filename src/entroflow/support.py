@@ -50,13 +50,6 @@ def require_convexity(h: np.ndarray, w: np.ndarray) -> None:
             node=j, margin=float(w[j]))
 
 
-def convexity_margin(h) -> float:
-    """min over nodes of (h_thth + h); may be <= 0 for invalid data."""
-    if isinstance(h, SupportGrid):
-        h = h.h
-    return float(np.min(radius_of_curvature_values(h)))
-
-
 class SupportGrid:
     """Validated support-function samples of a locally convex curve."""
 
@@ -93,28 +86,22 @@ class SupportGrid:
 
 @dataclass
 class CurveSample:
-    """Points of a locally convex closed curve with unit tangents and
-    strictly increasing tangent angles.
+    """Points of a locally convex closed curve at strictly increasing
+    tangent angles thetas; the unit tangent at theta is (-sin, cos)(theta).
 
     points has shape (m, 2), or (R, m, 2) for R curves sampled at the same
     tangent angles.
     """
 
     points: np.ndarray
-    tangents: np.ndarray = field(repr=False)
     thetas: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-        self.tangents = np.asarray(self.tangents, dtype=float)
         self.thetas = np.asarray(self.thetas, dtype=float)
         m = len(self.thetas)
-        if self.points.shape[-2:] != (m, 2) or self.tangents.shape != (m, 2):
-            raise ValueError("points must have shape (m, 2) or (R, m, 2), "
-                             "tangents shape (m, 2)")
-        norms = np.hypot(self.tangents[:, 0], self.tangents[:, 1])
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
-            raise ValueError("tangents must be unit vectors to 1e-12")
+        if self.points.shape[-2:] != (m, 2):
+            raise ValueError("points must have shape (m, 2) or (R, m, 2)")
         if np.any(np.diff(self.thetas) <= 0.0):
             raise ValueError("tangent angles must be strictly increasing")
 
@@ -126,8 +113,15 @@ def curvature(s: SupportGrid) -> GridFunction:
     return s.h.copy_with(1.0 / w)
 
 
+def curve_points(h, h1, theta) -> np.ndarray:
+    """gamma = h*u + h_theta*u_perp at the angles theta, shape (..., 2), from
+    h and h1 = h_theta (arrays or scalars broadcast against theta)."""
+    c, sn = np.cos(theta), np.sin(theta)
+    return np.stack([h * c - h1 * sn, h * sn + h1 * c], axis=-1)
+
+
 def reconstruct(s: SupportGrid) -> CurveSample:
-    """Recover curve points gamma = h*u + h_theta*u_perp at the grid nodes.
+    """Recover the curve points (curve_points) at the grid nodes.
 
     A stack of R support functions, values of shape (R, n), gives points of
     shape (R, n, 2) whose row j equals the one-row call on row j; the first
@@ -137,10 +131,7 @@ def reconstruct(s: SupportGrid) -> CurveSample:
     hv = s.values
     hp, h2 = periodic_derivs_values(hv, s.grid.period, (1, 2))
     require_convexity(hv, h2 + hv)
-    c, sn = np.cos(theta), np.sin(theta)
-    points = np.stack([hv * c - hp * sn, hv * sn + hp * c], axis=-1)
-    tangents = np.stack([-sn, c], axis=1)
-    return CurveSample(points=points, tangents=tangents, thetas=theta.copy())
+    return CurveSample(points=curve_points(hv, hp, theta), thetas=theta.copy())
 
 
 def _polygon_area_centroid(points: np.ndarray):

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph
-from .diagnostics import MonitorReport, run_monitors
+from .diagnostics import MonitorReport, l2_contraction, run_monitors
 from .flow import (FlowState, StepperConfig, evolve, rescale_trajectory,
                    slow_time, unscaled_time)
 from .spectral import GridFunction, PeriodicGrid, integrate
-from .support import (SupportGrid, circle_support, curvature, ellipse_support,
-                      fourier_support)
+from .support import SupportGrid, circle_support, ellipse_support, fourier_support
 
 
 @dataclass
@@ -228,13 +227,9 @@ def criterion_07_area_law() -> CriterionResult:
 
 def criterion_08_contraction() -> CriterionResult:
     tr1, tr2 = _contraction_runs()
-    period, n = tr1.grid.period, tr1.grid.n
     t = tr1.record_series("t")
-    D = np.sum((tr1.H - tr2.H)**2, axis=-1) * period / n
+    D, rhs = l2_contraction(tr1.grid, tr1.H, tr2.H)
     mono = _monotone_violation(D, "down")
-    k1, k2 = (curvature(SupportGrid(GridFunction(tr.grid, tr.H), validate=False)).values
-              for tr in (tr1, tr2))
-    rhs = -2.0 * np.sum((k2 - k1)**2 / (k1 * k2), axis=-1) * period / n
     dD = (D[2:] - D[:-2]) / (t[2:] - t[:-2])
     live = D[1:-1] >= D[0] * 1e-12
     rel = np.abs(dD[live] - rhs[1:-1][live]) / np.abs(rhs[1:-1][live])

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,13 @@ def write_config(tmp_path, data, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(data))
     return p
+
+
+def strict_json(path):
+    """The JSON in path, refusing NaN and +-Infinity as strict parsers do."""
+    def refuse(constant):
+        raise ValueError(f"{path.name}: non-standard JSON constant {constant}")
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 class TestConfig:
@@ -172,6 +180,17 @@ class TestSimulate:
         monitors = json.loads((tmp_path / "out" / "monitors.json").read_text())
         failing = sorted(k for k, v in monitors.items() if v["status"] == "fail")
         assert failing == ["M1", "M11", "M3", "M7", "M8", "M9"]
+
+    def test_monitors_json_is_strict(self, tmp_path):
+        # M10's threshold is first met at the last record, so its slack is the
+        # max of no differences, -inf: written as null, as is every NaN
+        data = fast_config(tmp_path, n=32, t_end=0.064, monitor_every=0.032,
+                           initial={"kind": "ellipse", "a": 1.04, "b": 1.0})
+        assert main(["simulate", "--config", str(write_config(tmp_path, data))]) \
+            in (ExitStatus.OK, ExitStatus.MONITOR)
+        monitors = strict_json(tmp_path / "out" / "monitors.json")
+        assert monitors["M10"]["status"] == "pass"
+        assert monitors["M10"]["slack"] is None
 
     def test_breakdown_exit2(self, tmp_path, capsys, monkeypatch):
         # every attempt returns a state with negative h_thth + h
@@ -404,6 +423,34 @@ class TestRescaled:
             if name == "effective_config.json":
                 got, want = (dict(json.loads(x), output_dir=None) for x in (got, want))
             assert got == want, name
+
+    @pytest.mark.parametrize("omega,scheme,unit,t_end,every,max_dt", [
+        # slow-time span 2.5 at omega = 2: 8 omega^2 pi^2 * span = 790 > 709
+        pytest.param(2, "semi_implicit", 1.0, 2.5, 0.01, 1e-2, id="omega2"),
+        # times in units of 1/(8 omega^2 pi^2): span 720, and RK4 held to
+        # dt = 2 units, inside its stability interval
+        pytest.param(1000, "explicit_rk4", 1.0 / (8e6 * math.pi**2), 720.0, 36.0,
+                     2.0, id="omega1000"),
+    ])
+    def test_long_span_monitors_written(self, tmp_path, omega, scheme, unit,
+                                        t_end, every, max_dt):
+        # M12-length's tau_max = expm1(8 omega^2 pi^2 * span) / (8 omega^2
+        # pi^2) is past exp's range here; every value must stay finite
+        data = fast_config(tmp_path, omega=omega, n=32, variant="rescaled_chainrule",
+                           t_end=t_end * unit, monitor_every=every * unit,
+                           initial={"kind": "circle", "r": 1.0 / (2 * omega * math.pi)})
+        data["stepper"].update(scheme=scheme, max_dt=max_dt * unit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status = main(["rescaled", "--config", str(write_config(tmp_path, data))])
+        assert status in (ExitStatus.OK, ExitStatus.MONITOR)
+        out = tmp_path / "out"
+        monitors = strict_json(out / "monitors.json")
+        strict_json(out / "decay_rates.json")
+        assert monitors["M12-length"]["status"] != "not-applicable"
+        cap = float(monitors["M12-length"]["note"].removeprefix("c_L="))
+        assert math.isfinite(cap)
+        assert cap >= math.sqrt(2.0) * omega * math.pi * (1 - 1e-3)
 
     def test_unscaled_variant_rejected(self, tmp_path):
         data = fast_config(tmp_path)

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import entroflow.spectral as spectral
-from entroflow.diagnostics import (area, compute_record, entropy,
+from entroflow.diagnostics import (area, compute_record, entropy, l2_contraction,
                                    length, logk_dirichlet, noise_floor,
                                    fit_decay_rate, read_csv, run_monitors,
                                    seminorm, velocity_l2sq, write_csv,
@@ -254,6 +254,43 @@ class TestBatchedRecords:
         assert str(stack.value) == str(one.value)
         assert stack.value.node == one.value.node
         assert stack.value.margin == one.value.margin
+
+
+class TestL2Contraction:
+    @pytest.mark.parametrize("s", [
+        ellipse_support(PeriodicGrid(1, 48), 1.3, 1.0),
+        fourier_support(PeriodicGrid(2, 96), 1.0, [(1, 0.3, 0.0)]),
+    ], ids=["omega1_n48", "omega2_n96"])
+    def test_stack_rows_equal_one_row_calls(self, s):
+        H1 = _stack(s)
+        H2 = H1[::-1] * 1.01
+        D, rate = l2_contraction(s.grid, H1, H2)
+        assert D.shape == rate.shape == (len(H1),)
+        for j, (h1, h2) in enumerate(zip(H1, H2)):
+            d, r = l2_contraction(s.grid, h1, h2)
+            assert D[j] == d and rate[j] == r
+
+    def test_equals_the_criterion_08_formulas(self):
+        # criterion-08's D and rate, written out as the reference
+        from entroflow.verify import _contraction_runs
+        tr1, tr2 = _contraction_runs()
+        period, n = tr1.grid.period, tr1.grid.n
+        D = np.sum((tr1.H - tr2.H)**2, axis=-1) * period / n
+        k1, k2 = (curvature(_one(tr.grid, tr.H)).values for tr in (tr1, tr2))
+        rate = -2.0 * np.sum((k2 - k1)**2 / (k1 * k2), axis=-1) * period / n
+        got = l2_contraction(tr1.grid, tr1.H, tr2.H)
+        assert np.array_equal(got[0], D) and np.array_equal(got[1], rate)
+
+    def test_rate_is_the_derivative_of_D(self):
+        from entroflow.verify import _contraction_runs
+        tr1, tr2 = _contraction_runs()
+        t = tr1.times
+        D, rate = l2_contraction(tr1.grid, tr1.H, tr2.H)
+        dD = (D[2:] - D[:-2]) / (t[2:] - t[:-2])
+        live = D[1:-1] >= D[0] * 1e-12
+        assert np.count_nonzero(live) > 100
+        rel = np.abs(dD[live] - rate[1:-1][live]) / np.abs(rate[1:-1][live])
+        assert np.max(rel) <= 1e-3
 
 
 class TestMonitors:

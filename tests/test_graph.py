@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -78,10 +79,15 @@ class TestBundle:
         assert build_bundle(sc).max_direct_residual <= 1e-8
 
     def test_flipping_convention_breaks_direct_check(self):
+        # the closed forms hold in the frame with N0 the inner normal: the
+        # same composite curve written over the outer normal, with rho
+        # negated, must fail the bundle-versus-direct check
         sc = scene_circle(1.0, 128, rho=None).with_rho(None or sin_rho(
             scene_circle(1.0, 128)))
+        flipped = dataclasses.replace(sc, normals=-sc.normals, rho=-sc.rho)
+        assert np.array_equal(flipped.composite_points, sc.composite_points)
         good = build_bundle(sc).max_direct_residual
-        bad = build_bundle(sc.with_convention("paper_literal")).max_direct_residual
+        bad = build_bundle(flipped).max_direct_residual
         assert good < 1e-10
         assert bad > 1e-3
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from entroflow import flow, spectral
 from entroflow.errors import UnsupportedOrderError
 from entroflow.spectral import (GridFunction, PeriodicGrid, deriv, integrate,
-                                interpolate, lowpass)
+                                trig_eval_values)
 
 
 def gf(omega, n, fn):
@@ -201,49 +201,30 @@ class TestIntegrate:
 
 
 class TestInterpolate:
+    """trig_eval_values, the trigonometric interpolant at arbitrary points."""
+
     def test_band_limited_point(self):
         f = gf(1, 16, np.sin)
-        assert interpolate(f, [math.pi / 7])[0] == pytest.approx(
-            math.sin(math.pi / 7), abs=1e-14)
+        v = trig_eval_values(f.values, f.grid.period, [math.pi / 7])
+        assert v[0] == pytest.approx(math.sin(math.pi / 7), abs=1e-14)
 
     def test_constant(self):
         f = gf(1, 8, lambda th: np.full_like(th, 2.5))
-        assert interpolate(f, [0.3, 4.0]) == pytest.approx([2.5, 2.5], abs=1e-14)
+        v = trig_eval_values(f.values, f.grid.period, [0.3, 4.0])
+        assert v == pytest.approx([2.5, 2.5], abs=1e-14)
 
     def test_cos3(self):
         f = gf(1, 32, lambda th: np.cos(3 * th))
-        assert interpolate(f, [0.4])[0] == pytest.approx(math.cos(1.2), abs=1e-13)
+        v = trig_eval_values(f.values, f.grid.period, [0.4])
+        assert v[0] == pytest.approx(math.cos(1.2), abs=1e-13)
 
     def test_reproduces_nodes(self):
         f = band_limited(PeriodicGrid(omega=2, n=32), 3)
-        vals = interpolate(f, f.grid.nodes)
+        vals = trig_eval_values(f.values, f.grid.period, f.grid.nodes)
         assert np.max(np.abs(vals - f.values)) < 1e-12
 
     def test_points_reduced_mod_period(self):
         f = band_limited(PeriodicGrid(omega=1, n=16), 4)
-        a = interpolate(f, [0.7])
-        b = interpolate(f, [0.7 + 2 * math.pi])
+        a = trig_eval_values(f.values, f.grid.period, [0.7])
+        b = trig_eval_values(f.values, f.grid.period, [0.7 + 2 * math.pi])
         assert a[0] == pytest.approx(b[0], abs=1e-12)
-
-
-class TestLowpass:
-    def test_identity(self):
-        f = band_limited(PeriodicGrid(omega=1, n=16), 5)
-        assert np.max(np.abs(lowpass(f, 1.0).values - f.values)) == 0.0
-
-    def test_mode_bookkeeping(self):
-        g = PeriodicGrid(omega=1, n=16)
-        f = GridFunction(g, np.cos(g.nodes) + np.cos(7 * g.nodes))
-        out = lowpass(f, 0.5)  # keeps |m| <= 4
-        assert np.max(np.abs(out.values - np.cos(g.nodes))) < 1e-13
-
-    def test_constant_unchanged(self):
-        f = gf(1, 8, lambda th: np.ones_like(th))
-        assert np.max(np.abs(lowpass(f, 0.1).values - 1.0)) < 1e-14
-
-    def test_range_check(self):
-        f = gf(1, 8, np.cos)
-        with pytest.raises(ValueError):
-            lowpass(f, 0.0)
-        with pytest.raises(ValueError):
-            lowpass(f, 1.5)

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 import entroflow
 from entroflow.errors import CurveIngestionError, NotLocallyConvexError
-from entroflow.spectral import GridFunction, PeriodicGrid, integrate
+from entroflow import graph
+from entroflow.spectral import (GridFunction, PeriodicGrid, integrate,
+                                periodic_deriv_values)
 from entroflow.support import (CurveSample, SupportGrid, circle_support,
-                               convexity_margin, curvature, ellipse_support,
-                               fourier_support, read_curve_file,
-                               read_support_file, reconstruct,
+                               curvature, curve_points, ellipse_support,
+                               fourier_support, radius_of_curvature_values,
+                               read_curve_file, read_support_file, reconstruct,
                                support_from_curve)
 
 
@@ -41,13 +43,14 @@ class TestValidation:
     def test_margin_values(self):
         # h = 1 + 0.2 cos 2theta has h'' + h = 1 - 0.6 cos 2theta, min 0.4
         s = support(lambda th: 1 + 0.2 * np.cos(2 * th))
-        assert convexity_margin(s) == pytest.approx(0.4, abs=1e-12)
-        assert convexity_margin(circle_support(grid(), 2.5)) == pytest.approx(2.5)
+        assert radius_of_curvature_values(s.h).min() == pytest.approx(0.4, abs=1e-12)
+        circle = circle_support(grid(), 2.5)
+        assert radius_of_curvature_values(circle.h).min() == pytest.approx(2.5)
 
     def test_margin_on_invalid_raw_data(self):
         g = grid()
         f = GridFunction(g, 1 + 0.8 * np.cos(2 * g.nodes))
-        assert convexity_margin(f) == pytest.approx(-1.4, abs=1e-10)
+        assert radius_of_curvature_values(f).min() == pytest.approx(-1.4, abs=1e-10)
 
 
 class TestCurvature:
@@ -98,11 +101,20 @@ class TestReconstruct:
         h = c.points[:, 0] * np.cos(th) + c.points[:, 1] * np.sin(th)
         assert np.max(np.abs(h - s.values)) < 1e-13
 
-    def test_tangent_is_uperp(self):
-        s = support(lambda th: 1 + 0.15 * np.cos(2 * th))
-        c = reconstruct(s)
+    def test_curve_points_is_reconstruct_and_scene_formula(self):
+        # one formula gamma = h*u + h_theta*u_perp behind reconstruct and the
+        # graph scenes' base points, bit for bit
+        s = support(lambda th: 1 + 0.15 * np.cos(2 * th) + 0.05 * np.sin(3 * th))
         th = s.grid.nodes
-        assert np.max(np.abs(c.tangents - np.stack([-np.sin(th), np.cos(th)], 1))) == 0
+        h1 = periodic_deriv_values(s.values, s.grid.period, 1)
+        pts = curve_points(s.values, h1, th)
+        assert pts.shape == (s.n, 2)
+        assert np.array_equal(pts, reconstruct(s).points)
+        k = curvature(s).values
+        zero = np.zeros(s.n)
+        scene = graph._scene(th, 2.0 * math.pi, th, s.values, h1, k, zero, zero,
+                             zero, None)
+        assert np.array_equal(pts, scene.points)
 
     @pytest.mark.parametrize("omega,n", [(1, 48), (1, 50), (2, 96)])
     def test_stack_rows_match_one_row_calls(self, omega, n):
@@ -116,7 +128,6 @@ class TestReconstruct:
         for j, h in enumerate(H):
             one = reconstruct(SupportGrid(GridFunction(g, h)))
             assert np.array_equal(c.points[j], one.points)
-            assert np.array_equal(c.tangents, one.tangents)
             assert np.array_equal(c.thetas, one.thetas)
 
     def test_stack_raises_as_first_nonconvex_row(self):
@@ -160,9 +171,8 @@ class TestIngestion:
     def test_immersed_curve_sample(self):
         phi = np.arange(1024) * 2 * math.pi / 1024
         pts = np.stack([0.5 + np.cos(phi), np.sin(phi)], axis=1)
-        tangents = np.stack([-np.sin(phi), np.cos(phi)], axis=1)
         thetas = phi  # outward-normal angle equals phi for this circle
-        c = CurveSample(points=pts, tangents=tangents, thetas=thetas)
+        c = CurveSample(points=pts, thetas=thetas)
         s = support_from_curve(c, omega=1, n=64)
         expect = 1 + 0.5 * np.cos(s.grid.nodes)
         assert np.max(np.abs(s.values - expect)) < 1e-6
