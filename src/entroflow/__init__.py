@@ -8,18 +8,16 @@ formulation used for cross-validation.
 """
 
 from .errors import (ConfigError, CurveIngestionError, DegenerateGraphError,
-                     EntroflowError, FlowBreakdownError, NotApplicableError,
-                     NotLocallyConvexError, StepRejectedError,
-                     UnsupportedOrderError)
-from .spectral import GridFunction, PeriodicGrid, deriv, integrate
+                     EntroflowError, FlowBreakdownError, NotLocallyConvexError,
+                     StepRejectedError, UnsupportedOrderError)
+from .spectral import GridFunction, PeriodicGrid, integrate
 from .support import (CurveSample, SupportGrid, circle_support, curvature,
                       ellipse_support, fourier_support, reconstruct,
                       support_from_curve)
 from .flow import (FlowState, StepperConfig, Trajectory, evolve, rescale_trajectory,
                    rhs, scale_factor, slow_time, step, unscaled_time)
-from .diagnostics import (DiagnosticsRecord, MonitorReport, area, compute_record,
-                          entropy, l2_contraction, length, logk_dirichlet,
-                          run_monitors, seminorm, velocity_l2sq)
+from .diagnostics import (DiagnosticsRecord, MonitorReport, compute_record,
+                          l2_contraction, run_monitors)
 from .graph import (DerivativeBundle, GraphCurveScene, OperatorSplit,
                     band_limited_rho, build_bundle, check_parametrization_identity,
                     composite_support, operator_split, scene_circle,

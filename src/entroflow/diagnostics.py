@@ -15,60 +15,20 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import NotApplicableError
-from .spectral import GridFunction, deriv, integrate, periodic_derivs_values
+from .spectral import GridFunction, integrate_values, periodic_derivs_values
 from .support import SupportGrid, curvature, require_convexity, write_text
 
 SMALLNESS_FRACTION = 22.0  # threshold 1/(22*omega*pi) for the sigma energy
-
-
-# The standalone functionals read the record, where each formula is written
-# once; they cost a whole record, which no hot path pays.
-
-def entropy(s: SupportGrid) -> float:
-    """integral of log k dtheta."""
-    return compute_record(s, 0.0, 0.0).entropy
-
-
-def length(s: SupportGrid) -> float:
-    """integral of h dtheta (= integral of 1/k dtheta by periodicity)."""
-    return integrate(s.h)
-
-
-def area(s: SupportGrid) -> float:
-    """Enclosed area (embedded interpretation), A = 1/2 integral h*(h_thth+h)."""
-    if s.omega != 1:
-        raise NotApplicableError("area is defined for omega = 1 only")
-    return compute_record(s, 0.0, 0.0).area
-
-
-def velocity_l2sq(s: SupportGrid) -> float:
-    """integral of F^2 dtheta with F = k_thth + k."""
-    return compute_record(s, 0.0, 0.0).f_l2sq
-
-
-def seminorm(s: SupportGrid, p: int) -> float:
-    """integral of (d^p h / dtheta^p)^2 dtheta for 0 <= p <= 8."""
-    if not 0 <= p <= 8:
-        raise ValueError("seminorm order p must satisfy 0 <= p <= 8")
-    d = deriv(s.h, p).values
-    return integrate(s.h.copy_with(d * d))
-
-
-def logk_dirichlet(s: SupportGrid) -> float:
-    """Scale-invariant integral of (k_theta)^2 / k^2 dtheta."""
-    return compute_record(s, 0.0, 0.0).logk_dirichlet
 
 
 def l2_contraction(grid, H1, H2):
     """(D, rate) of two solutions on grid, row by row on (R, n) stacks: D =
     integral of (h1 - h2)^2 dtheta, and rate = -2 integral of (k2 - k1)^2 /
     (k1 k2) dtheta, its derivative under the unscaled flow."""
-    period, n = grid.period, grid.n
-    D = np.sum((H1 - H2)**2, axis=-1) * period / n
+    D = integrate_values((H1 - H2)**2, grid.period)
     k1, k2 = (curvature(SupportGrid(GridFunction(grid, H), validate=False)).values
               for H in (H1, H2))
-    rate = -2.0 * np.sum((k2 - k1)**2 / (k1 * k2), axis=-1) * period / n
+    rate = -2.0 * integrate_values((k2 - k1)**2 / (k1 * k2), grid.period)
     return D, rate
 
 
@@ -116,10 +76,9 @@ def compute_record(s: SupportGrid, t, dt_used) -> DiagnosticsRecord:
     one-state call on row j.
     """
     hv, period = s.values, s.grid.period
-    dx = period / s.n
 
-    def integral(x):  # spectral.integrate's rectangle rule, on plain samples
-        return np.add.reduce(x, -1) * dx  # np.sum's kernel, without its wrapper
+    def integral(x):
+        return integrate_values(x, period)
 
     h1, h2, h3, h4 = periodic_derivs_values(hv, period, (1, 2, 3, 4))
     w = h2 + hv

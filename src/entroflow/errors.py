@@ -47,10 +47,6 @@ class FlowBreakdownError(EntroflowError):
         self.last_state = last_state
 
 
-class NotApplicableError(EntroflowError):
-    """A diagnostic was requested outside its domain of definition."""
-
-
 class ConfigError(EntroflowError, ValueError):
     """A run configuration is malformed (unknown keys, bad values)."""
 

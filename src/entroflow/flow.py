@@ -10,8 +10,9 @@ The explicit scheme is classical RK4 with the step bound
 dt <= safety * 2.7 / (max(k)^2 * ximax^4), ximax = n/(2*omega), from the
 frozen-coefficient linearization -k^2 * d^4/dtheta^4 and the RK4 real-axis
 stability interval.  The semi-implicit scheme damps a constant-coefficient
-fourth-derivative shift implicitly (diagonal in mode space) and is
-unconditionally linearly stable.
+fourth-derivative shift implicitly (diagonal in mode space).  Both take the
+constant mode's linearization -(k^2 + lam) * delta explicitly, so both cap
+dt at 2 * safety / (max(k)^2 + lam).
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ class StepperConfig:
 
     dt_init is the semi-implicit scheme's first step (later steps carry dt
     forward); explicit RK4 ignores it and takes every dt from the stability
-    bound safety * 2.7 / (max(k)^2 * ximax^4), capped at max_dt.
+    bound safety * 2.7 / (max(k)^2 * ximax^4), capped at max_dt.  Both
+    schemes cap dt at the constant mode's bound 2 * safety / (max(k)^2 + lam).
     """
 
     dt_init: float = 1e-3
@@ -365,6 +367,14 @@ def _check_rk4_steps(n: int, t0: float, t_end: float, dt: float) -> None:
             f"{MAX_RK4_STEPS:.0e} steps")
 
 
+def _zero_order_cap(margin: float, safety: float, lam: float) -> float:
+    """2 * safety / (kmax^2 + lam), kmax = 1/margin: safety times the
+    explicit stability bound of the constant mode, whose linearization is
+    -(kmax^2 + lam) * delta in both schemes."""
+    m2 = margin * margin
+    return 2.0 * safety * m2 / (1.0 + lam * m2)
+
+
 def _event_times(n: int, t0: float, t_end: float, monitor_every, snap_times):
     snap_times = [] if snap_times is None else [float(t) for t in snap_times
                                                 if t0 < t <= t_end]
@@ -374,10 +384,12 @@ def _event_times(n: int, t0: float, t_end: float, monitor_every, snap_times):
         m = int(math.floor((t_end - t0) / monitor_every + 1e-9))
         events.update(t0 + j * monitor_every for j in range(1, m + 1))
     out = sorted(events)
-    # merge events closer than time round-off
+    # merge events closer than time round-off, relative to the times
+    # themselves; the first event of a cluster stands for it
+    tol = 1e-13 * max(abs(t0), abs(t_end))
     merged = [out[0]]
     for t in out[1:]:
-        if t - merged[-1] > 1e-13 * max(1.0, abs(t_end)):
+        if t - merged[-1] > tol:
             merged.append(t)
     return merged
 
@@ -409,9 +421,10 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     dt = min(c_stab * margin^2, max_dt) afresh at every step; the
     semi-implicit scheme carries dt from step to step, keeping a halved dt
     and growing it 1.2x after a clean step that the next event did not
-    clip.  Raises ValueError above MAX_RECORDS records or MAX_RECORD_BYTES
-    of them, or when RK4's starting dt would take more than MAX_RK4_STEPS
-    steps to t_end, and FlowBreakdownError (with the last accepted state
+    clip.  Either dt is capped at _zero_order_cap(margin).  Raises
+    ValueError above MAX_RECORDS records or MAX_RECORD_BYTES of them, or
+    when RK4's starting dt would take more than MAX_RK4_STEPS steps to
+    t_end, and FlowBreakdownError (with the last accepted state
     attached) when a step fails the guard after 40 halvings, or at once when
     the state has no positive convexity margin.
     """
@@ -424,7 +437,13 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     attempt = _attempt_for(cfg.scheme)
     rk4 = cfg.scheme == "explicit_rk4"
     c_stab = cfg.safety * RK4_REAL_AXIS / ws.ximax4
-    max_dt, guard_ratio, stab = cfg.max_dt, cfg.guard_ratio, cfg.stabilization_coeff
+    # at lam = 0 the zero-order cap is 2 * safety * margin^2, RK4's own rule
+    # with c_stab at most 2 * safety, so it is folded in there once
+    cap_each_step = not (rk4 and lam == 0.0)
+    if not cap_each_step:
+        c_stab = min(c_stab, 2.0 * cfg.safety)
+    safety, max_dt, guard_ratio = cfg.safety, cfg.max_dt, cfg.guard_ratio
+    stab = cfg.stabilization_coeff
 
     def breakdown():
         return FlowBreakdownError(
@@ -441,18 +460,23 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     if not margin > 0.0:
         raise breakdown()
     if rk4:
-        _check_rk4_steps(s.n, t, t_end, min(c_stab * margin * margin, max_dt))
+        dt0 = min(c_stab * margin * margin, max_dt)
+        if cap_each_step:
+            dt0 = min(dt0, _zero_order_cap(margin, safety, lam))
+        _check_rk4_steps(s.n, t, t_end, dt0)
     H = np.empty((len(events) + 1, s.n))
     times = np.empty(len(H))
     dts = np.empty(len(H))
     H[0], times[0], dts[0] = h, t, 0.0
     for i, t_stop in enumerate(events, start=1):
-        tol = 1e-14 * max(1.0, abs(t_stop))
+        tol = 1e-14 * max(abs(state.time), abs(t_stop))
         while t_stop - t > tol:
             if rk4:
                 dt = c_stab * margin * margin
                 if dt > max_dt:
                     dt = max_dt
+            if cap_each_step:
+                dt = min(dt, _zero_order_cap(margin, safety, lam))
             rem = t_stop - t
             clipped = dt > rem
             dt_try = rem if clipped else dt

@@ -54,8 +54,8 @@ class GridFunction:
     """Real samples of a periodic function on a :class:`PeriodicGrid`.
 
     A stack of shape (R, n) holds R functions, one per row.
-    periodic_derivs_values, curvature and compute_record work row by row on
-    stacks; deriv and integrate take one function.
+    periodic_derivs_values, integrate_values, curvature and compute_record
+    work row by row on stacks; integrate takes one function.
     """
 
     grid: PeriodicGrid
@@ -189,12 +189,14 @@ def periodic_antideriv_values(values: np.ndarray, period: float):
     return mean, p - p[0]
 
 
-def deriv(f: GridFunction, order: int) -> GridFunction:
-    """order-th derivative of the trigonometric interpolant of ``f``."""
-    return f.copy_with(periodic_deriv_values(f.values, f.grid.period, order))
+def integrate_values(values: np.ndarray, period: float):
+    """Rectangle rule over the full period along the last axis, exact for
+    trigonometric polynomials: the package's one quadrature.  np.add.reduce
+    is np.sum's kernel, without its wrapper."""
+    return np.add.reduce(values, -1) * (period / np.shape(values)[-1])
 
 
 def integrate(f: GridFunction) -> float:
-    """Rectangle rule over the full period; exact for trig polynomials."""
-    return float(np.sum(f.values) * (f.grid.period / f.grid.n))
+    """integrate_values of one function, as a float."""
+    return float(integrate_values(f.values, f.grid.period))
 

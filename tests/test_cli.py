@@ -8,6 +8,7 @@ import pytest
 
 import entroflow.flow as flow
 from entroflow.cli import ExitStatus, RunConfig, _simulate, build_initial_support, main
+from entroflow.diagnostics import read_csv
 from entroflow.errors import ConfigError, NotLocallyConvexError
 from entroflow.flow import FlowState, read_snapshot, write_snapshot
 from entroflow.spectral import GridFunction, PeriodicGrid
@@ -451,6 +452,48 @@ class TestRescaled:
         cap = float(monitors["M12-length"]["note"].removeprefix("c_L="))
         assert math.isfinite(cap)
         assert cap >= math.sqrt(2.0) * omega * math.pi * (1 - 1e-3)
+
+    @pytest.mark.parametrize("omega,scheme,unit,t_end,every,max_dt", [
+        # the omega = 2 run above: its max_dt 1e-2 is past the constant
+        # mode's explicit bound 2 / (8 omega^2 pi^2) = 6.3e-3
+        pytest.param(2, "semi_implicit", 1.0, 2.5, 0.01, 1e-2, id="omega2"),
+        # times in units of 1/(8 omega^2 pi^2), five records 36 units apart:
+        # RK4's fourth-derivative bound at ximax = n/(2 omega) = 0.016 is
+        # thousands of units, and no max_dt holds it
+        pytest.param(1000, "explicit_rk4", 1.0 / (8e6 * math.pi**2), 144.0, 36.0,
+                     1e308, id="omega1000"),
+    ])
+    def test_fixed_point_stays_put(self, tmp_path, omega, scheme, unit, t_end,
+                                   every, max_dt):
+        # h = 1/(2 omega pi) is the rescaled flow's fixed point; both schemes
+        # cap dt at the constant mode's bound, so the length stays 1
+        data = fast_config(tmp_path, omega=omega, n=32, variant="rescaled_chainrule",
+                           t_end=t_end * unit, monitor_every=every * unit,
+                           initial={"kind": "circle", "r": 1.0 / (2 * omega * math.pi)})
+        data["stepper"].update(scheme=scheme, max_dt=max_dt * unit)
+        status = main(["rescaled", "--config", str(write_config(tmp_path, data))])
+        # the M12-decay fits of a run at its fixed point read round-off
+        assert status in (ExitStatus.OK, ExitStatus.MONITOR)
+        out = tmp_path / "out"
+        length = read_csv(out / "diagnostics.csv").length
+        assert np.max(np.abs(length - 1.0)) <= 1e-12
+        assert strict_json(out / "monitors.json")["M12-length"]["status"] == "pass"
+
+    def test_tiny_span_keeps_its_cadence(self, tmp_path):
+        # omega = 1e8: the run spans 720 units of 1/(8 omega^2 pi^2), 9.1e-16,
+        # so the event merge and the stepping loop's end test must be
+        # relative to the times, not floored at 1e-13 and 1e-14
+        unit = 1.0 / (8e16 * math.pi**2)
+        data = fast_config(tmp_path, omega=10**8, n=32, variant="rescaled_chainrule",
+                           t_end=720 * unit, monitor_every=36 * unit,
+                           initial={"kind": "circle", "r": 1.0 / (2e8 * math.pi)})
+        data["stepper"]["scheme"] = "semi_implicit"
+        status = main(["rescaled", "--config", str(write_config(tmp_path, data))])
+        assert status in (ExitStatus.OK, ExitStatus.MONITOR)
+        cols = read_csv(tmp_path / "out" / "diagnostics.csv")
+        assert len(cols.t) == 21
+        assert cols.t[-1] == data["t_end"]
+        assert np.all(cols.dt_used[1:] > 0)
 
     def test_unscaled_variant_rejected(self, tmp_path):
         data = fast_config(tmp_path)

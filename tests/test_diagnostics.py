@@ -6,14 +6,13 @@ import pytest
 from scipy.integrate import quad
 
 import entroflow.spectral as spectral
-from entroflow.diagnostics import (area, compute_record, entropy, l2_contraction,
-                                   length, logk_dirichlet, noise_floor,
+from entroflow.diagnostics import (compute_record, l2_contraction, noise_floor,
                                    fit_decay_rate, read_csv, run_monitors,
-                                   seminorm, velocity_l2sq, write_csv,
-                                   CSV_HEADER)
-from entroflow.errors import NotApplicableError, NotLocallyConvexError
+                                   write_csv, CSV_HEADER)
+from entroflow.errors import NotLocallyConvexError
 from entroflow.flow import FlowState, StepperConfig, Trajectory, evolve
-from entroflow.spectral import GridFunction, PeriodicGrid, deriv, integrate
+from entroflow.spectral import (GridFunction, PeriodicGrid, integrate,
+                                periodic_derivs_values)
 from entroflow.support import (SupportGrid, circle_support, curvature,
                                ellipse_support, fourier_support)
 
@@ -27,20 +26,25 @@ def two_mode(n=64):
     return support(lambda th: 1 + 0.2 * np.cos(2 * th), n=n)
 
 
+def rec(s):
+    """The record of the single state s, where every functional is written."""
+    return compute_record(s, 0.0, 0.0)
+
+
 class TestFunctionals:
     def test_entropy_unit_circle(self):
-        assert entropy(circle_support(PeriodicGrid(1, 32), 1.0)) == pytest.approx(
-            0.0, abs=1e-13)
+        val = rec(circle_support(PeriodicGrid(1, 32), 1.0)).entropy
+        assert val == pytest.approx(0.0, abs=1e-13)
 
     def test_entropy_radius_two(self):
         # constant k = 1/2: integral of log k = -2 pi log 2
-        val = entropy(circle_support(PeriodicGrid(1, 32), 2.0))
+        val = rec(circle_support(PeriodicGrid(1, 32), 2.0)).entropy
         assert val == pytest.approx(-2 * math.pi * math.log(2), abs=1e-12)
 
     def test_entropy_two_mode_closed_form(self):
         # integral of log(1 - c cos x) over a period is 2 pi log((1+sqrt(1-c^2))/2);
         # with w = 1 - 0.6 cos 2theta this gives entropy = -2 pi log 0.9
-        val = entropy(two_mode())
+        val = rec(two_mode()).entropy
         assert val == pytest.approx(-2 * math.pi * math.log(0.9), abs=1e-12)
 
     def test_entropy_ellipse_quadrature_oracle(self):
@@ -50,50 +54,47 @@ class TestFunctionals:
         oracle, err = quad(lambda t: math.log(h(t)**3 / 4.0), 0.0, 2 * math.pi,
                            limit=400, epsabs=1e-13, epsrel=1e-13)
         assert err < 1e-9
-        assert entropy(s) == pytest.approx(oracle, abs=1e-10)
+        assert rec(s).entropy == pytest.approx(oracle, abs=1e-10)
 
     def test_length(self):
-        assert length(circle_support(PeriodicGrid(3, 24), 2.0)) == pytest.approx(
-            12 * math.pi)
-        assert length(two_mode()) == pytest.approx(2 * math.pi, abs=1e-12)
+        val = rec(circle_support(PeriodicGrid(3, 24), 2.0)).length
+        assert val == pytest.approx(12 * math.pi)
+        assert rec(two_mode()).length == pytest.approx(2 * math.pi, abs=1e-12)
 
     def test_length_ellipse_elliptic_integral(self):
         # frozen from 4 a E(m), m = 1 - b^2/a^2 (scipy.special.ellipe)
         s = ellipse_support(PeriodicGrid(1, 256), 2.0, 1.0)
-        assert length(s) == pytest.approx(9.688448220547675, abs=1e-10)
+        assert rec(s).length == pytest.approx(9.688448220547675, abs=1e-10)
 
     def test_area(self):
-        assert area(circle_support(PeriodicGrid(1, 32), 1.0)) == pytest.approx(
-            math.pi)
-        assert area(circle_support(PeriodicGrid(1, 32), 3.0)) == pytest.approx(
-            9 * math.pi)
+        for r, want in ((1.0, math.pi), (3.0, 9 * math.pi)):
+            val = rec(circle_support(PeriodicGrid(1, 32), r)).area
+            assert val == pytest.approx(want)
         # 0.5*(2.04 pi - 0.16 pi) = 0.94 pi
-        assert area(two_mode()) == pytest.approx(0.94 * math.pi, abs=1e-12)
+        assert rec(two_mode()).area == pytest.approx(0.94 * math.pi, abs=1e-12)
 
     def test_area_needs_omega1(self):
-        with pytest.raises(NotApplicableError):
-            area(circle_support(PeriodicGrid(2, 32), 1.0))
+        assert rec(circle_support(PeriodicGrid(2, 32), 1.0)).area is None
 
     def test_velocity_l2sq_circles(self):
-        assert velocity_l2sq(circle_support(PeriodicGrid(1, 32), 2.0)) == \
+        assert rec(circle_support(PeriodicGrid(1, 32), 2.0)).f_l2sq == \
             pytest.approx(2 * math.pi / 4, abs=1e-12)
-        assert velocity_l2sq(circle_support(PeriodicGrid(3, 24), 1.0)) == \
+        assert rec(circle_support(PeriodicGrid(3, 24), 1.0)).f_l2sq == \
             pytest.approx(6 * math.pi, abs=1e-12)
 
     def test_velocity_l2sq_two_mode_quadrature(self):
         # frozen adaptive-quadrature value of int (k'' + k)^2 for
         # k = 1/(1 - 0.6 cos 2theta)
-        assert velocity_l2sq(two_mode(n=128)) == pytest.approx(
+        assert rec(two_mode(n=128)).f_l2sq == pytest.approx(
             133.0728333490793, rel=1e-10)
 
     def test_seminorms(self):
-        c = circle_support(PeriodicGrid(1, 32), 2.0)
-        assert seminorm(c, 0) == pytest.approx(8 * math.pi)
+        c = rec(circle_support(PeriodicGrid(1, 32), 2.0)).h_seminorms
+        assert c[0] == pytest.approx(8 * math.pi)
         for p in (1, 2, 3, 4):
-            assert abs(seminorm(c, p)) < 1e-20
-        assert seminorm(two_mode(), 2) == pytest.approx(0.64 * math.pi, abs=1e-12)
-        with pytest.raises(ValueError):
-            seminorm(c, 9)
+            assert abs(c[p]) < 1e-20
+        val = rec(two_mode()).h_seminorms[2]
+        assert val == pytest.approx(0.64 * math.pi, abs=1e-12)
 
     def test_seminorm_matches_parseval(self):
         s = support(lambda th: 1 + 0.1 * np.cos(2 * th) + 0.02 * np.sin(5 * th))
@@ -104,29 +105,29 @@ class TestFunctionals:
         w[0] = w[-1] = 1.0
         for p in range(5):
             parseval = s.grid.period / n**2 * np.sum(w * (xi**p * np.abs(c))**2)
-            direct = seminorm(s, p)
+            direct = rec(s).h_seminorms[p]
             assert direct == pytest.approx(parseval, rel=1e-10, abs=1e-18)
 
     def test_logk_dirichlet(self):
-        assert logk_dirichlet(circle_support(PeriodicGrid(1, 32), 2.0)) < 1e-22
+        assert rec(circle_support(PeriodicGrid(1, 32), 2.0)).logk_dirichlet < 1e-22
         # closed form: int (1.2 sin 2t)^2/(1-0.6 cos 2t)^2 dt = 2 pi exactly
-        assert logk_dirichlet(two_mode(n=128)) == pytest.approx(
+        assert rec(two_mode(n=128)).logk_dirichlet == pytest.approx(
             2 * math.pi, rel=1e-10)
 
     def test_logk_scale_invariance(self):
         s = two_mode()
         for lam in (0.3, 7.5):
             s2 = SupportGrid(GridFunction(s.grid, lam * s.values))
-            assert logk_dirichlet(s2) == pytest.approx(logk_dirichlet(s),
-                                                       rel=1e-12)
+            assert rec(s2).logk_dirichlet == pytest.approx(
+                rec(s).logk_dirichlet, rel=1e-12)
 
     def test_scale_behavior(self):
         s = two_mode()
         lam = 1.7
         s2 = SupportGrid(GridFunction(s.grid, lam * s.values))
-        assert length(s2) == pytest.approx(lam * length(s), rel=1e-13)
-        assert area(s2) == pytest.approx(lam**2 * area(s), rel=1e-13)
-        assert entropy(s2) - entropy(s) == pytest.approx(
+        assert rec(s2).length == pytest.approx(lam * rec(s).length, rel=1e-13)
+        assert rec(s2).area == pytest.approx(lam**2 * rec(s).area, rel=1e-13)
+        assert rec(s2).entropy - rec(s).entropy == pytest.approx(
             -2 * math.pi * math.log(lam), rel=1e-12)
 
 
@@ -164,25 +165,34 @@ class TestRecordsAndCsv:
         ellipse_support(PeriodicGrid(1, 48), 1.3, 1.0),
         circle_support(PeriodicGrid(2, 32), 1.0),
     ], ids=["two_mode", "ellipse", "omega2_circle"])
-    def test_standalone_functionals_equal_record(self, s):
-        r = compute_record(s, 0.0, 0.0)
-        assert entropy(s) == r.entropy
-        assert length(s) == r.length
-        assert velocity_l2sq(s) == r.f_l2sq
-        assert logk_dirichlet(s) == r.logk_dirichlet
-        assert np.array_equal([seminorm(s, p) for p in range(5)], r.h_seminorms)
+    def test_record_equals_one_function_integrals(self, s):
+        # each field against integrate() of its integrand, built from one
+        # derivative call per function: the same bits
+        r = rec(s)
+        h, period = s.h, s.grid.period
+        k = curvature(s)
+        kp, ktt = periodic_derivs_values(k.values, period, (1, 2))
+        hd = periodic_derivs_values(h.values, period, range(5))
+        assert r.entropy == integrate(k.copy_with(np.log(k.values)))
+        assert r.length == integrate(h)
+        assert r.f_l2sq == integrate(k.copy_with((ktt + k.values)**2))
+        assert r.logk_dirichlet == integrate(k.copy_with((kp / k.values)**2))
+        assert r.k_l1 == integrate(k)
+        assert np.array_equal([integrate(h.copy_with(d * d)) for d in hd],
+                              r.h_seminorms)
         if s.omega == 1:
-            assert area(s) == r.area
+            w = hd[2] + h.values
+            assert r.area == 0.5 * integrate(h.copy_with(h.values * w))
         else:
             assert r.area is None
 
     def test_dissipation_field(self):
         s = ellipse_support(PeriodicGrid(1, 48), 1.3, 1.0)
         k = curvature(s)
-        ktt = deriv(k, 2).values
+        ktt = periodic_derivs_values(k.values, s.grid.period, (2,))[0]
         expected = integrate(k.copy_with(0.5 * k.values * ktt**2
                                          + k.values**3 / 3.0))
-        assert compute_record(s, 0.0, 0.0).dissipation == expected
+        assert rec(s).dissipation == expected
 
     def test_csv_round_trip(self, tmp_path):
         s = two_mode()
@@ -275,9 +285,9 @@ class TestL2Contraction:
         from entroflow.verify import _contraction_runs
         tr1, tr2 = _contraction_runs()
         period, n = tr1.grid.period, tr1.grid.n
-        D = np.sum((tr1.H - tr2.H)**2, axis=-1) * period / n
+        D = np.sum((tr1.H - tr2.H)**2, axis=-1) * (period / n)
         k1, k2 = (curvature(_one(tr.grid, tr.H)).values for tr in (tr1, tr2))
-        rate = -2.0 * np.sum((k2 - k1)**2 / (k1 * k2), axis=-1) * period / n
+        rate = -2.0 * (np.sum((k2 - k1)**2 / (k1 * k2), axis=-1) * (period / n))
         got = l2_contraction(tr1.grid, tr1.H, tr2.H)
         assert np.array_equal(got[0], D) and np.array_equal(got[1], rate)
 

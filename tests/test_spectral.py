@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 
 from entroflow import flow, spectral
 from entroflow.errors import UnsupportedOrderError
-from entroflow.spectral import (GridFunction, PeriodicGrid, deriv, integrate,
-                                trig_eval_values)
+from entroflow.spectral import (GridFunction, PeriodicGrid, integrate,
+                                integrate_values, trig_eval_values)
 
 
 def gf(omega, n, fn):
     grid = PeriodicGrid(omega=omega, n=n)
     return GridFunction(grid, fn(grid.nodes))
+
+
+def deriv(f, order):
+    """The order-th spectral derivative of f, as a GridFunction."""
+    return f.copy_with(spectral.periodic_deriv_values(f.values, f.grid.period, order))
 
 
 def band_limited(grid, seed, max_mode=None):
@@ -198,6 +203,18 @@ class TestIntegrate:
         lhs = integrate(GridFunction(grid, f.values * deriv(g, 1).values))
         rhs = integrate(GridFunction(grid, g.values * deriv(f, 1).values))
         assert abs(lhs + rhs) < 1e-9
+
+    def test_values_rows_equal_one_function_calls(self):
+        # integrate_values is the rectangle rule along the last axis, row by
+        # row on a stack; integrate is its one-function float
+        grid = PeriodicGrid(omega=2, n=48)
+        H = np.stack([band_limited(grid, seed).values for seed in range(4)])
+        got = integrate_values(H, grid.period)
+        assert got.shape == (4,)
+        for j, h in enumerate(H):
+            one = integrate(GridFunction(grid, h))
+            assert type(one) is float
+            assert got[j] == one == np.sum(h) * (grid.period / grid.n)
 
 
 class TestInterpolate:
