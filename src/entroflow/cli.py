@@ -2,8 +2,8 @@
 
 Configuration is a JSON object with exactly the RunConfig keys; command-line
 flags override file values and unknown keys are rejected.  Exit codes:
-0 success, 1 validation failure, 2 flow breakdown, 3 monitor/residual
-failure, 4 I/O error.
+0 success, 1 config, usage or validation failure, 2 flow breakdown,
+3 monitor/residual failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -88,6 +88,8 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         try:
             PeriodicGrid(omega=self.omega, n=self.n)
         except ValueError as exc:
@@ -153,11 +155,6 @@ class RunConfig:
         write_text(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def _io_error(exc: OSError) -> ExitStatus:
-    print(f"i/o error: {exc}", file=sys.stderr)
-    return ExitStatus.IO
-
-
 def build_initial_support(cfg: RunConfig) -> SupportGrid:
     grid = PeriodicGrid(omega=cfg.omega, n=cfg.n)
     init = cfg.initial
@@ -209,53 +206,36 @@ def _emit_artifacts(cfg: RunConfig, tr):
 
 
 def _simulate(cfg: RunConfig):
-    """Run, write the artifacts, return (status, trajectory or None)."""
-    try:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output dir: {exc}", file=sys.stderr)
-        return ExitStatus.IO, None
+    """Run, write the artifacts, return (status, trajectory or None).  An
+    OSError goes up to main's failure table."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
     try:
         s0 = build_initial_support(cfg)
     except (NotLocallyConvexError, CurveIngestionError, TypeError,
             ValueError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return ExitStatus.VALIDATION, None
-    except OSError as exc:
-        return _io_error(exc), None
     state = FlowState(support=s0, time=0.0, variant=cfg.variant)
     try:
         tr = evolve(state, cfg.t_end, cfg.stepper, monitor_every=cfg.monitor_every)
     except FlowBreakdownError as exc:
         print(f"flow breakdown: {exc}", file=sys.stderr)
         if exc.last_state is not None:
-            try:
-                write_snapshot(os.path.join(cfg.output_dir, "breakdown_state.txt"),
-                               exc.last_state)
-            except OSError as err:
-                return _io_error(err), None
+            write_snapshot(os.path.join(cfg.output_dir, "breakdown_state.txt"),
+                           exc.last_state)
         return ExitStatus.BREAKDOWN, None
     except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return ExitStatus.VALIDATION, None
-    try:
-        _emit_artifacts(cfg, tr)
-        report = run_monitors(tr)
-        report.to_json(os.path.join(cfg.output_dir, "monitors.json"))
-    except OSError as exc:
-        return _io_error(exc), None
+    _emit_artifacts(cfg, tr)
+    report = run_monitors(tr)
+    report.to_json(os.path.join(cfg.output_dir, "monitors.json"))
     return (ExitStatus.OK if report.passed else ExitStatus.MONITOR), tr
 
 
-def cmd_simulate(cfg: RunConfig) -> ExitStatus:
-    return _simulate(cfg)[0]
-
-
 def cmd_rescaled(cfg: RunConfig) -> ExitStatus:
-    if cfg.variant == "unscaled":
-        print("error: rescaled command requires a rescaled variant",
-              file=sys.stderr)
-        return ExitStatus.VALIDATION
+    if cfg.variant == "unscaled":    # RunConfig's default variant
+        cfg = replace(cfg, variant="rescaled_chainrule")
     status, tr = _simulate(cfg)
     if tr is None:
         return status
@@ -269,22 +249,14 @@ def cmd_rescaled(cfg: RunConfig) -> ExitStatus:
     h = tr.final.support.values
     payload = {"fitted_decay_rates": rates,
                "final_sup_deviation_from_mean": float(np.max(np.abs(h - h.mean())))}
-    try:
-        write_text(os.path.join(cfg.output_dir, "decay_rates.json"),
-                   json.dumps(payload, indent=2, sort_keys=True,
-                              allow_nan=False) + "\n")
-    except OSError as exc:
-        return _io_error(exc)
+    write_text(os.path.join(cfg.output_dir, "decay_rates.json"),
+               json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return status
 
 
 def cmd_crosscheck(cfg: RunConfig) -> ExitStatus:
     outdir = Path(cfg.output_dir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output dir: {exc}", file=sys.stderr)
-        return ExitStatus.IO
+    outdir.mkdir(parents=True, exist_ok=True)
     kind = cfg.initial.get("kind")
     radius = cfg.initial.get("r")    # set for circle bases only
     try:
@@ -293,12 +265,10 @@ def cmd_crosscheck(cfg: RunConfig) -> ExitStatus:
         elif kind == "ellipse":
             base = graph.scene_ellipse(cfg.initial["a"], cfg.initial["b"], cfg.n)
         else:
-            print("error: crosscheck supports circle or ellipse bases",
-                  file=sys.stderr)
-            return ExitStatus.VALIDATION
+            raise ConfigError("crosscheck supports circle or ellipse bases")
         graph.require_resolved(base)
         s0 = build_initial_support(cfg)
-    except (EntroflowError, OSError, TypeError, ValueError) as exc:
+    except (EntroflowError, TypeError, ValueError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return ExitStatus.VALIDATION
 
@@ -306,27 +276,15 @@ def cmd_crosscheck(cfg: RunConfig) -> ExitStatus:
     rows.append(("parametrization_identity",
                  graph.check_parametrization_identity(s0),
                  graph.PARAMETRIZATION_TOL))
-    try:
-        write_text(outdir / "crosscheck.csv", "check,residual,threshold,pass\n" + "".join(
-            f"{name},{value:.17g},{threshold:.3g},{int(value <= threshold)}\n"
-            for name, value, threshold in rows))
-        cfg.write_json(outdir / "effective_config.json")
-    except OSError as exc:
-        return _io_error(exc)
+    write_text(outdir / "crosscheck.csv", "check,residual,threshold,pass\n" + "".join(
+        f"{name},{value:.17g},{threshold:.3g},{int(value <= threshold)}\n"
+        for name, value, threshold in rows))
+    cfg.write_json(outdir / "effective_config.json")
     bad = [row for row in rows if not row[1] <= row[2]]
     for name, value, threshold in bad:
         print(f"residual failure: {name} = {value:.3e} > {threshold:.1e}",
               file=sys.stderr)
     return ExitStatus.OK if not bad else ExitStatus.MONITOR
-
-
-def cmd_verify(suite: str) -> ExitStatus:
-    try:
-        results = verify.run_suite(suite)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ExitStatus.VALIDATION
-    return ExitStatus.OK if all(r.passed for r in results) else ExitStatus.MONITOR
 
 
 GNUPLOT_TEMPLATE = """\
@@ -344,18 +302,22 @@ plot '{csv}' using 1:5 with lines title '||F||_2^2', \\
 def cmd_plots(csv_path: str, out_path: str) -> ExitStatus:
     csv = Path(csv_path)
     if not csv.exists():
-        print(f"error: {csv} not found", file=sys.stderr)
-        return ExitStatus.IO
+        raise FileNotFoundError(f"{csv} not found")
     script = Path(out_path)
-    try:
-        write_text(script, GNUPLOT_TEMPLATE.format(name=script.name, csv=csv))
-    except OSError as exc:
-        return _io_error(exc)
+    write_text(script, GNUPLOT_TEMPLATE.format(name=script.name, csv=csv))
     return ExitStatus.OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ConfigError, so main reports it as it does a bad
+    config value; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="entroflow",
         description="support-function flow laboratory for convex planar curves")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -387,27 +349,28 @@ def _load_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "verify":
-        return int(cmd_verify(args.suite))
-    if args.command == "plots":
-        return int(cmd_plots(args.csv, args.out))
+    """Run one command.  A ConfigError (usage errors included) or a config
+    file that is not JSON text exits 1 and an OSError exits 4, each with one stderr line; the
+    commands report their own validation failures and breakdowns."""
     try:
+        args = _build_parser().parse_args(argv)
+        if args.command == "verify":
+            passed = all(r.passed for r in verify.run_suite(args.suite))
+            return int(ExitStatus.OK if passed else ExitStatus.MONITOR)
+        if args.command == "plots":
+            return int(cmd_plots(args.csv, args.out))
         cfg = _load_config(args)
-    except (ConfigError, json.JSONDecodeError) as exc:
+        if args.command == "simulate":
+            return int(_simulate(cfg)[0])
+        if args.command == "rescaled":
+            return int(cmd_rescaled(cfg))
+        return int(cmd_crosscheck(cfg))
+    except (ConfigError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return int(ExitStatus.VALIDATION)
     except OSError as exc:
-        return int(_io_error(exc))
-    if args.command == "simulate":
-        return int(cmd_simulate(cfg))
-    if args.command == "rescaled":
-        if cfg.variant == "unscaled":
-            cfg.variant = "rescaled_chainrule"
-        return int(cmd_rescaled(cfg))
-    if args.command == "crosscheck":
-        return int(cmd_crosscheck(cfg))
-    raise AssertionError("unreachable")
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return int(ExitStatus.IO)
 
 
 if __name__ == "__main__":

@@ -225,6 +225,8 @@ def _closest(t, gap):
 
 IDENTITY_REL = 1e-3   # centered-difference identity residuals, relative
 H2_SLOPE_REL = 1e-3   # the exact (||h||^2)' = 4*omega*pi law, relative
+ROUNDOFF_FACTOR = 100.0  # M12-decay: a series this close to round-off
+EPS = float(np.finfo(float).eps)
 
 
 def _length_upper_bound(t, L0, c1, omega):
@@ -447,9 +449,20 @@ def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
             rep.add("M12-length", "not-applicable", note=why)
             klo, khi = None, None
 
-        # monotone decay of the first four seminorms after the transient
+        # monotone decay of the first four seminorms after the transient.  A
+        # series whose largest value is at most ROUNDOFF_FACTOR times the
+        # round-off of a p-th derivative, max(h0) (eps xi_max^p)^2, holds no
+        # decay to check
+        xi_max = tr.grid.n / (2 * omega)
+        h0_max = float(np.max(seminorms[:, 0]))
         for p in (1, 2, 3, 4):
             series = seminorms[:, p]
+            top, level = float(np.max(series)), h0_max * (EPS * xi_max**p) ** 2
+            if top <= ROUNDOFF_FACTOR * level:
+                rep.add(f"M12-decay-h{p}", "not-applicable",
+                        note=f"round-off: max {top:.3g} <= "
+                             f"{ROUNDOFF_FACTOR:g} x {level:.3g}")
+                continue
             floor = noise_floor(series)
             start = len(series) // 2
             tail = series[start:]

@@ -10,6 +10,7 @@ recovered from h by gamma = h*u + h_theta*u_perp with u_perp =
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,9 +312,20 @@ def write_text(path, text) -> None:
         os.close(fd)
 
 
+def _read_table(path, ndmin: int) -> np.ndarray:
+    """np.loadtxt's floats, "#" comments skipped; a file with no data is a
+    CurveIngestionError, not loadtxt's warning and an empty array."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, dtype=float, comments="#", ndmin=ndmin)
+    if data.size == 0:
+        raise CurveIngestionError(f"{path}: the file holds no data")
+    return data
+
+
 def read_curve_file(path) -> np.ndarray:
     """Closed polyline, one "x y" pair per line, first point not repeated."""
-    pts = np.loadtxt(path, dtype=float, comments="#", ndmin=2)
+    pts = _read_table(path, 2)
     if pts.shape[1] != 2:
         raise CurveIngestionError(f"{path}: expected two columns, got {pts.shape[1]}")
     return pts
@@ -321,7 +333,6 @@ def read_curve_file(path) -> np.ndarray:
 
 def read_support_file(path, omega: int) -> SupportGrid:
     """One h value per line; the line count fixes n."""
-    vals = np.loadtxt(path, dtype=float, comments="#", ndmin=1)
+    vals = _read_table(path, 1)
     grid = PeriodicGrid(omega=omega, n=len(vals))
     return SupportGrid(GridFunction(grid, vals))
-

@@ -472,12 +472,15 @@ class TestRescaled:
                            initial={"kind": "circle", "r": 1.0 / (2 * omega * math.pi)})
         data["stepper"].update(scheme=scheme, max_dt=max_dt * unit)
         status = main(["rescaled", "--config", str(write_config(tmp_path, data))])
-        # the M12-decay fits of a run at its fixed point read round-off
-        assert status in (ExitStatus.OK, ExitStatus.MONITOR)
+        assert status == ExitStatus.OK
         out = tmp_path / "out"
         length = read_csv(out / "diagnostics.csv").length
         assert np.max(np.abs(length - 1.0)) <= 1e-12
-        assert strict_json(out / "monitors.json")["M12-length"]["status"] == "pass"
+        monitors = strict_json(out / "monitors.json")
+        assert monitors["M12-length"]["status"] == "pass"
+        # every seminorm p >= 1 of a run at its fixed point is round-off
+        for p in (1, 2, 3, 4):
+            assert monitors[f"M12-decay-h{p}"]["status"] == "not-applicable"
 
     def test_tiny_span_keeps_its_cadence(self, tmp_path):
         # omega = 1e8: the run spans 720 units of 1/(8 omega^2 pi^2), 9.1e-16,
@@ -489,18 +492,23 @@ class TestRescaled:
                            initial={"kind": "circle", "r": 1.0 / (2e8 * math.pi)})
         data["stepper"]["scheme"] = "semi_implicit"
         status = main(["rescaled", "--config", str(write_config(tmp_path, data))])
-        assert status in (ExitStatus.OK, ExitStatus.MONITOR)
+        assert status == ExitStatus.OK
         cols = read_csv(tmp_path / "out" / "diagnostics.csv")
         assert len(cols.t) == 21
         assert cols.t[-1] == data["t_end"]
         assert np.all(cols.dt_used[1:] > 0)
 
-    def test_unscaled_variant_rejected(self, tmp_path):
-        data = fast_config(tmp_path)
-        cfgp = write_config(tmp_path, data)
-        cfg = RunConfig.from_json(cfgp)
-        from entroflow.cli import cmd_rescaled
-        assert cmd_rescaled(cfg) == ExitStatus.VALIDATION
+    def test_unscaled_config_runs_chainrule(self, tmp_path):
+        # `rescaled` on a config whose variant is the unscaled default runs
+        # the chain-rule variant, and its artifacts say so
+        data = fast_config(tmp_path, t_end=0.02,
+                           initial={"kind": "circle", "r": 1.0 / (2 * math.pi)})
+        assert main(["rescaled", "--config", str(write_config(tmp_path, data))]) == 0
+        out = tmp_path / "out"
+        header = (out / "snapshot_000002.txt").read_text().splitlines()[3]
+        assert header == "# variant=rescaled_chainrule"
+        effective = json.loads((out / "effective_config.json").read_text())
+        assert effective["variant"] == "rescaled_chainrule"
 
 
 class TestCrosscheck:
@@ -538,11 +546,73 @@ class TestCrosscheck:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("i/o error:")
 
-    def test_unsupported_base(self, tmp_path):
+    def test_unsupported_base(self, tmp_path, capsys):
         data = fast_config(tmp_path, initial={
             "kind": "fourier", "constant": 1.0, "modes": [[2, 0.1, 0.0]]})
         cfgp = write_config(tmp_path, data)
         assert main(["crosscheck", "--config", str(cfgp)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["validation failure: crosscheck supports circle or ellipse bases"]
+
+
+def _uncreatable_out(tmp_path, command):
+    """command on a fast config whose output directory lies below a file."""
+    (tmp_path / "file").write_text("")
+    cfgp = write_config(tmp_path, fast_config(tmp_path, n=64))
+    return [command, "--config", str(cfgp), "--out", str(tmp_path / "file" / "out")]
+
+
+def _not_utf8_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"n": "\xc0"}')
+    return ["simulate", "--config", str(path)]
+
+
+def _no_data(kind, text):
+    """simulate from a curve or support file holding text and no data."""
+    def argv(tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        data = fast_config(tmp_path, initial={"kind": kind, "path": str(path)})
+        return ["simulate", "--config", str(write_config(tmp_path, data))]
+    return argv
+
+
+@pytest.mark.parametrize("argv,status,prefix", [
+    pytest.param(lambda p: ["simulate", "--n", "abc"], ExitStatus.VALIDATION,
+                 "config error:", id="bad-flag-value"),
+    pytest.param(lambda p: ["verify", "nosuch"], ExitStatus.VALIDATION,
+                 "config error:", id="unknown-suite"),
+    pytest.param(lambda p: [], ExitStatus.VALIDATION, "config error:", id="no-command"),
+    pytest.param(_not_utf8_config, ExitStatus.VALIDATION, "config error:",
+                 id="config-not-utf8"),
+    *(pytest.param(lambda p, c=c: _uncreatable_out(p, c), ExitStatus.IO,
+                   "i/o error:", id=f"uncreatable-out-{c}")
+      for c in ("simulate", "rescaled", "crosscheck")),
+    pytest.param(lambda p: ["plots", str(p / "nope.csv")], ExitStatus.IO,
+                 "i/o error:", id="plots-missing-csv"),
+    pytest.param(lambda p: ["crosscheck", "--seed", "-1", "--out", str(p / "out")],
+                 ExitStatus.VALIDATION, "config error: seed must be a non-negative",
+                 id="negative-seed-flag"),
+    pytest.param(lambda p: ["simulate", "--config",
+                            str(write_config(p, fast_config(p, seed=-1)))],
+                 ExitStatus.VALIDATION, "config error: seed must be a non-negative",
+                 id="negative-seed-config"),
+    *(pytest.param(_no_data(kind, text), ExitStatus.VALIDATION, "validation failure:",
+                   id=f"{kind}-{name}")
+      for kind in ("curve_file", "support_file")
+      for name, text in (("empty", ""), ("comments-only", "# x y\n# none\n"))),
+])
+def test_failure_table(tmp_path, capsys, argv, status, prefix):
+    # each failure class ends in its exit status and one stderr line, with
+    # no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv(tmp_path)) == status
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+    if prefix == "validation failure:":
+        assert err[0].endswith("data.txt: the file holds no data")
 
 
 class TestVerifyAndPlots:
