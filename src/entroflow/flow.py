@@ -158,10 +158,11 @@ class _DenseOperator(np.ndarray):
     """The circulant D2I as its dense (n, n) matrix.
 
     D2I @ x is the BLAS product ndarray.dot(D2I, x) along axis 0 of an (n,)
-    or (n, B) x: the bits of np.matmul at less dispatch cost.  Its array
-    priority is below ndarray's, so that dot returns a plain ndarray.  A
-    view of it that calls np.matmul(D2I, x) reaches the same dot; no other
-    arithmetic is defined on it.
+    or (n, B) x: the bits of np.matmul at less dispatch cost.
+    D2I.dot(x, out=buf) writes the same bits into buf.  Its array priority
+    is below ndarray's, so that dot returns a plain ndarray.  A view of it
+    that calls np.matmul(D2I, x) reaches the same dot; no other arithmetic
+    is defined on it.
     """
 
     __array_priority__ = -1.0
@@ -178,25 +179,33 @@ class _RfftOperator(np.ndarray):
     """The circulant D2I held as its rfft symbol 1 - xi^2, shape (n//2 + 1,),
     the twin of _DenseOperator above DENSE_MAX_N.
 
-    D2I @ x is irfft(symbol * rfft(x)) along axis 0 of an (n,) or (n, B) x,
-    an (n, B) x transformed through its transposed view; no other arithmetic
-    is defined on it.  It stays an ndarray, so that a view of it may wrap
-    the apply and call np.matmul(D2I, x).  The symbol is held as complex128
-    with zero imaginary parts and multiplies the spectrum in place: numpy
-    casts a real symbol to exactly that before a complex multiply, so the
-    bits are those of the real one, without the cast on every apply.
+    D2I.dot(x, out=None) is irfft(symbol * rfft(x)) along axis 0 of an (n,)
+    or (n, B) x, an (n, B) x transformed through its transposed view, and
+    is the route's one apply: D2I @ x and np.matmul(D2I, x) call it.  No
+    other arithmetic is defined on it.  It stays an ndarray, so that a view
+    of it may wrap the apply and call np.matmul(D2I, x).  The symbol is held
+    as complex128 with zero imaginary parts and multiplies the spectrum in
+    place: numpy casts a real symbol to exactly that before a complex
+    multiply, so the bits are those of the real one, without the cast on
+    every apply.
     """
+
+    def dot(self, x, out=None):
+        x = np.asarray(x)
+        cols = x.ndim == 2
+        c = spectral.rfft(x.T if cols else x)
+        c *= self.view(np.ndarray)
+        y = spectral.irfft(c, 2 * (len(self) - 1),
+                           out.T if cols and out is not None else out)
+        return y.T if cols else y
+
+    __matmul__ = dot
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if (ufunc is not np.matmul or method != "__call__" or kwargs
                 or inputs[0] is not self):
             return NotImplemented
-        x = np.asarray(inputs[1])
-        n = 2 * (len(self) - 1)
-        c = spectral.rfft(x.T if x.ndim == 2 else x)
-        c *= self.view(np.ndarray)
-        y = spectral.irfft(c, n)
-        return y.T if x.ndim == 2 else y
+        return self.dot(inputs[1])
 
 
 class _Workspace:
@@ -230,59 +239,90 @@ def workspace(grid: PeriodicGrid) -> _Workspace:
 # ---------------------------------------------------------------------------
 # velocity kernel and steppers
 
-def velocity(h, D2I, lam, w=None):
+def velocity(h, D2I, lam, w=None, out=None, tmp=None):
     """F(h) = D2I @ (1/w) - lam*h, i.e. k_thth + k - lam*h with k = 1/w.
 
     w = D2I @ h is the radius of curvature h_thth + h; pass it when already
-    known to save one operator apply.
+    known to save one operator apply.  Given out and tmp, (n,) arrays apart
+    from h and w, F is written into out, tmp holds 1/w and then lam*h, and
+    D2I is applied by D2I.dot(x, out=...); otherwise every result is a new
+    array and D2I is applied by D2I @ x.
     """
+    if out is None:
+        if w is None:
+            w = D2I @ h
+            np.reciprocal(w, out=w)
+        else:
+            w = np.reciprocal(w)
+        f = D2I @ w
+        if lam != 0.0:
+            f -= lam * h
+        return f
     if w is None:
-        w = D2I @ h
+        w = D2I.dot(h, out=tmp)
         np.reciprocal(w, out=w)
     else:
-        w = np.reciprocal(w)
-    f = D2I @ w
+        w = np.reciprocal(w, out=tmp)
+    D2I.dot(w, out=out)
     if lam != 0.0:
-        f -= lam * h
-    return f
+        np.subtract(out, np.multiply(lam, h, out=tmp), out=out)
+    return out
 
 
-# The attempts below work in place on arrays they made themselves, in the
-# order of operations of the plain formulas, so that they give the same bits:
-# x + x is 2.0 * x, and + and * commute exactly.
+# The attempts below work in place, in the order of operations of the plain
+# formulas, so that they give the same bits: x + x is 2.0 * x, and + and *
+# commute exactly.
 
-def _rk4_attempt(h, w, margin, dt, ws, lam, stab_coeff):
+def _rk4_buffers(n):
+    """Work arrays of the RK4 attempts on n nodes, which one run reuses: the
+    slopes f1..f4 as the rows of a (4, n) array, the view of rows f2 and f3,
+    a stage state, a temporary, two 0-d arrays for the step's scalar
+    factors, and a list [h_new, D2I @ h_new] that the attempts write into.
+    A 0-d factor multiplies with the bits of the Python float it holds,
+    without numpy's conversion of that float on every call."""
+    F = np.empty((4, n))
+    return (*F, F[1:3], np.empty(n), np.empty(n), np.empty(()), np.empty(()),
+            [np.empty(n), np.empty(n)])
+
+
+def _rk4_attempt(h, w, margin, dt, ws, lam, stab_coeff, bufs=None):
     """One classical RK4 step of size dt from h, with w = D2I @ h.
 
-    Returns (h_new, D2I @ h_new), h_new = h + dt/6 * (f1 + 2 f2 + 2 f3 + f4);
-    margin and stab_coeff are unused, so that both schemes' attempts share
-    one signature.
+    Returns (h_new, D2I @ h_new), h_new = h + dt/6 * (f1 + 2 f2 + 2 f3 + f4),
+    written into the output pair of bufs, from _rk4_buffers, which must not
+    hold h or w.  Without bufs every array is new.  margin and stab_coeff
+    are unused, so that both schemes' attempts share one signature.
     """
+    if bufs is None:
+        bufs = _rk4_buffers(len(h))
+    f1, f2, f3, f4, f23, y, tmp, half, c, (hn, wn) = bufs
     D2I = ws.D2I
-    half = 0.5 * dt
-    f1 = velocity(h, D2I, lam, w)
-    y = f1 * half
-    y += h
-    f2 = velocity(y, D2I, lam)
-    y = f2 * half
-    y += h
-    f3 = velocity(y, D2I, lam)
-    y = f3 * dt
-    y += h
-    f4 = velocity(y, D2I, lam)
-    hn = f2 + f2
-    hn += f1
-    f3 += f3
-    hn += f3
-    hn += f4
-    hn *= dt / 6.0
-    hn += h
-    return hn, D2I @ hn
+    add, mul = np.add, np.multiply
+    half.fill(0.5 * dt)
+    velocity(h, D2I, lam, w, f1, tmp)
+    mul(f1, half, out=y)
+    add(y, h, out=y)
+    velocity(y, D2I, lam, None, f2, tmp)
+    mul(f2, half, out=y)
+    add(y, h, out=y)
+    velocity(y, D2I, lam, None, f3, tmp)
+    c.fill(dt)
+    mul(f3, c, out=y)
+    add(y, h, out=y)
+    velocity(y, D2I, lam, None, f4, tmp)
+    add(f23, f23, out=f23)  # f2 and f3 doubled in one call
+    add(f2, f1, out=hn)
+    add(hn, f3, out=hn)
+    add(hn, f4, out=hn)
+    c.fill(dt / 6.0)
+    mul(hn, c, out=hn)
+    add(hn, h, out=hn)
+    return hn, D2I.dot(hn, out=wn)
 
 
-def _semi_implicit_attempt(h, w, margin, dt, ws, lam, stab_coeff):
+def _semi_implicit_attempt(h, w, margin, dt, ws, lam, stab_coeff, bufs=None):
     """One linearly stabilized step from h, with w = D2I @ h and margin =
-    min(w) > 0.
+    min(w) > 0; every array it returns is new, and bufs is unused.
 
     Returns (h_new, D2I @ h_new), h_new = irfft(rfft(h) + dt * rfft(F(h)) /
     (1 + dt * c * xi^4)) with c = stab_coeff / margin^2; h and F(h) take one
@@ -301,8 +341,9 @@ def _semi_implicit_attempt(h, w, margin, dt, ws, lam, stab_coeff):
 
 
 def _attempt_for(scheme):
-    """The attempt function (h, w, margin, dt, ws, lam, stab_coeff) ->
-    (h_new, D2I @ h_new) of a stepping scheme; margin is min(w)."""
+    """The attempt function (h, w, margin, dt, ws, lam, stab_coeff, bufs)
+    -> (h_new, D2I @ h_new) of a stepping scheme; margin is min(w), and
+    bufs is None or, for RK4, _rk4_buffers(n)."""
     return _rk4_attempt if scheme == "explicit_rk4" else _semi_implicit_attempt
 
 
@@ -444,11 +485,14 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
         c_stab = min(c_stab, 2.0 * cfg.safety)
     safety, max_dt, guard_ratio = cfg.safety, cfg.max_dt, cfg.guard_ratio
     stab = cfg.stabilization_coeff
+    # RK4 attempts write into this run's buffers: the accepted pair (h, w)
+    # and the attempts' output pair trade places at each accepted step
+    bufs = _rk4_buffers(s.n) if rk4 else None
 
     def breakdown():
         return FlowBreakdownError(
             f"convexity guard failed at t={t:.6g} (margin {margin:.3g})",
-            last_state=_unchecked_state(s.grid, h, t, state.variant))
+            last_state=_unchecked_state(s.grid, h.copy(), t, state.variant))
 
     h = s.values.copy()
     t = state.time
@@ -483,14 +527,16 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
             # a margin lost to underflow leaves nothing to guard: no attempt
             halvings = 0 if margin > 0.0 else MAX_HALVINGS + 1
             while halvings <= MAX_HALVINGS:
-                hn, wn = attempt(h, w, margin, dt_try, ws, lam, stab)
-                mn = float(wn.min())
+                hn, wn = attempt(h, w, margin, dt_try, ws, lam, stab, bufs)
+                mn = float(np.minimum.reduce(wn))
                 if _guard_holds(mn, margin, guard_ratio):
                     break
                 dt_try *= 0.5
                 halvings += 1
             else:
                 raise breakdown()
+            if rk4:
+                bufs[-1][:] = h, w
             h, w, margin = hn, wn, mn
             t = t + dt_try
             dt_last = dt_try

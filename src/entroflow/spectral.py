@@ -93,10 +93,13 @@ def rfft(x: np.ndarray) -> np.ndarray:
     return kernel(x, 1.0, out=np.empty(x.shape[:-1] + (n // 2 + 1,), complex))
 
 
-def irfft(c: np.ndarray, n: int) -> np.ndarray:
+def irfft(c: np.ndarray, n: int, out=None) -> np.ndarray:
     """np.fft.irfft(c, n=n) along the last axis, bit for bit: the pocketfft
-    kernel with np.fft's factor 1/n, writing n real samples per row."""
-    return _pocketfft.irfft(c, 1.0 / n, out=np.empty(c.shape[:-1] + (n,)))
+    kernel with np.fft's factor 1/n, writing n real samples per row into
+    out, or into a new array when out is None."""
+    if out is None:
+        out = np.empty(c.shape[:-1] + (n,))
+    return _pocketfft.irfft(c, 1.0 / n, out=out)
 
 
 # a factor is (n/2 + 1) complex values, 8 * (n + 2) bytes, so the 32 most

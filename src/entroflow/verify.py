@@ -321,15 +321,16 @@ def criterion_12_parametrization() -> CriterionResult:
 
 
 def criterion_13_convergence_orders() -> CriterionResult:
-    # temporal: forced-max_dt RK4 on the circle at n = 8; radius 2 keeps the
-    # stability bound above the coarsest dt while the error stays above
-    # round-off on the finest
+    # temporal: forced-max_dt RK4 on the radius-2 circle at omega = 2, n = 8,
+    # whose RK4 bound 2.7 * r^2 / (n / (2 omega))^4 = 0.675 lets the coarsest
+    # dt be 0.15; the finest error, ~2e-12, stays ~500x above the ~4e-15
+    # round-off floor of the circle law
     errs = []
     target = math.sqrt(4.0 + 2.0 * 1.5)
     for j in range(4):
-        dt = 0.03 / 2**j
+        dt = 0.15 / 2**j
         cfg = StepperConfig(safety=1.0, max_dt=dt)
-        s = circle_support(PeriodicGrid(omega=1, n=8), 2.0)
+        s = circle_support(PeriodicGrid(omega=2, n=8), 2.0)
         tr = evolve(FlowState(support=s), 1.5, cfg)
         errs.append(float(np.max(np.abs(tr.final.support.values - target))))
     orders = [math.log2(errs[j] / errs[j + 1]) for j in range(3)]

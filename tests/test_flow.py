@@ -161,10 +161,15 @@ class TestVelocityKernel:
         sym = 1 - xi**2
         rng = np.random.default_rng(n)
         x = 1.0 + 0.1 * rng.standard_normal(n)
-        assert np.array_equal(D2I @ x, np.fft.irfft(sym * np.fft.rfft(x), n))
+        want = np.fft.irfft(sym * np.fft.rfft(x), n)
+        assert np.array_equal(D2I @ x, want)
+        out = np.empty(n)
+        assert D2I.dot(x, out=out) is out and np.array_equal(out, want)
         x = rng.standard_normal((n, 6))
         want = np.fft.irfft(sym[:, None] * np.fft.rfft(x, axis=0), n, axis=0)
         assert np.array_equal(D2I @ x, want)
+        out = np.empty((n, 6))
+        assert np.array_equal(D2I.dot(x, out=out), want) and np.array_equal(out, want)
 
     def test_rfft_route_evolves_as_dense(self, monkeypatch):
         # the 1.3:1 rescaled ellipse at n = 1024, once on the rfft route and
@@ -218,12 +223,17 @@ class TestVelocityKernel:
     @pytest.mark.parametrize("scheme,per_step", [("explicit_rk4", 8),
                                                  ("semi_implicit", 2)])
     def test_operator_applies(self, monkeypatch, scheme, per_step):
-        # a view that counts each D2I @ x and applies the wrapped operator by
-        # np.matmul, so the rfft route is counted as the dense one
+        # a view that counts each D2I @ x and each D2I.dot(x, out=...), and
+        # applies the wrapped operator by its own np.matmul or dot, so the
+        # rfft route is counted as the dense one
         class Counting(np.ndarray):
             def __matmul__(self, other):
                 applies[0] += 1
                 return np.matmul(self.plain, other)
+
+            def dot(self, other, out=None):
+                applies[0] += 1
+                return self.plain.dot(other, out=out)
 
         real = flow.workspace
 
@@ -275,6 +285,15 @@ class TestAttempts:
         ref = reference_rk4(h, w, dt, ws, lam)
         for a, b in zip(got, ref):
             assert type(a) is np.ndarray and np.array_equal(a, b)
+        assert not np.shares_memory(*got)
+        # the buffered call, as evolve makes it, writes the same bits into the
+        # run's output pair, and so does a halved retry from the same buffers
+        bufs = flow._rk4_buffers(n)
+        for d in (dt, 0.5 * dt):
+            got = flow._rk4_attempt(h, w, margin, d, ws, lam, 1.0, bufs)
+            assert got[0] is bufs[-1][0] and got[1] is bufs[-1][1]
+            for a, b in zip(got, reference_rk4(h, w, d, ws, lam)):
+                assert np.array_equal(a, b)
         for dt in (1e-4, 2e-3):
             got = flow._semi_implicit_attempt(h, w, margin, dt, ws, lam, 1.0)
             ref = reference_semi_implicit(h, w, dt, ws, lam, 1.0)
@@ -318,6 +337,9 @@ class TestAttempts:
             for out in (ws.D2I @ x, np.matmul(ws.D2I, x)):
                 assert type(out) is np.ndarray
                 assert np.array_equal(out, np.matmul(plain, x))
+            buf = np.empty(x.shape)
+            assert ws.D2I.dot(x, out=buf) is buf
+            assert np.array_equal(buf, np.matmul(plain, x))
         # like the rfft operator, it defines no other arithmetic
         with pytest.raises(TypeError):
             ws.D2I + 1.0
@@ -422,7 +444,7 @@ class TestEvolve:
         # guard fails through all 40 halvings of the first step
         calls = []
 
-        def nonconvex(h, w, margin, dt, ws, lam, c):
+        def nonconvex(h, w, margin, dt, ws, lam, c, bufs):
             calls.append(dt)
             return h, -w
 
@@ -434,6 +456,45 @@ class TestEvolve:
         assert exc.value.last_state is not None
         assert exc.value.last_state.time == 0.0
         assert np.array_equal(exc.value.last_state.support.values, np.ones(16))
+
+    @pytest.mark.parametrize("scheme", flow.SCHEMES)
+    def test_results_outlive_later_runs(self, monkeypatch, scheme):
+        # nothing a caller keeps aliases a run's work arrays: a trajectory's
+        # records and final state, a stepped state and a breakdown's last
+        # state keep their values through later runs on the same grid.  A
+        # dyadic max_dt below the RK4 step bound fixes every dt
+        dt = 2.0**-14
+        g = PeriodicGrid(omega=1, n=16)
+        st = FlowState(support=fourier_support(g, 1.0, [(2, 0.1, 0.0)]))
+        cfg = StepperConfig(scheme=scheme, max_dt=dt)
+
+        def broken_run(state):
+            # the real guard passes three attempts, then fails every halving
+            passes = iter([True] * 3)
+            real_guard = flow._guard_holds
+            monkeypatch.setattr(flow, "_guard_holds",
+                                lambda *a: next(passes, False) and real_guard(*a))
+            with pytest.raises(FlowBreakdownError) as exc:
+                evolve(state, 8 * dt, cfg)
+            monkeypatch.setattr(flow, "_guard_holds", real_guard)
+            return exc.value.last_state
+
+        tr = evolve(st, 4 * dt, cfg, monitor_every=dt)
+        final = tr.final
+        stepped = step(st, dt, cfg)
+        last = broken_run(st)
+        assert last.time == 3 * dt
+        assert np.array_equal(last.support.values, tr.H[3])
+        kept = [tr.H, final.support.values, stepped.support.values,
+                last.support.values]
+        want = [a.copy() for a in kept]
+        other = FlowState(support=fourier_support(g, 1.0, [(3, 0.02, 0.01)]))
+        for state in (st, other):
+            evolve(state, 4 * dt, cfg, monitor_every=dt)
+            step(state, dt, cfg)
+            broken_run(state)
+        for a, b in zip(kept, want):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("scheme", flow.SCHEMES)
     def test_breakdown_without_margin(self, monkeypatch, scheme):
