@@ -94,8 +94,8 @@ class RunConfig:
             PeriodicGrid(omega=self.omega, n=self.n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not self.t_end > 0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        if isinstance(self.t_end, bool) or not self.t_end > 0:
+            raise ConfigError(f"t_end must be a positive number, got {self.t_end}")
         every = self.monitor_every
         if not (_is_number(every) and math.isfinite(every) and every > 0):
             raise ConfigError(
@@ -119,6 +119,10 @@ class RunConfig:
         missing = _INITIAL_KINDS[kind] - set(self.initial)
         if missing:
             raise ConfigError(f"initial.{kind} requires keys {sorted(missing)}")
+        for key in _INITIAL_KINDS[kind] & {"r", "a", "b", "constant"}:
+            if isinstance(self.initial[key], bool):
+                raise ConfigError(f"initial.{key} must be a number, got "
+                                  f"{self.initial[key]}")
         if kind == "fourier":
             _check_modes(self.initial["modes"])
 

@@ -59,6 +59,11 @@ class StepperConfig:
     stabilization_coeff: float = 1.0
 
     def __post_init__(self):
+        for name in ("dt_init", "safety", "max_dt", "guard_ratio",
+                     "stabilization_coeff"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value}")
         # written as "not x > 0" so that NaN fails them too
         if not self.dt_init > 0:
             raise ValueError("dt_init must be positive")

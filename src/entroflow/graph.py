@@ -112,7 +112,7 @@ def _frame_components(scene: GraphCurveScene):
 
 @dataclass
 class DerivativeBundle:
-    u: np.ndarray
+    frame: tuple                   # _frame_components(scene)'s q, derivs, gu..gu4
     gamma: np.ndarray
     gamma_u: np.ndarray
     gamma_uu: np.ndarray
@@ -145,10 +145,10 @@ def _spectral_curve_derivs(xy: np.ndarray, period: float):
 def build_bundle(scene: GraphCurveScene) -> DerivativeBundle:
     """Evaluate the closed-form derivative expressions and cross-check them
     against spectral differentiation of the sampled composite curve."""
-    q, derivs, gu, guu, gu3, gu4 = _frame_components(scene)
+    frame = _frame_components(scene)
+    q, derivs, gu, guu, gu3, gu4 = frame
     r1 = derivs[1]
-    g2 = q * q + r1 * r1
-    g = np.sqrt(g2)
+    g = np.sqrt(q * q + r1 * r1)
     if np.min(g) <= 0.0:
         raise DegenerateGraphError("composite curve is not regular")
 
@@ -176,7 +176,7 @@ def build_bundle(scene: GraphCurveScene) -> DerivativeBundle:
     ip_u4_N = (-gu4[0] * r1 + gu4[1] * q) / g
 
     bundle = DerivativeBundle(
-        u=scene.u, gamma=gamma, gamma_u=gamma_u, gamma_uu=gamma_uu,
+        frame=frame, gamma=gamma, gamma_u=gamma_u, gamma_uu=gamma_uu,
         gamma_u3=gamma_u3, gamma_u4=gamma_u4, T=T, N=N, g=g,
         ip_uu_T=ip_uu_T, ip_uu_N=ip_uu_N, sq_uu_tan=sq_uu_tan,
         sq_uu_perp=sq_uu_perp, ip_u3_T=ip_u3_T, ip_u3_N=ip_u3_N,
@@ -244,23 +244,21 @@ class OperatorSplit:
     residual: float                # max relative disagreement
 
 
-def operator_split(scene: GraphCurveScene,
-                   bundle: DerivativeBundle | None = None) -> OperatorSplit:
-    """Termwise quasilinear/fully-nonlinear decomposition of the velocity.
+def operator_split(scene: GraphCurveScene, bundle: DerivativeBundle) -> OperatorSplit:
+    """Termwise quasilinear/fully-nonlinear decomposition of the velocity,
+    from the frame of bundle = build_bundle(scene).
 
     Each pair satisfies A_i rho - F_i = L_i for its displayed bracket
     combination L_i, and the weighted sum reproduces
-    (|gamma_u|/(1 - k0*rho)) * velocity.
+    (|gamma_u|/(1 - k0*rho)) * velocity.  Raises velocity_graph's
+    NotLocallyConvexError where <gamma_uu, N> <= 0.
     """
-    q, derivs, gu, guu, gu3, gu4 = _frame_components(scene)
-    r, r1, r2, r3, r4 = derivs
+    V = velocity_graph(scene, bundle)
+    q, (r, r1, r2, r3, r4) = bundle.frame[:2]
     k0, k0u, k0uu, k0u3 = scene.k0, scene.k0_u, scene.k0_uu, scene.k0_u3
     g2 = q * q + r1 * r1
-    g = np.sqrt(g2)
-    bundle = bundle or build_bundle(scene)
+    g = bundle.g
     B = bundle.ip_uu_N
-    if np.min(B) <= 0.0:
-        raise NotLocallyConvexError("composite curve not locally convex")
 
     A = np.empty((5, scene.n))
     F = np.empty((5, scene.n))
@@ -291,7 +289,6 @@ def operator_split(scene: GraphCurveScene,
     total = np.zeros(scene.n)
     for w, a, f in zip(PAIR_WEIGHTS, A, F):
         total += w * (a - f)
-    V = velocity_graph(scene, bundle)
     target = g / q * V
     scale = max(float(np.max(np.abs(target))), 1.0)
     residual = float(np.max(np.abs(total - target))) / scale
@@ -335,30 +332,30 @@ def _invert_monotone(a: float, p: np.ndarray, dp: np.ndarray, period: float,
     return x
 
 
-def _scene(u, L0, theta, h, h1, k, k1, k2, k3, rho) -> GraphCurveScene:
-    """Scene from support data h, h1 and curvature data k, k1..k3 (all in
-    theta) at the tangent angles theta(u); the chain rule d/du = k d/dtheta
-    gives the u-derivatives of k."""
+def _scene(u, L0, theta, h, h1, k, k1, k2, k3) -> GraphCurveScene:
+    """Scene with rho = 0 from support data h, h1 and curvature data k,
+    k1..k3 (all in theta) at the tangent angles theta(u); the chain rule
+    d/du = k d/dtheta gives the u-derivatives of k."""
     c, sn = np.cos(theta), np.sin(theta)
     return GraphCurveScene(
         u=u, points=curve_points(h, h1, theta),
         tangents=np.stack([-sn, c], axis=1), normals=-np.stack([c, sn], axis=1),
         k0=k, k0_u=k * k1, k0_uu=k * (k1**2 + k * k2),
         k0_u3=k * (k1**3 + 4.0 * k * k1 * k2 + k**2 * k3), length=L0,
-        rho=np.zeros(len(u)) if rho is None else rho)
+        rho=np.zeros(len(u)))
 
 
-def scene_circle(radius: float, n: int, rho=None) -> GraphCurveScene:
+def scene_circle(radius: float, n: int) -> GraphCurveScene:
     """Unit-speed circle base of given radius (counterclockwise)."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     L0 = 2.0 * math.pi * radius
     u = np.arange(n) * (L0 / n)
     return _scene(u, L0, u / radius, radius, 0.0, np.full(n, 1.0 / radius),
-                  0.0, 0.0, 0.0, rho)
+                  0.0, 0.0, 0.0)
 
 
-def scene_from_support(s: SupportGrid, n: int, rho=None) -> GraphCurveScene:
+def scene_from_support(s: SupportGrid, n: int) -> GraphCurveScene:
     """Arclength-resampled scene for any valid support grid.
 
     Curvature derivatives in u come from spectral theta-derivatives and the
@@ -378,7 +375,7 @@ def scene_from_support(s: SupportGrid, n: int, rho=None) -> GraphCurveScene:
     theta = _invert_monotone(mean, p, w, period, u)
     hj, h1j, kj, k1j, k2j, k3j = (trig_eval_values(v, period, theta)
                                   for v in (hv, h1, k, kt1, kt2, kt3))
-    return _scene(u, L0, theta, hj, h1j, kj, k1j, k2j, k3j, rho)
+    return _scene(u, L0, theta, hj, h1j, kj, k1j, k2j, k3j)
 
 
 def _ellipse_theta_data(a: float, b: float, theta: np.ndarray):
@@ -407,7 +404,7 @@ def _ellipse_theta_data(a: float, b: float, theta: np.ndarray):
     return h, h1, k, k1, k2, k3
 
 
-def scene_ellipse(a: float, b: float, n: int, rho=None) -> GraphCurveScene:
+def scene_ellipse(a: float, b: float, n: int) -> GraphCurveScene:
     """Ellipse base with analytically exact curvature-derivative data.
 
     Only the arclength inversion theta(u) is numerical (a spectral
@@ -423,7 +420,7 @@ def scene_ellipse(a: float, b: float, n: int, rho=None) -> GraphCurveScene:
     L0 = mean * period
     u = np.arange(n) * (L0 / n)
     theta = _invert_monotone(mean, p, w_fine, period, u)
-    return _scene(u, L0, theta, *_ellipse_theta_data(a, b, theta), rho)
+    return _scene(u, L0, theta, *_ellipse_theta_data(a, b, theta))
 
 
 def band_limited_rho(scene: GraphCurveScene, seed: int) -> np.ndarray:

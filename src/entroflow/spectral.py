@@ -118,11 +118,6 @@ def _deriv_factor(n: int, period: float, order: int) -> np.ndarray:
     return fac
 
 
-def periodic_deriv_values(values: np.ndarray, period: float, order: int) -> np.ndarray:
-    """Spectral derivative of raw samples with arbitrary period."""
-    return periodic_derivs_values(values, period, (order,))[0]
-
-
 def periodic_derivs_values(values: np.ndarray, period: float, orders) -> list:
     """Spectral derivatives of several orders from one rfft of the samples.
 

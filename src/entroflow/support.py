@@ -16,17 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CurveIngestionError, NotLocallyConvexError
-from .spectral import (GridFunction, PeriodicGrid, periodic_deriv_values,
-                       periodic_derivs_values)
+from .spectral import GridFunction, PeriodicGrid, periodic_derivs_values
 
 # validation floor for min(h_thth + h), relative to mean(h); exact zero is
 # the degenerate boundary the flow must stay away from
 CONVEXITY_RTOL = 1e-10
-
-
-def radius_of_curvature_values(h: GridFunction) -> np.ndarray:
-    """Samples of h_thth + h (= 1/k where the curve is convex)."""
-    return periodic_deriv_values(h.values, h.grid.period, 2) + h.values
 
 
 def require_convexity(h: np.ndarray, w: np.ndarray) -> None:
@@ -66,7 +60,7 @@ class SupportGrid:
             raise NotLocallyConvexError(
                 f"support function must be positive; h[{j}] = {v[j]:.6g}",
                 node=j, margin=float(v[j]))
-        require_convexity(v, radius_of_curvature_values(self.h))
+        curvature(self)
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -108,9 +102,11 @@ class CurveSample:
 
 
 def curvature(s: SupportGrid) -> GridFunction:
-    """Curvature k = 1/(h_thth + h), positive on valid support grids."""
-    w = radius_of_curvature_values(s.h)
-    require_convexity(s.values, w)
+    """Curvature k = 1/(h_thth + h); raises NotLocallyConvexError unless
+    h_thth + h passes require_convexity."""
+    hv = s.values
+    w = periodic_derivs_values(hv, s.grid.period, (2,))[0] + hv
+    require_convexity(hv, w)
     return s.h.copy_with(1.0 / w)
 
 
@@ -183,10 +179,11 @@ def _support_from_embedded(points: np.ndarray, grid: PeriodicGrid) -> SupportGri
             f"hull support is not C^1-consistent on this grid: {exc}") from exc
 
 
-def _tangent_angles_from_points(points: np.ndarray) -> np.ndarray:
+def _normal_angles_from_points(points: np.ndarray) -> np.ndarray:
+    """Outward-normal angles of a counterclockwise polyline: the central
+    difference's tangent angle minus pi/2."""
     d = np.roll(points, -1, axis=0) - np.roll(points, 1, axis=0)
-    theta = np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
-    return theta
+    return np.unwrap(np.arctan2(d[:, 1], d[:, 0])) - 0.5 * np.pi
 
 
 def _support_from_immersed(points, thetas, omega, grid: PeriodicGrid) -> SupportGrid:
@@ -202,13 +199,6 @@ def _support_from_immersed(points, thetas, omega, grid: PeriodicGrid) -> Support
         raise CurveIngestionError(
             f"tangent angle increases by {total + spacing:.6g} over the closed "
             f"curve; expected 2*omega*pi = {period:.6g} for omega={omega}")
-    target = grid.nodes
-    # fast path: samples already on the target nodes (mod period)
-    if len(thetas) == grid.n:
-        shift = (thetas - target) % period
-        if np.max(np.abs(shift - shift[0])) < 1e-12 and abs(shift[0]) < 1e-12:
-            h = points[:, 0] * np.cos(target) + points[:, 1] * np.sin(target)
-            return SupportGrid(GridFunction(grid, h))
     # monotone interpolation of the inverse map theta -> point, tiled one
     # period each way so any target angle falls in the covered range
     th = np.concatenate([thetas - period, thetas, thetas + period])
@@ -216,23 +206,22 @@ def _support_from_immersed(points, thetas, omega, grid: PeriodicGrid) -> Support
     py = np.tile(points[:, 1], 3)
     fx = PchipInterpolator(th, px)
     fy = PchipInterpolator(th, py)
-    t = target.copy()
     # pull target angles into the sampled window
     lo = thetas[0] - period / 2
-    t = lo + (t - lo) % period
+    t = lo + (grid.nodes - lo) % period
     h = fx(t) * np.cos(t) + fy(t) * np.sin(t)
     return SupportGrid(GridFunction(grid, h))
 
 
-def support_from_curve(curve, omega: int, n: int | None = None) -> SupportGrid:
+def support_from_curve(curve, omega: int, n: int) -> SupportGrid:
     """Resample a closed locally convex curve onto a uniform theta grid.
 
     A CurveSample is resampled by inverting its monotone tangent-angle map.
     A raw (m, 2) array is a closed polyline (first point not repeated): with
     omega == 1 its h is the support function of its polygonal hull;
-    otherwise its tangent angles are estimated from its points and the
-    tangent-angle map is inverted as for a CurveSample.  n is the output grid
-    size and defaults to the input sample count (made even).
+    otherwise its outward-normal angles are estimated from its points
+    (counterclockwise order) and that angle map is inverted as for a
+    CurveSample.  n is the output grid size.
     """
     if isinstance(curve, CurveSample):
         pts, thetas = curve.points, curve.thetas
@@ -241,13 +230,11 @@ def support_from_curve(curve, omega: int, n: int | None = None) -> SupportGrid:
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 8:
             raise CurveIngestionError("need at least 8 planar points")
         thetas = None
-    if n is None:
-        n = len(pts) - (len(pts) % 2)
     grid = PeriodicGrid(omega=omega, n=n)
     if thetas is None:
         if omega == 1:
             return _support_from_embedded(pts, grid)
-        thetas = _tangent_angles_from_points(pts)
+        thetas = _normal_angles_from_points(pts)
     return _support_from_immersed(pts, thetas, omega, grid)
 
 

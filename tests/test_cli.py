@@ -301,6 +301,25 @@ class TestSimulate:
         assert main([command, "--config", str(cfgp)]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("over", [
+        {"t_end": True},
+        {"initial": {"kind": "circle", "r": True}},
+        {"initial": {"kind": "ellipse", "a": True, "b": 0.8}},
+        {"initial": {"kind": "ellipse", "a": 1.0, "b": True}},
+        {"initial": {"kind": "fourier", "constant": True, "modes": []}},
+        *({"stepper": {key: True}} for key in (
+            "dt_init", "safety", "max_dt", "guard_ratio", "stabilization_coeff")),
+    ], ids=["t_end", "r", "a", "b", "constant", "dt_init", "safety", "max_dt",
+            "guard_ratio", "stabilization_coeff"])
+    def test_bool_number_exit1(self, tmp_path, capsys, over):
+        # JSON true is not a number, though Python's True == 1
+        cfgp = write_config(tmp_path, fast_config(tmp_path, **over))
+        assert main(["simulate", "--config", str(cfgp)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "must be a" in err[0] and "True" in err[0]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("over,flag,cap", [
         ({"monitor_every": 1e-9, "t_end": 1.0}, [], "cap of 100000"),
         ({"monitor_every": 0.01}, ["--t-end", "1e4"], "cap of 100000"),
@@ -365,6 +384,24 @@ class TestSimulate:
                            initial={"kind": "curve_file", "path": str(cf)})
         cfgp = write_config(tmp_path, data)
         assert main(["simulate", "--config", str(cfgp)]) == 0
+
+    def test_immersed_points_file_round_trip(self, tmp_path):
+        # an omega = 2 run's own points file, read back as an omega = 2
+        # curve_file, starts from the run's initial curve
+        src = fast_config(tmp_path, omega=2, n=32, t_end=0.01, monitor_every=0.01,
+                          initial={"kind": "fourier", "constant": 1.0,
+                                   "modes": [[3, 0.02, 0.0]]})
+        assert main(["simulate", "--config", str(write_config(tmp_path, src))]) == 0
+        out = tmp_path / "out"
+        back = fast_config(tmp_path, omega=2, n=32, t_end=0.01, monitor_every=0.01,
+                           output_dir=str(tmp_path / "back"),
+                           initial={"kind": "curve_file",
+                                    "path": str(out / "points_000000.txt")})
+        assert main(["simulate", "--config",
+                     str(write_config(tmp_path, back, "back.json"))]) == 0
+        h0 = read_snapshot(out / "snapshot_000000.txt").support.values
+        h1 = read_snapshot(tmp_path / "back" / "snapshot_000000.txt").support.values
+        assert np.max(np.abs(h1 - h0)) < 2e-4
 
 
 class TestRescaled:

@@ -11,7 +11,7 @@ import entroflow.spectral as spectral
 from entroflow.errors import (FlowBreakdownError, NotLocallyConvexError,
                               StepRejectedError)
 from entroflow.spectral import (GridFunction, PeriodicGrid, integrate,
-                                periodic_deriv_values)
+                                periodic_derivs_values)
 from entroflow.diagnostics import compute_record
 from entroflow.support import (SupportGrid, circle_support, curvature,
                                ellipse_support, fourier_support)
@@ -125,7 +125,7 @@ class TestVelocityKernel:
                             [(2, 0.1, 0.0), (3, 0.0, 0.03)])
         lam = flow.variant_shift(variant, s.omega)
         k = curvature(s)
-        ktt = periodic_deriv_values(k.values, s.grid.period, 2)
+        ktt = periodic_derivs_values(k.values, s.grid.period, (2,))[0]
         ref = ktt + k.values - lam * s.values
         f = flow.velocity(s.values, flow.workspace(s.grid).D2I, lam)
         assert np.max(np.abs(f - ref)) <= 1e-10 * np.max(np.abs(ref))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from entroflow import graph
-from entroflow.errors import DegenerateGraphError
+from entroflow.errors import DegenerateGraphError, NotLocallyConvexError
 from entroflow.flow import rhs
 from entroflow.graph import (band_limited_rho, build_bundle,
                              check_parametrization_identity, composite_support,
@@ -47,7 +47,7 @@ class TestBundle:
 
     def test_concentric_circle(self):
         c = 0.4
-        sc = scene_circle(1.0, 128, rho=np.full(128, c))
+        sc = scene_circle(1.0, 128).with_rho(np.full(128, c))
         b = build_bundle(sc)
         # composite radius 1+c traversed at base arclength: |gamma_u| = 1+c,
         # k = 1/(1+c), <gamma_uu, N> = k |gamma_u|^2 = 1+c
@@ -58,7 +58,7 @@ class TestBundle:
         assert b.max_direct_residual < 1e-12
 
     def test_frame_orthonormal(self):
-        sc = scene_ellipse(2.0, 1.0, 128, rho=None)
+        sc = scene_ellipse(2.0, 1.0, 128)
         sc = sc.with_rho(band_limited_rho(sc, seed=11))
         b = build_bundle(sc)
         assert np.max(np.abs(np.sum(b.T**2, axis=1) - 1)) < 1e-12
@@ -82,8 +82,8 @@ class TestBundle:
         # the closed forms hold in the frame with N0 the inner normal: the
         # same composite curve written over the outer normal, with rho
         # negated, must fail the bundle-versus-direct check
-        sc = scene_circle(1.0, 128, rho=None).with_rho(None or sin_rho(
-            scene_circle(1.0, 128)))
+        sc = scene_circle(1.0, 128)
+        sc = sc.with_rho(sin_rho(sc))
         flipped = dataclasses.replace(sc, normals=-sc.normals, rho=-sc.rho)
         assert np.array_equal(flipped.composite_points, sc.composite_points)
         good = build_bundle(sc).max_direct_residual
@@ -98,14 +98,15 @@ class TestVelocity:
         assert np.max(np.abs(v - 1.0)) < 1e-12
 
     def test_concentric(self):
-        sc = scene_circle(1.0, 64, rho=np.full(64, 0.5))
+        sc = scene_circle(1.0, 64).with_rho(np.full(64, 0.5))
         v = velocity_graph(sc)
         assert np.max(np.abs(v - 2.0 / 3.0)) < 1e-12
 
     def test_matches_support_velocity(self):
         # independent oracle: the theta-side velocity F = k'' + k of the
         # composite, interpolated at the matched tangent angles
-        sc = scene_circle(1.0, 256, rho=sin_rho(scene_circle(1.0, 256)))
+        sc = scene_circle(1.0, 256)
+        sc = sc.with_rho(sin_rho(sc))
         v = velocity_graph(sc)
         b = build_bundle(sc)
         sup = composite_support(sc, 256)
@@ -133,15 +134,15 @@ class TestVelocity:
 class TestOperatorSplit:
     def test_zero_rho_pure_f_side(self):
         sc = scene_circle(1.0, 64)
-        sp = operator_split(sc)
+        sp = operator_split(sc, build_bundle(sc))
         assert np.max(np.abs(sp.a_applied)) < 1e-14
         total_f = -sum(w * f for w, f in zip(PAIR_WEIGHTS, sp.f_parts))
         v = velocity_graph(sc)
         assert np.max(np.abs(total_f - v)) < 1e-12
 
     def test_concentric_identity(self):
-        sc = scene_circle(1.0, 64, rho=np.full(64, 0.5))
-        sp = operator_split(sc)
+        sc = scene_circle(1.0, 64).with_rho(np.full(64, 0.5))
+        sp = operator_split(sc, build_bundle(sc))
         assert sp.residual < 1e-12
         assert np.max(np.abs(sp.target - 2.0 / 3.0)) < 1e-12  # g/q = 1 here
 
@@ -149,14 +150,14 @@ class TestOperatorSplit:
     def test_random_band_limited(self, seed):
         base = scene_ellipse(2.0, 1.0, 128)
         sc = base.with_rho(band_limited_rho(base, seed=seed))
-        assert operator_split(sc).residual <= 1e-8
+        assert operator_split(sc, build_bundle(sc)).residual <= 1e-8
 
     def test_each_pair_matches_its_bracket(self):
         # A_i rho - F_i must reproduce the bracket combination L_i it splits
         base = scene_circle(1.0, 128)
         sc = base.with_rho(band_limited_rho(base, seed=42))
-        sp = operator_split(sc)
         b = build_bundle(sc)
+        sp = operator_split(sc, b)
         q = 1.0 + sc.k0 * sc.rho  # 1 - k0*rho_eff under the default convention
         g, B = b.g, b.ip_uu_N
         L = [g * b.ip_u4_N / (q * B**2),
@@ -170,16 +171,31 @@ class TestOperatorSplit:
 
 
     def test_given_bundle_is_reused(self, monkeypatch):
+        # operator_split reads the bundle's frame: neither is rebuilt
         base = scene_ellipse(2.0, 1.0, 128)
         sc = base.with_rho(band_limited_rho(base, seed=7))
         b = build_bundle(sc)
-        expected = operator_split(sc).total
+        expected = operator_split(sc, build_bundle(sc)).total
 
         def no_rebuild(scene):
-            raise AssertionError("bundle rebuilt")
+            raise AssertionError("bundle or frame rebuilt")
 
         monkeypatch.setattr(graph, "build_bundle", no_rebuild)
+        monkeypatch.setattr(graph, "_frame_components", no_rebuild)
         assert np.array_equal(operator_split(sc, b).total, expected)
+
+    def test_nonconvex_raises_velocity_graph_error(self):
+        # r = 1 + 0.05 sin 8u has r^2 + 2 r'^2 - r r'' < 0 where sin 8u = -1
+        base = scene_circle(1.0, 128)
+        sc = base.with_rho(sin_rho(base, mode=8))
+        b = build_bundle(sc)
+        with pytest.raises(NotLocallyConvexError) as got:
+            operator_split(sc, b)
+        with pytest.raises(NotLocallyConvexError) as want:
+            velocity_graph(sc, b)
+        assert str(got.value) == str(want.value)
+        assert got.value.node == int(np.argmin(b.ip_uu_N))
+        assert got.value.margin == want.value.margin < 0.0
 
 
 class TestCrosscheck:
@@ -197,7 +213,7 @@ class TestCrosscheck:
             "bundle_rho0", "split_rho0", "bundle_seed0", "split_seed0"]
         sc = base.with_rho(band_limited_rho(base, seed=40))
         assert rows[2][1] == build_bundle(sc).max_direct_residual
-        assert rows[3][1] == operator_split(sc).residual
+        assert rows[3][1] == operator_split(sc, build_bundle(sc)).residual
 
 
 class TestParametrizationIdentity:

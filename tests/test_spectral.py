@@ -18,7 +18,8 @@ def gf(omega, n, fn):
 
 def deriv(f, order):
     """The order-th spectral derivative of f, as a GridFunction."""
-    return f.copy_with(spectral.periodic_deriv_values(f.values, f.grid.period, order))
+    return f.copy_with(
+        spectral.periodic_derivs_values(f.values, f.grid.period, (order,))[0])
 
 
 def band_limited(grid, seed, max_mode=None):

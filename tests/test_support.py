@@ -12,11 +12,10 @@ import entroflow
 from entroflow.errors import CurveIngestionError, NotLocallyConvexError
 from entroflow import graph
 from entroflow.spectral import (GridFunction, PeriodicGrid, integrate,
-                                periodic_deriv_values)
+                                periodic_derivs_values)
 from entroflow.support import (CurveSample, SupportGrid, circle_support,
                                curvature, curve_points, ellipse_support,
-                               fourier_support, radius_of_curvature_values,
-                               read_curve_file, read_support_file, reconstruct,
+                               fourier_support, read_curve_file, read_support_file, reconstruct,
                                support_from_curve)
 
 
@@ -43,14 +42,16 @@ class TestValidation:
     def test_margin_values(self):
         # h = 1 + 0.2 cos 2theta has h'' + h = 1 - 0.6 cos 2theta, min 0.4
         s = support(lambda th: 1 + 0.2 * np.cos(2 * th))
-        assert radius_of_curvature_values(s.h).min() == pytest.approx(0.4, abs=1e-12)
+        assert (1.0 / curvature(s).values).min() == pytest.approx(0.4, abs=1e-12)
         circle = circle_support(grid(), 2.5)
-        assert radius_of_curvature_values(circle.h).min() == pytest.approx(2.5)
+        assert (1.0 / curvature(circle).values).min() == pytest.approx(2.5)
 
     def test_margin_on_invalid_raw_data(self):
         g = grid()
         f = GridFunction(g, 1 + 0.8 * np.cos(2 * g.nodes))
-        assert radius_of_curvature_values(f).min() == pytest.approx(-1.4, abs=1e-10)
+        with pytest.raises(NotLocallyConvexError) as exc:
+            curvature(SupportGrid(f, validate=False))
+        assert exc.value.margin == pytest.approx(-1.4, abs=1e-10)
 
 
 class TestCurvature:
@@ -106,14 +107,14 @@ class TestReconstruct:
         # graph scenes' base points, bit for bit
         s = support(lambda th: 1 + 0.15 * np.cos(2 * th) + 0.05 * np.sin(3 * th))
         th = s.grid.nodes
-        h1 = periodic_deriv_values(s.values, s.grid.period, 1)
+        h1 = periodic_derivs_values(s.values, s.grid.period, (1,))[0]
         pts = curve_points(s.values, h1, th)
         assert pts.shape == (s.n, 2)
         assert np.array_equal(pts, reconstruct(s).points)
         k = curvature(s).values
         zero = np.zeros(s.n)
         scene = graph._scene(th, 2.0 * math.pi, th, s.values, h1, k, zero, zero,
-                             zero, None)
+                             zero)
         assert np.array_equal(pts, scene.points)
 
     @pytest.mark.parametrize("omega,n", [(1, 48), (1, 50), (2, 96)])
@@ -190,15 +191,25 @@ class TestIngestion:
         with pytest.raises(CurveIngestionError):
             support_from_curve(pts, omega=1, n=64)
 
+    @pytest.mark.parametrize("omega,m,n,fn", [
+        (2, 256, 128, lambda th: 0.5 + 0.02 * np.cos(1.5 * th)),
+        (3, 384, 192, lambda th: 0.4 + 0.01 * np.sin(4 * th / 3)),
+    ], ids=["omega2", "omega3"])
+    def test_immersed_polyline(self, omega, m, n, fn):
+        # a raw polyline's outward-normal angles are estimated from its points
+        pts = reconstruct(support(fn, omega, m)).points
+        s = support_from_curve(pts, omega=omega, n=n)
+        assert np.max(np.abs(s.values - fn(s.grid.nodes))) < 1e-6
+
     def test_round_trip(self):
         s = support(lambda th: 1 + 0.1 * np.cos(2 * th) + 0.03 * np.sin(3 * th))
         back = support_from_curve(reconstruct(s), omega=1, n=s.n)
-        assert np.max(np.abs(back.values - s.values)) < 1e-8
+        assert np.max(np.abs(back.values - s.values)) < 1e-14
 
     def test_round_trip_omega2(self):
         s = support(lambda th: 0.5 + 0.02 * np.cos(1.5 * th), omega=2, n=64)
         back = support_from_curve(reconstruct(s), omega=2, n=64)
-        assert np.max(np.abs(back.values - s.values)) < 1e-8
+        assert np.max(np.abs(back.values - s.values)) < 1e-14
 
 
 class TestLengthTwoWays:
