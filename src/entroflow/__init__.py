@@ -9,7 +9,7 @@ formulation used for cross-validation.
 
 from .errors import (ConfigError, CurveIngestionError, DegenerateGraphError,
                      EntroflowError, FlowBreakdownError, NotLocallyConvexError,
-                     StepRejectedError, UnsupportedOrderError)
+                     UnsupportedOrderError)
 from .spectral import GridFunction, PeriodicGrid, integrate
 from .support import (CurveSample, SupportGrid, circle_support, curvature,
                       ellipse_support, fourier_support, reconstruct,

@@ -125,6 +125,9 @@ class RunConfig:
                                   f"{self.initial[key]}")
         if kind == "fourier":
             _check_modes(self.initial["modes"])
+        path = self.initial.get("path", "")
+        if not isinstance(path, str):
+            raise ConfigError(f"initial.path must be a string, got {path!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -216,7 +219,7 @@ def _simulate(cfg: RunConfig):
     try:
         s0 = build_initial_support(cfg)
     except (NotLocallyConvexError, CurveIngestionError, TypeError,
-            ValueError) as exc:
+            ValueError, OverflowError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return ExitStatus.VALIDATION, None
     state = FlowState(support=s0, time=0.0, variant=cfg.variant)
@@ -264,15 +267,17 @@ def cmd_crosscheck(cfg: RunConfig) -> ExitStatus:
     kind = cfg.initial.get("kind")
     radius = cfg.initial.get("r")    # set for circle bases only
     try:
+        if kind not in ("circle", "ellipse"):
+            raise ConfigError("crosscheck supports circle or ellipse bases")
+        # the support first: it refuses semi-axes whose squares overflow,
+        # which the scene would carry on with as inf and NaN
+        s0 = build_initial_support(cfg)
         if kind == "circle":
             base = graph.scene_circle(radius, cfg.n)
-        elif kind == "ellipse":
-            base = graph.scene_ellipse(cfg.initial["a"], cfg.initial["b"], cfg.n)
         else:
-            raise ConfigError("crosscheck supports circle or ellipse bases")
+            base = graph.scene_ellipse(cfg.initial["a"], cfg.initial["b"], cfg.n)
         graph.require_resolved(base)
-        s0 = build_initial_support(cfg)
-    except (EntroflowError, TypeError, ValueError) as exc:
+    except (EntroflowError, TypeError, ValueError, OverflowError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return ExitStatus.VALIDATION
 

@@ -25,16 +25,6 @@ class CurveIngestionError(EntroflowError):
     """Input curve data could not be converted to a valid support function."""
 
 
-class StepRejectedError(EntroflowError):
-    """A time step failed the convexity guard and should be retried smaller."""
-
-    def __init__(self, message, dt=None, margin_before=None, margin_after=None):
-        super().__init__(message)
-        self.dt = dt
-        self.margin_before = margin_before
-        self.margin_after = margin_after
-
-
 class FlowBreakdownError(EntroflowError):
     """Adaptive stepping underflowed after repeated rejections.
 

@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import spectral  # spectral.rfft/irfft looked up per call: one seam
 from .diagnostics import DiagnosticsRecord, compute_record
-from .errors import FlowBreakdownError, StepRejectedError
+from .errors import FlowBreakdownError
 from .spectral import GridFunction, PeriodicGrid, periodic_derivs_values
 from .support import SupportGrid, curvature, write_text
 
@@ -159,40 +159,44 @@ def rhs(s: SupportGrid, variant: str) -> GridFunction:
 DENSE_MAX_N = 352
 
 
-class _DenseOperator(np.ndarray):
-    """The circulant D2I as its dense (n, n) matrix.
-
-    D2I @ x is the BLAS product ndarray.dot(D2I, x) along axis 0 of an (n,)
-    or (n, B) x: the bits of np.matmul at less dispatch cost.
-    D2I.dot(x, out=buf) writes the same bits into buf.  Its array priority
-    is below ndarray's, so that dot returns a plain ndarray.  A view of it
-    that calls np.matmul(D2I, x) reaches the same dot; no other arithmetic
-    is defined on it.
+class _Operator(np.ndarray):
+    """Base of the two D2I routes: D2I @ x and np.matmul(D2I, x) are D2I.dot(x)
+    along axis 0 of an (n,) or (n, B) x, and no other arithmetic is defined
+    on it.  Its array priority is below ndarray's, so that results are plain
+    ndarrays.  It stays an ndarray, so that a view of it may wrap the apply
+    and call np.matmul(D2I, x).
     """
 
     __array_priority__ = -1.0
-    __matmul__ = np.ndarray.dot
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if (ufunc is not np.matmul or method != "__call__" or kwargs
                 or inputs[0] is not self):
             return NotImplemented
-        return np.ndarray.dot(self, inputs[1])
+        return self.dot(inputs[1])
 
 
-class _RfftOperator(np.ndarray):
+class _DenseOperator(_Operator):
+    """The circulant D2I as its dense (n, n) matrix.
+
+    D2I @ x is the BLAS product ndarray.dot(D2I, x): the bits of np.matmul
+    at less dispatch cost.  D2I.dot(x, out=buf) writes the same bits into
+    buf.
+    """
+
+    __matmul__ = np.ndarray.dot
+
+
+class _RfftOperator(_Operator):
     """The circulant D2I held as its rfft symbol 1 - xi^2, shape (n//2 + 1,),
     the twin of _DenseOperator above DENSE_MAX_N.
 
-    D2I.dot(x, out=None) is irfft(symbol * rfft(x)) along axis 0 of an (n,)
-    or (n, B) x, an (n, B) x transformed through its transposed view, and
-    is the route's one apply: D2I @ x and np.matmul(D2I, x) call it.  No
-    other arithmetic is defined on it.  It stays an ndarray, so that a view
-    of it may wrap the apply and call np.matmul(D2I, x).  The symbol is held
-    as complex128 with zero imaginary parts and multiplies the spectrum in
-    place: numpy casts a real symbol to exactly that before a complex
-    multiply, so the bits are those of the real one, without the cast on
-    every apply.
+    D2I.dot(x, out=None) is irfft(symbol * rfft(x)), an (n, B) x transformed
+    through its transposed view, and is the route's one apply.  The symbol
+    is held as complex128 with zero imaginary parts and multiplies the
+    spectrum in place: numpy casts a real symbol to exactly that before a
+    complex multiply, so the bits are those of the real one, without the
+    cast on every apply.
     """
 
     def dot(self, x, out=None):
@@ -205,12 +209,6 @@ class _RfftOperator(np.ndarray):
         return y.T if cols else y
 
     __matmul__ = dot
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if (ufunc is not np.matmul or method != "__call__" or kwargs
-                or inputs[0] is not self):
-            return NotImplemented
-        return self.dot(inputs[1])
 
 
 class _Workspace:
@@ -290,16 +288,15 @@ def _rk4_buffers(n):
             [np.empty(n), np.empty(n)])
 
 
-def _rk4_attempt(h, w, margin, dt, ws, lam, stab_coeff, bufs=None):
+def _rk4_attempt(h, w, margin, dt, ws, lam, stab_coeff, bufs):
     """One classical RK4 step of size dt from h, with w = D2I @ h.
 
     Returns (h_new, D2I @ h_new), h_new = h + dt/6 * (f1 + 2 f2 + 2 f3 + f4),
     written into the output pair of bufs, from _rk4_buffers, which must not
-    hold h or w.  Without bufs every array is new.  margin and stab_coeff
-    are unused, so that both schemes' attempts share one signature.
+    hold h or w.  margin and stab_coeff are unused, so that both schemes'
+    attempts share one signature (h, w, margin, dt, ws, lam, stab_coeff,
+    bufs) -> (h_new, D2I @ h_new), with margin = min(w).
     """
-    if bufs is None:
-        bufs = _rk4_buffers(len(h))
     f1, f2, f3, f4, f23, y, tmp, half, c, (hn, wn) = bufs
     D2I = ws.D2I
     add, mul = np.add, np.multiply
@@ -345,13 +342,6 @@ def _semi_implicit_attempt(h, w, margin, dt, ws, lam, stab_coeff, bufs=None):
     return hn, ws.D2I @ hn
 
 
-def _attempt_for(scheme):
-    """The attempt function (h, w, margin, dt, ws, lam, stab_coeff, bufs)
-    -> (h_new, D2I @ h_new) of a stepping scheme; margin is min(w), and
-    bufs is None or, for RK4, _rk4_buffers(n)."""
-    return _rk4_attempt if scheme == "explicit_rk4" else _semi_implicit_attempt
-
-
 def _guard_holds(margin_new, margin, guard_ratio):
     """The convexity guard: min(h_thth + h) stays finite and keeps at least
     guard_ratio of its value before the step."""
@@ -359,28 +349,11 @@ def _guard_holds(margin_new, margin, guard_ratio):
 
 
 def step(state: FlowState, dt: float, cfg: StepperConfig) -> FlowState:
-    """One accepted integrator step of size exactly dt.
-
-    Raises StepRejectedError when the convexity guard fails; the caller is
-    expected to halve dt and retry.
+    """The state dt later: evolve(state, state.time + dt, cfg).final, which
+    may take several guarded steps.  Kept for perfbench's warm-up, which
+    calls it; once that warm-up calls evolve (ROADMAP item 5), step goes.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    s = state.support
-    ws = workspace(s.grid)
-    lam = variant_shift(state.variant, s.omega)
-    h = s.values
-    w = ws.D2I @ h
-    margin = float(w.min())
-    attempt = _attempt_for(cfg.scheme)
-    hn, wn = attempt(h, w, margin, dt, ws, lam, cfg.stabilization_coeff)
-    margin_new = float(wn.min())
-    if not _guard_holds(margin_new, margin, cfg.guard_ratio):
-        raise StepRejectedError(
-            f"convexity guard: margin {margin_new:.6g} < "
-            f"{cfg.guard_ratio} * {margin:.6g} at dt={dt:.3g}",
-            dt=dt, margin_before=margin, margin_after=margin_new)
-    return _unchecked_state(s.grid, hn, state.time + dt, state.variant)
+    return evolve(state, state.time + dt, cfg).final
 
 
 def check_record_count(n: int, t0: float, t_end: float, monitor_every=None,
@@ -480,8 +453,8 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     s = state.support
     ws = workspace(s.grid)
     lam = variant_shift(state.variant, s.omega)
-    attempt = _attempt_for(cfg.scheme)
     rk4 = cfg.scheme == "explicit_rk4"
+    attempt = _rk4_attempt if rk4 else _semi_implicit_attempt
     c_stab = cfg.safety * RK4_REAL_AXIS / ws.ximax4
     # at lam = 0 the zero-order cap is 2 * safety * margin^2, RK4's own rule
     # with c_stab at most 2 * safety, so it is folded in there once

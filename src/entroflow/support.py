@@ -82,10 +82,11 @@ class SupportGrid:
 @dataclass
 class CurveSample:
     """Points of a locally convex closed curve at strictly increasing
-    tangent angles thetas; the unit tangent at theta is (-sin, cos)(theta).
+    outward-normal angles thetas; the outward normal at theta is
+    (cos, sin)(theta) and the unit tangent (-sin, cos)(theta).
 
     points has shape (m, 2), or (R, m, 2) for R curves sampled at the same
-    tangent angles.
+    normal angles.
     """
 
     points: np.ndarray
@@ -98,7 +99,7 @@ class CurveSample:
         if self.points.shape[-2:] != (m, 2):
             raise ValueError("points must have shape (m, 2) or (R, m, 2)")
         if np.any(np.diff(self.thetas) <= 0.0):
-            raise ValueError("tangent angles must be strictly increasing")
+            raise ValueError("outward-normal angles must be strictly increasing")
 
 
 def curvature(s: SupportGrid) -> GridFunction:
@@ -193,11 +194,11 @@ def _support_from_immersed(points, thetas, omega, grid: PeriodicGrid) -> Support
     period = grid.period
     total = thetas[-1] - thetas[0]
     if np.any(np.diff(thetas) <= 0.0):
-        raise CurveIngestionError("tangent angle is not strictly increasing")
+        raise CurveIngestionError("outward-normal angle is not strictly increasing")
     spacing = total / max(len(thetas) - 1, 1)
     if abs(total + spacing - period) > 4.0 * spacing:
         raise CurveIngestionError(
-            f"tangent angle increases by {total + spacing:.6g} over the closed "
+            f"outward-normal angle increases by {total + spacing:.6g} over the closed "
             f"curve; expected 2*omega*pi = {period:.6g} for omega={omega}")
     # monotone interpolation of the inverse map theta -> point, tiled one
     # period each way so any target angle falls in the covered range
@@ -216,12 +217,12 @@ def _support_from_immersed(points, thetas, omega, grid: PeriodicGrid) -> Support
 def support_from_curve(curve, omega: int, n: int) -> SupportGrid:
     """Resample a closed locally convex curve onto a uniform theta grid.
 
-    A CurveSample is resampled by inverting its monotone tangent-angle map.
-    A raw (m, 2) array is a closed polyline (first point not repeated): with
-    omega == 1 its h is the support function of its polygonal hull;
-    otherwise its outward-normal angles are estimated from its points
-    (counterclockwise order) and that angle map is inverted as for a
-    CurveSample.  n is the output grid size.
+    A CurveSample is resampled by inverting its monotone normal-angle map.
+    A raw (m, 2) array is a closed polyline (first point not repeated), in
+    either orientation: with omega == 1 its h is the support function of its
+    polygonal hull; otherwise its outward-normal angles are estimated from
+    its points, taken in counterclockwise order, and that angle map is
+    inverted as for a CurveSample.  n is the output grid size.
     """
     if isinstance(curve, CurveSample):
         pts, thetas = curve.points, curve.thetas
@@ -235,6 +236,9 @@ def support_from_curve(curve, omega: int, n: int) -> SupportGrid:
         if omega == 1:
             return _support_from_embedded(pts, grid)
         thetas = _normal_angles_from_points(pts)
+        if thetas[-1] < thetas[0]:  # clockwise: the angles decrease
+            pts = pts[::-1]
+            thetas = _normal_angles_from_points(pts)
     return _support_from_immersed(pts, thetas, omega, grid)
 
 

@@ -615,6 +615,14 @@ def _no_data(kind, text):
     return argv
 
 
+def _with_initial(command, **initial):
+    """command on a config with the given initial data."""
+    def argv(tmp_path):
+        data = fast_config(tmp_path, initial=initial)
+        return [command, "--config", str(write_config(tmp_path, data))]
+    return argv
+
+
 @pytest.mark.parametrize("argv,status,prefix", [
     pytest.param(lambda p: ["simulate", "--n", "abc"], ExitStatus.VALIDATION,
                  "config error:", id="bad-flag-value"),
@@ -639,6 +647,17 @@ def _no_data(kind, text):
                    id=f"{kind}-{name}")
       for kind in ("curve_file", "support_file")
       for name, text in (("empty", ""), ("comments-only", "# x y\n# none\n"))),
+    # refused with the config, not by numpy's two-line loadtxt message
+    *(pytest.param(_with_initial("simulate", kind=kind, path=path), ExitStatus.VALIDATION,
+                   f"config error: initial.path must be a string, got {path!r}",
+                   id=f"{kind}-path-{name}")
+      for kind in ("curve_file", "support_file")
+      for name, path in (("int", 0), ("bool", True), ("float", 1.5))),
+    # a**2 overflows in ellipse_support; crosscheck builds no scene of inf
+    # and NaN first, which would warn
+    *(pytest.param(_with_initial(c, kind="ellipse", a=1e200, b=1), ExitStatus.VALIDATION,
+                   "validation failure: (34, ", id=f"overflowing-ellipse-{c}")
+      for c in ("simulate", "crosscheck")),
 ])
 def test_failure_table(tmp_path, capsys, argv, status, prefix):
     # each failure class ends in its exit status and one stderr line, with

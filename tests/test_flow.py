@@ -8,8 +8,7 @@ import pytest
 
 import entroflow.flow as flow
 import entroflow.spectral as spectral
-from entroflow.errors import (FlowBreakdownError, NotLocallyConvexError,
-                              StepRejectedError)
+from entroflow.errors import FlowBreakdownError, NotLocallyConvexError
 from entroflow.spectral import (GridFunction, PeriodicGrid, integrate,
                                 periodic_derivs_values)
 from entroflow.diagnostics import compute_record
@@ -208,7 +207,8 @@ class TestVelocityKernel:
     def test_evolve_equals_chained_steps(self, scheme, variant, steps):
         # a dyadic max_dt below dt_init and the RK4 step bound (about 3e-4)
         # makes evolve take exactly `steps` steps of size dt; with more than
-        # one, the carried-forward D2I @ h must match a fresh one
+        # one, the carried-forward D2I @ h must match the fresh one of each
+        # chained step's own run
         dt = 2.0**-14
         s = fourier_support(PeriodicGrid(omega=1, n=16), 1.0, [(2, 0.1, 0.0)])
         st = FlowState(support=s, variant=variant)
@@ -281,19 +281,15 @@ class TestAttempts:
         w = reference_apply(ws.D2I)(h)
         margin = float(w.min())
         dt = 0.9 * flow.RK4_REAL_AXIS / ws.ximax4 * margin**2
-        got = flow._rk4_attempt(h, w, margin, dt, ws, lam, 1.0)
-        ref = reference_rk4(h, w, dt, ws, lam)
-        for a, b in zip(got, ref):
-            assert type(a) is np.ndarray and np.array_equal(a, b)
-        assert not np.shares_memory(*got)
-        # the buffered call, as evolve makes it, writes the same bits into the
-        # run's output pair, and so does a halved retry from the same buffers
+        # the attempt writes the plain formulas' bits into the run's output
+        # pair, and so does a halved retry from the same buffers
         bufs = flow._rk4_buffers(n)
         for d in (dt, 0.5 * dt):
             got = flow._rk4_attempt(h, w, margin, d, ws, lam, 1.0, bufs)
             assert got[0] is bufs[-1][0] and got[1] is bufs[-1][1]
+            assert not np.shares_memory(*got)
             for a, b in zip(got, reference_rk4(h, w, d, ws, lam)):
-                assert np.array_equal(a, b)
+                assert type(a) is np.ndarray and np.array_equal(a, b)
         for dt in (1e-4, 2e-3):
             got = flow._semi_implicit_attempt(h, w, margin, dt, ws, lam, 1.0)
             ref = reference_semi_implicit(h, w, dt, ws, lam, 1.0)
@@ -325,7 +321,8 @@ class TestAttempts:
         flow._semi_implicit_attempt(h, w, float(w.min()), 1e-3, ws, 1.0, 1.0)
         assert calls == ["rfft", "irfft"]
         calls.clear()
-        flow._rk4_attempt(h, w, float(w.min()), 1e-6, ws, 1.0, 1.0)
+        flow._rk4_attempt(h, w, float(w.min()), 1e-6, ws, 1.0, 1.0,
+                          flow._rk4_buffers(g.n))
         assert calls == []
 
     @pytest.mark.parametrize("n", [8, 32, 48, flow.DENSE_MAX_N])
@@ -340,9 +337,20 @@ class TestAttempts:
             buf = np.empty(x.shape)
             assert ws.D2I.dot(x, out=buf) is buf
             assert np.array_equal(buf, np.matmul(plain, x))
-        # like the rfft operator, it defines no other arithmetic
+
+    @pytest.mark.parametrize("n", [48, 512])
+    def test_operator_defines_only_matmul(self, n):
+        # both routes, dense and rfft: np.matmul(D2I, x) gives the bits of
+        # D2I.dot(x) as a plain ndarray, and no other arithmetic is defined
+        D2I = flow._Workspace(PeriodicGrid(omega=1, n=n)).D2I
+        assert isinstance(D2I, flow._DenseOperator) == (n <= flow.DENSE_MAX_N)
+        rng = np.random.default_rng(n)
+        for x in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            out = np.matmul(D2I, x)
+            assert type(out) is np.ndarray
+            assert np.array_equal(out, D2I.dot(x))
         with pytest.raises(TypeError):
-            ws.D2I + 1.0
+            D2I + 1.0
 
 
 class TestWorkspace:
@@ -366,6 +374,32 @@ class TestWorkspace:
 
 
 class TestStep:
+    @pytest.mark.parametrize("scheme", flow.SCHEMES)
+    @pytest.mark.parametrize("dt", [2.0**-16, 0.05])
+    def test_step_is_evolve(self, monkeypatch, scheme, dt):
+        # step is the final state of evolve to state.time + dt, bit for bit:
+        # one attempt at dt = 2^-16, below both schemes' first dt, and
+        # several guarded steps at 0.05, far above RK4's bound (about 1e-4)
+        g = PeriodicGrid(omega=1, n=16)
+        st = FlowState(support=SupportGrid(GridFunction(g, 1 + 0.2 * np.cos(2 * g.nodes))),
+                       time=0.125)
+        cfg = StepperConfig(scheme=scheme)
+        real_attempt = getattr(flow, ATTEMPTS[scheme])
+        dts = []
+
+        def recording_attempt(*args):
+            dts.append(args[3])
+            return real_attempt(*args)
+
+        monkeypatch.setattr(flow, ATTEMPTS[scheme], recording_attempt)
+        out = step(st, dt, cfg)
+        assert (len(dts) == 1) == (dt < 1e-4) and dts[0] <= dt
+        monkeypatch.setattr(flow, ATTEMPTS[scheme], real_attempt)
+        want = evolve(st, st.time + dt, cfg).final
+        assert out.time == want.time == st.time + dt
+        assert out.variant == want.variant
+        assert np.array_equal(out.support.values, want.support.values)
+
     def test_rk4_scalar_ode(self):
         # on constant data the flow is h' = 1/h with solution sqrt(1 + 2t)
         st = circle_state(1.0, n=16)
@@ -383,11 +417,16 @@ class TestStep:
             SupportGrid(GridFunction(g, 1 + 0.8 * np.cos(2 * g.nodes)))
 
     def test_guard_rejection(self):
+        # the real RK4 attempt far beyond the stability bound fails the guard
         g = PeriodicGrid(omega=1, n=16)
-        s = SupportGrid(GridFunction(g, 1 + 0.2 * np.cos(2 * g.nodes)))
-        st = FlowState(support=s)
-        with pytest.raises(StepRejectedError):
-            step(st, 0.05, StepperConfig())  # far beyond the stability bound
+        h = 1 + 0.2 * np.cos(2 * g.nodes)
+        ws = flow.workspace(g)
+        w = ws.D2I @ h
+        margin = float(w.min())
+        _, wn = flow._rk4_attempt(h, w, margin, 0.05, ws, 0.0, 1.0,
+                                  flow._rk4_buffers(g.n))
+        assert not flow._guard_holds(float(wn.min()), margin,
+                                     StepperConfig().guard_ratio)
 
     def test_semi_implicit_step(self):
         st = circle_state(1.0, n=16)

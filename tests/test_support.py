@@ -19,6 +19,11 @@ from entroflow.support import (CurveSample, SupportGrid, circle_support,
                                support_from_curve)
 
 
+# (omega, polyline points m, grid n, h) of the immersed polyline tests
+IMMERSED = [(2, 256, 128, lambda th: 0.5 + 0.02 * np.cos(1.5 * th)),
+            (3, 384, 192, lambda th: 0.4 + 0.01 * np.sin(4 * th / 3))]
+
+
 def grid(omega=1, n=64):
     return PeriodicGrid(omega=omega, n=n)
 
@@ -191,15 +196,22 @@ class TestIngestion:
         with pytest.raises(CurveIngestionError):
             support_from_curve(pts, omega=1, n=64)
 
-    @pytest.mark.parametrize("omega,m,n,fn", [
-        (2, 256, 128, lambda th: 0.5 + 0.02 * np.cos(1.5 * th)),
-        (3, 384, 192, lambda th: 0.4 + 0.01 * np.sin(4 * th / 3)),
-    ], ids=["omega2", "omega3"])
+    @pytest.mark.parametrize("omega,m,n,fn", IMMERSED, ids=["omega2", "omega3"])
     def test_immersed_polyline(self, omega, m, n, fn):
         # a raw polyline's outward-normal angles are estimated from its points
         pts = reconstruct(support(fn, omega, m)).points
         s = support_from_curve(pts, omega=omega, n=n)
         assert np.max(np.abs(s.values - fn(s.grid.nodes))) < 1e-6
+
+    @pytest.mark.parametrize("omega,m,n,fn", IMMERSED, ids=["omega2", "omega3"])
+    def test_clockwise_immersed_polyline(self, omega, m, n, fn):
+        # a clockwise polyline gives the h of its counterclockwise order,
+        # whether it ends or starts at the first counterclockwise point
+        pts = reconstruct(support(fn, omega, m)).points
+        ccw = support_from_curve(pts, omega=omega, n=n).values
+        assert np.array_equal(support_from_curve(pts[::-1], omega=omega, n=n).values, ccw)
+        cw = np.roll(pts[::-1], 1, axis=0)
+        assert np.max(np.abs(support_from_curve(cw, omega=omega, n=n).values - ccw)) < 1e-14
 
     def test_round_trip(self):
         s = support(lambda th: 1 + 0.1 * np.cos(2 * th) + 0.03 * np.sin(3 * th))
