@@ -123,6 +123,14 @@ class RunConfig:
             if isinstance(self.initial[key], bool):
                 raise ConfigError(f"initial.{key} must be a number, got "
                                   f"{self.initial[key]}")
+        # ellipse_support squares the semi-axes as Python floats, which
+        # raise OverflowError above this root of the largest float
+        root = math.sqrt(sys.float_info.max)
+        for key in _INITIAL_KINDS[kind] & {"a", "b"}:
+            x = self.initial[key]
+            if _is_number(x) and not abs(x) <= root:
+                raise ConfigError(f"initial.{key} must have a finite square, "
+                                  f"|{key}| <= {root:.6g}, got {x!r}")
         if kind == "fourier":
             _check_modes(self.initial["modes"])
         path = self.initial.get("path", "")
@@ -269,8 +277,8 @@ def cmd_crosscheck(cfg: RunConfig) -> ExitStatus:
     try:
         if kind not in ("circle", "ellipse"):
             raise ConfigError("crosscheck supports circle or ellipse bases")
-        # the support first: it refuses semi-axes whose squares overflow,
-        # which the scene would carry on with as inf and NaN
+        # the support first: it refuses semi-axes too unequal for a convex
+        # curve on the grid (a = 1e-100), on which the scene divides by zero
         s0 = build_initial_support(cfg)
         if kind == "circle":
             base = graph.scene_circle(radius, cfg.n)

@@ -45,10 +45,8 @@ RECORD_BLOCK = 4096       # samples per compute_record call
 class StepperConfig:
     """Settings of the guarded stepping loop.
 
-    dt_init is the semi-implicit scheme's first step (later steps carry dt
-    forward); explicit RK4 ignores it and takes every dt from the stability
-    bound safety * 2.7 / (max(k)^2 * ximax^4), capped at max_dt.  Both
-    schemes cap dt at the constant mode's bound 2 * safety / (max(k)^2 + lam).
+    dt_init is the semi-implicit scheme's first step, which explicit RK4
+    ignores; each scheme's dt rule is in _rk4_scheme or _semi_implicit_scheme.
     """
 
     dt_init: float = 1e-3
@@ -375,17 +373,6 @@ def check_record_count(n: int, t0: float, t_end: float, monitor_every=None,
             f"{MAX_RECORD_BYTES} bytes")
 
 
-def _check_rk4_steps(n: int, t0: float, t_end: float, dt: float) -> None:
-    """Raise ValueError when RK4 steps of size dt from t0 to t_end number
-    more than MAX_RK4_STEPS."""
-    count = (t_end - t0) / dt if dt > 0.0 else math.inf
-    if not count <= MAX_RK4_STEPS:
-        raise ValueError(
-            f"explicit RK4 on n={n} starts at dt={dt:.3g}, about {count:.3g} "
-            f"steps from t={t0:g} to t_end={t_end:g}, above the cap of "
-            f"{MAX_RK4_STEPS:.0e} steps")
-
-
 def _zero_order_cap(margin: float, safety: float, lam: float) -> float:
     """2 * safety / (kmax^2 + lam), kmax = 1/margin: safety times the
     explicit stability bound of the constant mode, whose linearization is
@@ -429,6 +416,53 @@ def _record_columns(grid: PeriodicGrid, H, t, dt) -> DiagnosticsRecord:
         for b in record_blocks(grid, len(H))])
 
 
+def _rk4_scheme(cfg, ws, lam, n, margin, t0, t_end):
+    """Explicit RK4's (attempt, buffers, next_dt) for one run: _rk4_attempt,
+    _rk4_buffers(n), and next_dt, which takes each dt afresh, min(c_stab *
+    margin^2, max_dt, _zero_order_cap(margin)).  Raises ValueError when the
+    first dt is over MAX_RK4_STEPS steps from t0 to t_end."""
+    safety, max_dt = cfg.safety, cfg.max_dt
+    c_stab = safety * RK4_REAL_AXIS / ws.ximax4
+    # at lam = 0 the zero-order cap is 2 * safety * margin^2, RK4's own rule
+    # with c_stab at most 2 * safety, so it is folded in there once
+    if lam == 0.0:
+        c_stab = min(c_stab, 2.0 * safety)
+
+    def next_dt(margin, *step):
+        dt = c_stab * margin * margin
+        if dt > max_dt:
+            dt = max_dt
+        return dt if lam == 0.0 else min(dt, _zero_order_cap(margin, safety, lam))
+
+    dt = next_dt(margin)
+    count = (t_end - t0) / dt if dt > 0.0 else math.inf
+    if not count <= MAX_RK4_STEPS:
+        raise ValueError(f"explicit RK4 on n={n} starts at dt={dt:.3g}, about "
+                         f"{count:.3g} steps from t={t0:g} to t_end={t_end:g}, "
+                         f"above the cap of {MAX_RK4_STEPS:.0e} steps")
+    return _rk4_attempt, _rk4_buffers(n), next_dt
+
+
+def _semi_implicit_scheme(cfg, ws, lam, n, margin, t0, t_end):
+    """The semi-implicit scheme's (attempt, buffers, next_dt) for one run:
+    _semi_implicit_attempt, None, and next_dt, which carries dt from
+    min(dt_init, max_dt) under _zero_order_cap(margin): it keeps a halved dt
+    and grows dt 1.2x (up to max_dt) after a clean step no event clipped."""
+    safety, max_dt = cfg.safety, cfg.max_dt
+    dt = min(cfg.dt_init, max_dt)
+
+    def next_dt(margin, dt_taken=None, halvings=0, clipped=True):
+        nonlocal dt
+        if halvings:
+            dt = max(dt_taken, 1e-15)
+        elif not clipped:
+            dt = min(dt * 1.2, max_dt)
+        dt = min(dt, _zero_order_cap(margin, safety, lam))
+        return dt
+
+    return _semi_implicit_attempt, None, next_dt
+
+
 def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
            monitor_every: float | None = None,
            snap_times=None) -> Trajectory:
@@ -436,16 +470,12 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
 
     States are recorded at the start, at every multiple of monitor_every, at
     each requested snap_time, and at t_end, into one (R, n) array; their
-    diagnostics records are computed in blocks when the run ends.  RK4 takes
-    dt = min(c_stab * margin^2, max_dt) afresh at every step; the
-    semi-implicit scheme carries dt from step to step, keeping a halved dt
-    and growing it 1.2x after a clean step that the next event did not
-    clip.  Either dt is capped at _zero_order_cap(margin).  Raises
-    ValueError above MAX_RECORDS records or MAX_RECORD_BYTES of them, or
-    when RK4's starting dt would take more than MAX_RK4_STEPS steps to
-    t_end, and FlowBreakdownError (with the last accepted state
-    attached) when a step fails the guard after 40 halvings, or at once when
-    the state has no positive convexity margin.
+    diagnostics records are computed in blocks when the run ends.  Each
+    scheme's attempt and dt rule live in _rk4_scheme or _semi_implicit_scheme.
+    Raises ValueError above MAX_RECORDS records or MAX_RECORD_BYTES of them,
+    or when _rk4_scheme refuses the run, and FlowBreakdownError (with the
+    last accepted state attached) when a step fails the guard after 40
+    halvings, or at once when the state has no positive convexity margin.
     """
     if t_end <= state.time:
         raise ValueError("t_end must exceed the state time")
@@ -453,19 +483,7 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     s = state.support
     ws = workspace(s.grid)
     lam = variant_shift(state.variant, s.omega)
-    rk4 = cfg.scheme == "explicit_rk4"
-    attempt = _rk4_attempt if rk4 else _semi_implicit_attempt
-    c_stab = cfg.safety * RK4_REAL_AXIS / ws.ximax4
-    # at lam = 0 the zero-order cap is 2 * safety * margin^2, RK4's own rule
-    # with c_stab at most 2 * safety, so it is folded in there once
-    cap_each_step = not (rk4 and lam == 0.0)
-    if not cap_each_step:
-        c_stab = min(c_stab, 2.0 * cfg.safety)
-    safety, max_dt, guard_ratio = cfg.safety, cfg.max_dt, cfg.guard_ratio
-    stab = cfg.stabilization_coeff
-    # RK4 attempts write into this run's buffers: the accepted pair (h, w)
-    # and the attempts' output pair trade places at each accepted step
-    bufs = _rk4_buffers(s.n) if rk4 else None
+    guard_ratio, stab = cfg.guard_ratio, cfg.stabilization_coeff
 
     def breakdown():
         return FlowBreakdownError(
@@ -476,16 +494,13 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     t = state.time
     w = ws.D2I @ h
     margin = float(w.min())
-    dt = min(cfg.dt_init, max_dt)
     dt_last = 0.0
     # without a positive margin there is nothing to guard, nor to record
     if not margin > 0.0:
         raise breakdown()
-    if rk4:
-        dt0 = min(c_stab * margin * margin, max_dt)
-        if cap_each_step:
-            dt0 = min(dt0, _zero_order_cap(margin, safety, lam))
-        _check_rk4_steps(s.n, t, t_end, dt0)
+    scheme = _rk4_scheme if cfg.scheme == "explicit_rk4" else _semi_implicit_scheme
+    attempt, bufs, next_dt = scheme(cfg, ws, lam, s.n, margin, t, t_end)
+    dt = next_dt(margin)
     H = np.empty((len(events) + 1, s.n))
     times = np.empty(len(H))
     dts = np.empty(len(H))
@@ -493,12 +508,6 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     for i, t_stop in enumerate(events, start=1):
         tol = 1e-14 * max(abs(state.time), abs(t_stop))
         while t_stop - t > tol:
-            if rk4:
-                dt = c_stab * margin * margin
-                if dt > max_dt:
-                    dt = max_dt
-            if cap_each_step:
-                dt = min(dt, _zero_order_cap(margin, safety, lam))
             rem = t_stop - t
             clipped = dt > rem
             dt_try = rem if clipped else dt
@@ -513,16 +522,13 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
                 halvings += 1
             else:
                 raise breakdown()
-            if rk4:
+            # an attempt writes into bufs[-1], which trades places with (h, w)
+            if bufs is not None:
                 bufs[-1][:] = h, w
             h, w, margin = hn, wn, mn
             t = t + dt_try
             dt_last = dt_try
-            if not rk4:
-                if halvings:
-                    dt = max(dt_try, 1e-15)
-                elif not clipped:
-                    dt = min(dt * 1.2, max_dt)
+            dt = next_dt(margin, dt_try, halvings, clipped)
         t = t_stop
         H[i], times[i], dts[i] = h, t, dt_last
     return Trajectory(state.variant, s.grid, H,

@@ -483,10 +483,10 @@ def composite_support(scene: GraphCurveScene, n_out: int) -> SupportGrid:
 def require_resolved(base: GraphCurveScene) -> None:
     """Raise ValueError unless the base curvature is resolved on its grid:
     max |rfft(k0)| over the top n/8 modes, over its largest coefficient, at
-    most RESOLUTION_TOL."""
+    most RESOLUTION_TOL.  A k0 holding NaN has a NaN tail, which fails."""
     c = np.abs(spectral.rfft(base.k0))
     tail = float(np.max(c[-(base.n // 8):]) / np.max(c))
-    if tail > RESOLUTION_TOL:
+    if not tail <= RESOLUTION_TOL:
         raise ValueError(
             f"base curvature under-resolved at n={base.n}: spectral tail "
             f"{tail:.2e} > {RESOLUTION_TOL:.0e} (top n/8 modes of k0 over its "

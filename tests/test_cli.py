@@ -653,11 +653,14 @@ def _with_initial(command, **initial):
                    id=f"{kind}-path-{name}")
       for kind in ("curve_file", "support_file")
       for name, path in (("int", 0), ("bool", True), ("float", 1.5))),
-    # a**2 overflows in ellipse_support; crosscheck builds no scene of inf
-    # and NaN first, which would warn
+    # a**2 would overflow in ellipse_support, so the config refuses it before
+    # crosscheck builds a scene of inf and NaN, which would warn
     *(pytest.param(_with_initial(c, kind="ellipse", a=1e200, b=1), ExitStatus.VALIDATION,
-                   "validation failure: (34, ", id=f"overflowing-ellipse-{c}")
+                   "config error: initial.a", id=f"overflowing-ellipse-{c}")
       for c in ("simulate", "crosscheck")),
+    pytest.param(_with_initial("simulate", kind="ellipse", a=1, b=float("nan")),
+                 ExitStatus.VALIDATION, "config error: initial.b",
+                 id="nan-ellipse-simulate"),
 ])
 def test_failure_table(tmp_path, capsys, argv, status, prefix):
     # each failure class ends in its exit status and one stderr line, with

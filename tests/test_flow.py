@@ -631,6 +631,38 @@ class TestEvolve:
         assert np.array_equal(tr.final.support.values, tr.H[-1])
 
 
+class TestParabolicScaling:
+    # the flow commutes with h -> lam h, t -> lam^2 t.  A power-of-two lam
+    # scales every product exactly, so a run of the scaled datum, with t_end,
+    # monitor_every, dt_init and max_dt scaled by lam^2, gives lam H and
+    # lam^2 times bit for bit.  Each max_dt binds on part of its run; a dt
+    # rule with a constant that does not scale breaks the bits
+    @pytest.mark.parametrize("lam", [2.0, 0.5, 8.0])
+    @pytest.mark.parametrize("scheme,n,t_end,max_dt", [
+        ("explicit_rk4", 32, 0.01, 1.77e-5),
+        ("explicit_rk4", 48, 0.004, 3.06e-6),
+        ("explicit_rk4", 512, 1e-7, 1.7886e-10),
+        ("semi_implicit", 48, 0.01, 5e-4),
+        ("semi_implicit", 512, 0.01, 5e-4),
+    ])
+    def test_power_of_two_scaling(self, scheme, n, t_end, max_dt, lam):
+        g = PeriodicGrid(omega=1, n=n)
+        h = fourier_support(g, 1.0, [(2, 0.1, 0.0), (3, 0.0, 0.03)]).values
+
+        def run(scale):
+            s = scale * scale
+            st = FlowState(support=SupportGrid(GridFunction(g, scale * h)))
+            cfg = StepperConfig(scheme=scheme, dt_init=s * 1e-4, max_dt=s * max_dt)
+            return evolve(st, s * t_end, cfg, monitor_every=s * t_end / 4)
+
+        base, scaled = run(1.0), run(lam)
+        assert len(base.times) == len(scaled.times) == 5
+        assert np.array_equal(scaled.H, lam * base.H)
+        assert np.array_equal(scaled.times, lam * lam * base.times)
+        assert np.array_equal(scaled.record_series("dt_used"),
+                              lam * lam * base.record_series("dt_used"))
+
+
 class TestRescaling:
     def test_time_maps(self):
         L0 = 2 * math.pi

@@ -34,6 +34,18 @@ class TestSceneValidation:
                      sc.k0_uu, sc.k0_u3, sc.length, sc.rho)
 
 
+class TestRequireResolved:
+    def test_nan_curvature_fails(self):
+        # a NaN in k0 makes the whole spectrum and its tail NaN, which no
+        # comparison "tail > tol" catches
+        base = scene_circle(1.0, 64)
+        k0 = base.k0.copy()
+        k0[5] = np.nan
+        bad = dataclasses.replace(base, k0=k0)
+        with pytest.raises(ValueError, match="spectral tail nan"):
+            graph.require_resolved(bad)
+
+
 class TestBundle:
     def test_base_circle(self):
         sc = scene_circle(1.0, 128)
