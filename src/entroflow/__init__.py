@@ -21,7 +21,7 @@ from .diagnostics import (DiagnosticsRecord, MonitorReport, compute_record,
 from .graph import (DerivativeBundle, GraphCurveScene, OperatorSplit,
                     band_limited_rho, build_bundle, check_parametrization_identity,
                     composite_support, operator_split, scene_circle,
-                    scene_ellipse, scene_from_support, velocity_graph)
+                    scene_ellipse, velocity_graph)
 
 __version__ = "0.1.0"
 

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import graph, verify
-from .diagnostics import finite_or_none, fit_decay_rate, run_monitors, write_csv
+from .diagnostics import (compute_record, finite_or_none, fit_decay_rate,
+                          run_monitors, write_csv)
 from .errors import (ConfigError, CurveIngestionError, EntroflowError,
                      FlowBreakdownError, NotLocallyConvexError)
 from .flow import (VARIANTS, FlowState, StepperConfig, check_record_count, evolve,
@@ -131,6 +132,8 @@ class RunConfig:
             if _is_number(x) and not abs(x) <= root:
                 raise ConfigError(f"initial.{key} must have a finite square, "
                                   f"|{key}| <= {root:.6g}, got {x!r}")
+        if kind == "ellipse" and self.omega != 1:
+            raise ConfigError("ellipse initial data requires omega = 1")
         if kind == "fourier":
             _check_modes(self.initial["modes"])
         path = self.initial.get("path", "")
@@ -177,8 +180,6 @@ def build_initial_support(cfg: RunConfig) -> SupportGrid:
     if kind == "circle":
         return circle_support(grid, init["r"])
     if kind == "ellipse":
-        if cfg.omega != 1:
-            raise ConfigError("ellipse initial data requires omega = 1")
         return ellipse_support(grid, init["a"], init["b"])
     if kind == "fourier":
         return fourier_support(grid, init["constant"],
@@ -229,6 +230,14 @@ def _simulate(cfg: RunConfig):
     except (NotLocallyConvexError, CurveIngestionError, TypeError,
             ValueError, OverflowError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
+        return ExitStatus.VALIDATION, None
+    # valid data can overflow a functional: h^2 of a huge curve, k^3 of a tiny one
+    with np.errstate(all="ignore"):
+        record = vars(compute_record(s0, 0.0, 0.0))
+    bad = [k for k, v in record.items() if v is not None and not np.all(np.isfinite(v))]
+    if bad:
+        print("validation failure: initial data overflows the record functionals "
+              f"({', '.join(bad)})", file=sys.stderr)
         return ExitStatus.VALIDATION, None
     state = FlowState(support=s0, time=0.0, variant=cfg.variant)
     try:

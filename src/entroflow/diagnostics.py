@@ -240,15 +240,19 @@ def rescaled_length_cap(c1_rescaled: float, tau_max: float, omega: int) -> float
     Intrinsic form of the bound: with c1_eta = integral of k dtheta at the
     first rescaled record, the unscaled c1 satisfies c1 = c1_eta / L0 and L0
     cancels from the ratio.  The ratio tends to sqrt(2)*omega*pi, the floor
-    of the result, as tau grows; where tau * c1_eta^2 overflows it has
-    reached that limit to round-off, so those samples are left out.
+    of the result, as tau grows; with a = 4 omega^2 pi^2 it peaks above that
+    only for c1_eta > a^(3/2), once, at sqrt(a + tau c1_eta^2) =
+    (c1_eta^2 - 2a^2) / (2 (c1_eta - a^(3/2))), clipped to tau <= max(tau_max, 1).
     """
     wpi = omega * math.pi
-    tau = np.linspace(0.0, max(tau_max, 1.0), 20001)
-    with np.errstate(over="ignore"):
-        upper = _length_upper_bound(tau, 1.0, c1_rescaled, omega)
-    ratio = upper / np.sqrt(1.0 + 8.0 * wpi**2 * tau)
-    return float(max(np.max(ratio[np.isfinite(ratio)]), math.sqrt(2.0) * wpi))
+    a, c1 = 4.0 * wpi**2, c1_rescaled
+    limit = math.sqrt(2.0) * wpi
+    if c1 <= a**1.5:
+        return limit
+    s = (c1 * c1 - 2.0 * a * a) / (2.0 * (c1 - a**1.5))
+    tau = min((s * s - a) / (c1 * c1), max(tau_max, 1.0))
+    ratio = _length_upper_bound(tau, 1.0, c1, omega) / math.sqrt(1.0 + 8.0 * wpi**2 * tau)
+    return float(max(ratio, limit))
 
 
 def noise_floor(values) -> float:
@@ -292,6 +296,8 @@ def fit_decay_rate(t, values):
 
 _UNSCALED_CHECKS = ("M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M8-growth",
                     "M9")
+_RESCALED_CHECKS = ("M12-length", "M12-decay-h1", "M12-decay-h2", "M12-decay-h3",
+                    "M12-decay-h4", "M12-convexity")
 
 
 def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
@@ -303,15 +309,16 @@ def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
     """
     rep = MonitorReport()
     t = tr.record_series("t")
+    rescaled = tr.variant != "unscaled"
     if len(t) < 3:
-        for name in _UNSCALED_CHECKS + ("M10", "M11"):
+        extra = _RESCALED_CHECKS if rescaled else ()
+        for name in _UNSCALED_CHECKS + ("M10", "M11") + extra:
             rep.add(name, "not-applicable", note="fewer than 3 records")
         return rep
 
     ti = t[1:-1]
     omega = tr.grid.omega
     wpi = omega * math.pi
-    rescaled = tr.variant != "unscaled"
 
     ent = tr.record_series("entropy")
     L = tr.record_series("length")

@@ -89,11 +89,7 @@ class GraphCurveScene:
 def _frame_components(scene: GraphCurveScene):
     """Closed-form frame components of gamma_u .. gamma_u4 at rho_eff = -rho."""
     r = -scene.rho
-    L0 = scene.length
-    if np.max(np.abs(scene.rho)) > 0.0:
-        d1, d2, d3, d4 = denoised_deriv_values(scene.rho, L0, (1, 2, 3, 4))
-    else:
-        d1 = d2 = d3 = d4 = np.zeros(scene.n)
+    d1, d2, d3, d4 = denoised_deriv_values(scene.rho, scene.length, (1, 2, 3, 4))
     r1, r2, r3, r4 = -d1, -d2, -d3, -d4
     k0, k0u, k0uu, k0u3 = scene.k0, scene.k0_u, scene.k0_uu, scene.k0_u3
     q = 1.0 - k0 * r
@@ -136,12 +132,6 @@ class DerivativeBundle:
         return max(self.direct_residuals.values())
 
 
-def _spectral_curve_derivs(xy: np.ndarray, period: float):
-    dx = denoised_deriv_values(xy[:, 0], period, (1, 2, 3, 4))
-    dy = denoised_deriv_values(xy[:, 1], period, (1, 2, 3, 4))
-    return [np.stack([a, b], axis=1) for a, b in zip(dx, dy)]
-
-
 def build_bundle(scene: GraphCurveScene) -> DerivativeBundle:
     """Evaluate the closed-form derivative expressions and cross-check them
     against spectral differentiation of the sampled composite curve."""
@@ -182,9 +172,9 @@ def build_bundle(scene: GraphCurveScene) -> DerivativeBundle:
         sq_uu_perp=sq_uu_perp, ip_u3_T=ip_u3_T, ip_u3_N=ip_u3_N,
         sq_u3_perp=sq_u3_perp, ip_u4_N=ip_u4_N)
 
-    # independent recomputation by spectral differentiation of the samples
-    L0 = scene.length
-    d1, d2, d3, d4 = _spectral_curve_derivs(gamma, L0)
+    # independent recomputation by spectral differentiation of the x, y rows
+    d1, d2, d3, d4 = (d.T for d in denoised_deriv_values(
+        gamma.T, scene.length, (1, 2, 3, 4)))
     gd = np.hypot(d1[:, 0], d1[:, 1])
     Td = d1 / gd[:, None]
     jsign = np.sign(T0[0, 0] * N0[0, 1] - T0[0, 1] * N0[0, 0])
@@ -238,8 +228,7 @@ PAIR_WEIGHTS = (1.0, 1.0, 1.0, 2.0, 1.0)
 class OperatorSplit:
     a_applied: np.ndarray          # (5, n): quasilinear operators applied to rho
     f_parts: np.ndarray            # (5, n): fully nonlinear parts
-    weights: tuple
-    total: np.ndarray              # sum_i w_i (A_i rho - F_i)
+    total: np.ndarray              # sum_i w_i (A_i rho - F_i), w = PAIR_WEIGHTS
     target: np.ndarray             # (|gamma_u| / (1 - k0 rho)) * V
     residual: float                # max relative disagreement
 
@@ -292,8 +281,8 @@ def operator_split(scene: GraphCurveScene, bundle: DerivativeBundle) -> Operator
     target = g / q * V
     scale = max(float(np.max(np.abs(target))), 1.0)
     residual = float(np.max(np.abs(total - target))) / scale
-    return OperatorSplit(a_applied=A, f_parts=F, weights=PAIR_WEIGHTS,
-                         total=total, target=target, residual=residual)
+    return OperatorSplit(a_applied=A, f_parts=F, total=total, target=target,
+                         residual=residual)
 
 
 def check_parametrization_identity(s: SupportGrid) -> float:
@@ -353,29 +342,6 @@ def scene_circle(radius: float, n: int) -> GraphCurveScene:
     u = np.arange(n) * (L0 / n)
     return _scene(u, L0, u / radius, radius, 0.0, np.full(n, 1.0 / radius),
                   0.0, 0.0, 0.0)
-
-
-def scene_from_support(s: SupportGrid, n: int) -> GraphCurveScene:
-    """Arclength-resampled scene for any valid support grid.
-
-    Curvature derivatives in u come from spectral theta-derivatives and the
-    chain rule d/du = k d/dtheta.
-    """
-    period = s.grid.period
-    hv = s.values
-    h1, h2 = denoised_deriv_values(hv, period, (1, 2))
-    w = h2 + hv    # 1/k
-    k = 1.0 / w
-    kt1, kt2, kt3 = denoised_deriv_values(k, period, (1, 2, 3))
-
-    # arclength s(theta): antiderivative of 1/k
-    mean, p = periodic_antideriv_values(w, period)
-    L0 = mean * period
-    u = np.arange(n) * (L0 / n)
-    theta = _invert_monotone(mean, p, w, period, u)
-    hj, h1j, kj, k1j, k2j, k3j = (trig_eval_values(v, period, theta)
-                                  for v in (hv, h1, k, kt1, kt2, kt3))
-    return _scene(u, L0, theta, hj, h1j, kj, k1j, k2j, k3j)
 
 
 def _ellipse_theta_data(a: float, b: float, theta: np.ndarray):

@@ -203,14 +203,12 @@ def _support_from_immersed(points, thetas, omega, grid: PeriodicGrid) -> Support
     # monotone interpolation of the inverse map theta -> point, tiled one
     # period each way so any target angle falls in the covered range
     th = np.concatenate([thetas - period, thetas, thetas + period])
-    px = np.tile(points[:, 0], 3)
-    py = np.tile(points[:, 1], 3)
-    fx = PchipInterpolator(th, px)
-    fy = PchipInterpolator(th, py)
+    f = PchipInterpolator(th, np.tile(points, (3, 1)))    # column by column
     # pull target angles into the sampled window
     lo = thetas[0] - period / 2
     t = lo + (grid.nodes - lo) % period
-    h = fx(t) * np.cos(t) + fy(t) * np.sin(t)
+    xy = f(t)
+    h = xy[:, 0] * np.cos(t) + xy[:, 1] * np.sin(t)
     return SupportGrid(GridFunction(grid, h))
 
 

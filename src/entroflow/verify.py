@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph
-from .diagnostics import MonitorReport, l2_contraction, run_monitors
+from .diagnostics import MonitorReport, _cd_first, l2_contraction, run_monitors
 from .flow import (FlowState, StepperConfig, evolve, rescale_trajectory,
                    slow_time, unscaled_time)
 from .spectral import GridFunction, PeriodicGrid, integrate
@@ -33,12 +33,6 @@ class CriterionResult:
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"{tag} {self.name}: {self.details} [{self.runtime:.2f}s]"
-
-
-def _slope(t, y):
-    t = np.asarray(t)
-    y = np.asarray(y)
-    return float(np.polyfit(t, y, 1)[0])
 
 
 def _monotone_violation(series, direction):
@@ -138,7 +132,7 @@ def criterion_02_h2_identity() -> CriterionResult:
     """Least-squares slope of ||h||_2^2 equals 4*pi to 1e-4 relative."""
     tr, run_elapsed = _ellipse_run()
     h0 = tr.record_series("h_seminorms")[:, 0]
-    slope = _slope(tr.record_series("t"), h0)
+    slope = float(np.polyfit(tr.record_series("t"), h0, 1)[0])
     rel = abs(slope - 4.0 * math.pi) / (4.0 * math.pi)
     ok = rel <= 1e-4 and run_elapsed < 10.0
     return CriterionResult(
@@ -230,7 +224,7 @@ def criterion_08_contraction() -> CriterionResult:
     t = tr1.record_series("t")
     D, rhs = l2_contraction(tr1.grid, tr1.H, tr2.H)
     mono = _monotone_violation(D, "down")
-    dD = (D[2:] - D[:-2]) / (t[2:] - t[:-2])
+    dD = _cd_first(t, D)
     live = D[1:-1] >= D[0] * 1e-12
     rel = np.abs(dD[live] - rhs[1:-1][live]) / np.abs(rhs[1:-1][live])
     worst = float(np.max(rel))

@@ -661,6 +661,22 @@ def _with_initial(command, **initial):
     pytest.param(_with_initial("simulate", kind="ellipse", a=1, b=float("nan")),
                  ExitStatus.VALIDATION, "config error: initial.b",
                  id="nan-ellipse-simulate"),
+    # valid initial data whose t = 0 record overflows: ||h||^2 (and the area)
+    # above the largest float, or k^3 in the dissipation of a tiny circle
+    *(pytest.param(_with_initial("simulate", **initial), ExitStatus.VALIDATION,
+                   "validation failure: initial data overflows the record functionals",
+                   id=f"overflowing-record-{name}")
+      for name, initial in (
+          ("circle-1e155", {"kind": "circle", "r": 1e155}),
+          ("circle-5e153", {"kind": "circle", "r": 5e153}),
+          ("fourier-1e155", {"kind": "fourier", "constant": 1e155, "modes": []}),
+          ("ellipse-1e154", {"kind": "ellipse", "a": 1e154, "b": 7e153}),
+          ("circle-1e-110", {"kind": "circle", "r": 1e-110}))),
+    pytest.param(lambda p: ["simulate", "--config", str(write_config(p, fast_config(
+        p, omega=2, initial={"kind": "ellipse", "a": 1.3, "b": 1.0})))],
+                 ExitStatus.VALIDATION,
+                 "config error: ellipse initial data requires omega = 1",
+                 id="ellipse-omega-2"),
 ])
 def test_failure_table(tmp_path, capsys, argv, status, prefix):
     # each failure class ends in its exit status and one stderr line, with

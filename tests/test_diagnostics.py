@@ -7,10 +7,11 @@ from scipy.integrate import quad
 
 import entroflow.spectral as spectral
 from entroflow.diagnostics import (compute_record, l2_contraction, noise_floor,
-                                   fit_decay_rate, read_csv, run_monitors,
-                                   write_csv, CSV_HEADER)
+                                   fit_decay_rate, read_csv, rescaled_length_cap,
+                                   run_monitors, write_csv, CSV_HEADER,
+                                   _length_upper_bound)
 from entroflow.errors import NotLocallyConvexError
-from entroflow.flow import FlowState, StepperConfig, Trajectory, evolve
+from entroflow.flow import VARIANTS, FlowState, StepperConfig, Trajectory, evolve
 from entroflow.spectral import (GridFunction, PeriodicGrid, integrate,
                                 periodic_derivs_values)
 from entroflow.support import (SupportGrid, circle_support, curvature,
@@ -360,10 +361,15 @@ class TestMonitors:
         assert m2.slack == pytest.approx(1e-7 * np.max(fl2), rel=1e-6)
 
     def test_two_records_not_applicable(self):
-        st = FlowState(support=circle_support(PeriodicGrid(1, 16), 1.0))
-        tr = evolve(st, 0.1, StepperConfig())
-        rep = run_monitors(tr)
-        assert all(c.status == "not-applicable" for c in rep.checks)
+        # a short report lists every check of its variant, M12 included
+        for variant in VARIANTS:
+            st = FlowState(support=circle_support(PeriodicGrid(1, 16), 1.0),
+                           variant=variant)
+            rep = run_monitors(evolve(st, 0.1, StepperConfig()))
+            assert all(c.status == "not-applicable" for c in rep.checks)
+            assert {c.note for c in rep.checks} == {"fewer than 3 records"}
+            longer = run_monitors(evolve(st, 0.1, StepperConfig(), monitor_every=0.05))
+            assert [c.name for c in rep.checks] == [c.name for c in longer.checks]
 
     def test_rescaled_monitors(self):
         g = PeriodicGrid(1, 32)
@@ -378,6 +384,40 @@ class TestMonitors:
         assert rep["M12-convexity"].status == "pass"
         for p in (1, 2, 3, 4):
             assert rep[f"M12-decay-h{p}"].status == "pass"
+
+    def test_length_cap_finds_the_peak_on_long_runs(self):
+        # a normalized 6:1 ellipse has c1 = integral of k dtheta ~ 407.15,
+        # above (2 pi)^3, so the cap's ratio rises to a peak before it falls
+        # to sqrt(2) pi.  At criterion-09's tau_max ~ 1e108 a uniform grid in
+        # tau never samples that peak; a log grid refined around it does
+        g = PeriodicGrid(1, 256)
+        s = ellipse_support(g, 6.0, 1.0)
+        c1 = integrate(curvature(SupportGrid(GridFunction(g, s.values / integrate(s.h)))))
+
+        def ratio(tau):
+            return _length_upper_bound(tau, 1.0, c1, 1) / np.sqrt(1.0 + 8.0 * np.pi**2 * tau)
+
+        tau = np.geomspace(1e-12, 1e108, 100001)
+        j = int(np.argmax(ratio(tau)))
+        peak = float(np.max(ratio(np.linspace(tau[j - 1], tau[j + 1], 100001))))
+        cap = rescaled_length_cap(c1, 1e108, 1)
+        assert cap == pytest.approx(peak, rel=1e-9)
+        assert cap == pytest.approx(4.4603629, abs=1e-7)
+
+    @pytest.mark.parametrize("omega", [1, 2, 3])
+    def test_length_cap_closed_form(self, omega):
+        # below c1 = (2 omega pi)^3 the ratio never passes its limit; above it
+        # the peak's tau is clipped to max(tau_max, 1)
+        limit = math.sqrt(2.0) * (omega * math.pi)
+        assert rescaled_length_cap(2.0 * omega * math.pi, 1e108, omega) == limit
+        for c1 in (1.01 * (2.0 * omega * math.pi)**3, 1e4, 1e7):
+            for tau_max in (0.25, 3.0, 1e108):
+                top = max(tau_max, 1.0)
+                tau = np.concatenate([[0.0], np.geomspace(1e-16, top, 400001)])
+                r = _length_upper_bound(tau, 1.0, c1, omega) \
+                    / np.sqrt(1.0 + 8.0 * (omega * np.pi)**2 * tau)
+                want = max(float(np.max(r)), limit)
+                assert rescaled_length_cap(c1, tau_max, omega) == pytest.approx(want, rel=1e-8)
 
     def test_unnormalized_rescaled_bracket_not_applicable(self):
         # bracket facts presume unit initial rescaled length

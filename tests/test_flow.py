@@ -663,6 +663,42 @@ class TestParabolicScaling:
                               lam * lam * base.record_series("dt_used"))
 
 
+class TestSymmetries:
+    # the flow commutes with the plane's rotations, reflections and
+    # translations: on h they are a shift of the nodes, theta -> -theta and
+    # adding a cos theta + b sin theta, which leaves h_thth + h unchanged.
+    # Each mapped run gives the mapped H at the same record times, to
+    # round-off, since sums and the dt rule see the nodes in another order.
+    # dt_used is not compared: under RK4 it moves by ~1e-17 with the margin
+    @pytest.mark.parametrize("symmetry", ["rotation", "reflection", "translation"])
+    @pytest.mark.parametrize("scheme,n,t_end,max_dt", [
+        ("explicit_rk4", 32, 0.01, 1.77e-5),
+        ("explicit_rk4", 48, 0.004, 3.06e-6),
+        ("explicit_rk4", 512, 1e-7, 1.7886e-10),
+        ("semi_implicit", 48, 0.01, 5e-4),
+        ("semi_implicit", 512, 0.01, 5e-4),
+    ])
+    def test_mapped_run_is_mapped_solution(self, scheme, n, t_end, max_dt, symmetry):
+        g = PeriodicGrid(omega=1, n=n)
+        h = fourier_support(g, 1.0, [(2, 0.1, 0.0), (3, 0.0, 0.03)]).values
+        mapping = {
+            "rotation": lambda H: np.roll(H, 3, axis=-1),
+            "reflection": lambda H: H[..., (-np.arange(n)) % n],
+            "translation": lambda H: H + 0.3 * np.cos(g.nodes) - 0.2 * np.sin(g.nodes),
+        }[symmetry]
+
+        def run(v):
+            st = FlowState(support=SupportGrid(GridFunction(g, v)))
+            cfg = StepperConfig(scheme=scheme, dt_init=1e-4, max_dt=max_dt)
+            return evolve(st, t_end, cfg, monitor_every=t_end / 4)
+
+        base, mapped = run(h), run(mapping(h))
+        assert len(base.times) == 5
+        assert np.array_equal(mapped.times, base.times)
+        err = np.max(np.abs(mapped.H - mapping(base.H)))
+        assert err <= 1e-13 * np.max(np.abs(base.H))
+
+
 class TestRescaling:
     def test_time_maps(self):
         L0 = 2 * math.pi

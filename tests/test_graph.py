@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from entroflow.graph import (band_limited_rho, build_bundle,
                              check_parametrization_identity, composite_support,
                              crosscheck,
                              operator_split, scene_circle, scene_ellipse,
-                             scene_from_support, velocity_graph, PAIR_WEIGHTS)
+                             velocity_graph, PAIR_WEIGHTS)
 from entroflow.spectral import GridFunction, PeriodicGrid, trig_eval_values
 from entroflow.support import SupportGrid, fourier_support
 
@@ -247,24 +246,3 @@ class TestParametrizationIdentity:
         assert resids[2] <= 1e-9
         assert resids[0] > resids[1] > resids[2]
         assert resids[1] <= resids[0] / 100
-
-
-class TestSceneFromSupport:
-    def test_matches_analytic_circle(self):
-        g = PeriodicGrid(1, 256)
-        s = SupportGrid(GridFunction(g, np.full(256, 2.0)))
-        sc = scene_from_support(s, 64)
-        ref = scene_circle(2.0, 64)
-        assert np.max(np.abs(sc.points - ref.points)) < 1e-10
-        assert np.max(np.abs(sc.k0 - 0.5)) < 1e-12
-        assert abs(sc.length - 4 * math.pi) < 1e-10
-
-    def test_matches_analytic_ellipse_data(self):
-        g = PeriodicGrid(1, 1024)
-        from entroflow.support import ellipse_support
-        s = ellipse_support(g, 2.0, 1.0)
-        sc = scene_from_support(s, 128)
-        ref = scene_ellipse(2.0, 1.0, 128)
-        assert np.max(np.abs(sc.k0 - ref.k0)) < 1e-9
-        assert np.max(np.abs(sc.k0_u - ref.k0_u)) < 1e-7
-        assert abs(sc.length - ref.length) < 1e-10
