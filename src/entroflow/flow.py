@@ -240,50 +240,44 @@ def workspace(grid: PeriodicGrid) -> _Workspace:
 # ---------------------------------------------------------------------------
 # velocity kernel and steppers
 
-def velocity(h, D2I, lam, w=None, out=None, tmp=None):
-    """F(h) = D2I @ (1/w) - lam*h, i.e. k_thth + k - lam*h with k = 1/w.
+def velocity(h, D2I, lam, w=None):
+    """F(h) = D2I @ (1/w) - lam*h, i.e. k_thth + k - lam*h with k = 1/w, as
+    a new array; rhs and _semi_implicit_attempt call it, and _rk4_attempt
+    writes the same formula in place.
 
     w = D2I @ h is the radius of curvature h_thth + h; pass it when already
-    known to save one operator apply.  Given out and tmp, (n,) arrays apart
-    from h and w, F is written into out, tmp holds 1/w and then lam*h, and
-    D2I is applied by D2I.dot(x, out=...); otherwise every result is a new
-    array and D2I is applied by D2I @ x.
+    known to save one operator apply.
     """
-    if out is None:
-        if w is None:
-            w = D2I @ h
-            np.reciprocal(w, out=w)
-        else:
-            w = np.reciprocal(w)
-        f = D2I @ w
-        if lam != 0.0:
-            f -= lam * h
-        return f
     if w is None:
-        w = D2I.dot(h, out=tmp)
+        w = D2I @ h
         np.reciprocal(w, out=w)
     else:
-        w = np.reciprocal(w, out=tmp)
-    D2I.dot(w, out=out)
+        w = np.reciprocal(w)
+    f = D2I @ w
     if lam != 0.0:
-        np.subtract(out, np.multiply(lam, h, out=tmp), out=out)
-    return out
+        f -= lam * h
+    return f
 
 
 # The attempts below work in place, in the order of operations of the plain
 # formulas, so that they give the same bits: x + x is 2.0 * x, and + and *
 # commute exactly.
 
-def _rk4_buffers(n):
-    """Work arrays of the RK4 attempts on n nodes, which one run reuses: the
-    slopes f1..f4 as the rows of a (4, n) array, the view of rows f2 and f3,
-    a stage state, a temporary, two 0-d arrays for the step's scalar
-    factors, and a list [h_new, D2I @ h_new] that the attempts write into.
-    A 0-d factor multiplies with the bits of the Python float it holds,
-    without numpy's conversion of that float on every call."""
+def _rk4_buffers(n, D2I):
+    """Work arrays of the RK4 attempts on n nodes, which one run reuses:
+    apply, D2I's x -> D2I @ x with an out argument; the slopes f1..f4 as the
+    rows of a (4, n) array F, and the view of rows f2 and f3; a stage state
+    y and a buffer for D2I @ y and its reciprocal; three 0-d arrays for the
+    step's factors dt/2, dt and dt/6; and a list [h_new, D2I @ h_new] that
+    the attempts write into.  A dense D2I is applied by the dot of its plain
+    ndarray view, the same BLAS product at less dispatch cost; any other
+    operator (the rfft route, a wrapped view) keeps its own dot.  A 0-d
+    factor multiplies with the bits of the Python float it holds, without
+    numpy's conversion of that float on every call."""
+    apply = D2I.view(np.ndarray).dot if type(D2I) is _DenseOperator else D2I.dot
     F = np.empty((4, n))
-    return (*F, F[1:3], np.empty(n), np.empty(n), np.empty(()), np.empty(()),
-            [np.empty(n), np.empty(n)])
+    return (apply, F, *F, F[1:3], np.empty(n), np.empty(n), np.empty(()),
+            np.empty(()), np.empty(()), [np.empty(n), np.empty(n)])
 
 
 def _rk4_attempt(h, w, margin, dt, ws, lam, stab_coeff, bufs):
@@ -291,33 +285,34 @@ def _rk4_attempt(h, w, margin, dt, ws, lam, stab_coeff, bufs):
 
     Returns (h_new, D2I @ h_new), h_new = h + dt/6 * (f1 + 2 f2 + 2 f3 + f4),
     written into the output pair of bufs, from _rk4_buffers, which must not
-    hold h or w.  margin and stab_coeff are unused, so that both schemes'
-    attempts share one signature (h, w, margin, dt, ws, lam, stab_coeff,
-    bufs) -> (h_new, D2I @ h_new), with margin = min(w).
+    hold h or w; each slope is velocity's formula, written in place.
+    margin, ws and stab_coeff are unused, so that both schemes' attempts
+    share one signature (h, w, margin, dt, ws, lam, stab_coeff, bufs) ->
+    (h_new, D2I @ h_new), with margin = min(w).
     """
-    f1, f2, f3, f4, f23, y, tmp, half, c, (hn, wn) = bufs
-    D2I = ws.D2I
-    add, mul = np.add, np.multiply
-    half.fill(0.5 * dt)
-    velocity(h, D2I, lam, w, f1, tmp)
-    mul(f1, half, out=y)
-    add(y, h, out=y)
-    velocity(y, D2I, lam, None, f2, tmp)
-    mul(f2, half, out=y)
-    add(y, h, out=y)
-    velocity(y, D2I, lam, None, f3, tmp)
-    c.fill(dt)
-    mul(f3, c, out=y)
-    add(y, h, out=y)
-    velocity(y, D2I, lam, None, f4, tmp)
+    apply, F, f1, f2, f3, f4, f23, y, r, half, full, sixth, (hn, wn) = bufs
+    add, sub, mul, recip = np.add, np.subtract, np.multiply, np.reciprocal
+    half[()], full[()], sixth[()] = 0.5 * dt, dt, dt / 6.0
+    # stage i: f_i = D2I @ (1 / (D2I @ y)) - lam*y, then y = h + c*f_i
+    apply(recip(w, out=r), out=f1)
+    if lam != 0.0:
+        sub(f1, mul(lam, h, out=r), out=f1)
+    add(mul(f1, half, out=y), h, out=y)
+    apply(recip(apply(y, out=r), out=r), out=f2)
+    if lam != 0.0:
+        sub(f2, mul(lam, y, out=r), out=f2)
+    add(mul(f2, half, out=y), h, out=y)
+    apply(recip(apply(y, out=r), out=r), out=f3)
+    if lam != 0.0:
+        sub(f3, mul(lam, y, out=r), out=f3)
+    add(mul(f3, full, out=y), h, out=y)
+    apply(recip(apply(y, out=r), out=r), out=f4)
+    if lam != 0.0:
+        sub(f4, mul(lam, y, out=r), out=f4)
     add(f23, f23, out=f23)  # f2 and f3 doubled in one call
-    add(f2, f1, out=hn)
-    add(hn, f3, out=hn)
-    add(hn, f4, out=hn)
-    c.fill(dt / 6.0)
-    mul(hn, c, out=hn)
-    add(hn, h, out=hn)
-    return hn, D2I.dot(hn, out=wn)
+    add.reduce(F, axis=0, out=hn)  # ((f1 + 2 f2) + 2 f3) + f4, row by row
+    add(mul(hn, sixth, out=hn), h, out=hn)
+    return hn, apply(hn, out=wn)
 
 
 def _semi_implicit_attempt(h, w, margin, dt, ws, lam, stab_coeff, bufs=None):
@@ -418,9 +413,10 @@ def _record_columns(grid: PeriodicGrid, H, t, dt) -> DiagnosticsRecord:
 
 def _rk4_scheme(cfg, ws, lam, n, margin, t0, t_end):
     """Explicit RK4's (attempt, buffers, next_dt) for one run: _rk4_attempt,
-    _rk4_buffers(n), and next_dt, which takes each dt afresh, min(c_stab *
-    margin^2, max_dt, _zero_order_cap(margin)).  Raises ValueError when the
-    first dt is over MAX_RK4_STEPS steps from t0 to t_end."""
+    _rk4_buffers(n, ws.D2I), and next_dt, which takes each dt afresh,
+    min(c_stab * margin^2, max_dt, _zero_order_cap(margin)).  Raises
+    ValueError when the first dt is over MAX_RK4_STEPS steps from t0 to
+    t_end."""
     safety, max_dt = cfg.safety, cfg.max_dt
     c_stab = safety * RK4_REAL_AXIS / ws.ximax4
     # at lam = 0 the zero-order cap is 2 * safety * margin^2, RK4's own rule
@@ -440,7 +436,7 @@ def _rk4_scheme(cfg, ws, lam, n, margin, t0, t_end):
         raise ValueError(f"explicit RK4 on n={n} starts at dt={dt:.3g}, about "
                          f"{count:.3g} steps from t={t0:g} to t_end={t_end:g}, "
                          f"above the cap of {MAX_RK4_STEPS:.0e} steps")
-    return _rk4_attempt, _rk4_buffers(n), next_dt
+    return _rk4_attempt, _rk4_buffers(n, ws.D2I), next_dt
 
 
 def _semi_implicit_scheme(cfg, ws, lam, n, margin, t0, t_end):
@@ -472,13 +468,15 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     each requested snap_time, and at t_end, into one (R, n) array; their
     diagnostics records are computed in blocks when the run ends.  Each
     scheme's attempt and dt rule live in _rk4_scheme or _semi_implicit_scheme.
-    Raises ValueError above MAX_RECORDS records or MAX_RECORD_BYTES of them,
-    or when _rk4_scheme refuses the run, and FlowBreakdownError (with the
+    Raises ValueError when t_end is not a finite time after state.time,
+    above MAX_RECORDS records or MAX_RECORD_BYTES of them, or when
+    _rk4_scheme refuses the run, and FlowBreakdownError (with the
     last accepted state attached) when a step fails the guard after 40
     halvings, or at once when the state has no positive convexity margin.
     """
-    if t_end <= state.time:
-        raise ValueError("t_end must exceed the state time")
+    if not (math.isfinite(t_end) and t_end > state.time):
+        raise ValueError(f"t_end must be a finite time after the state time "
+                         f"{state.time:g}, got {t_end}")
     events = _event_times(state.grid.n, state.time, t_end, monitor_every, snap_times)
     s = state.support
     ws = workspace(s.grid)

@@ -266,12 +266,12 @@ class TestVelocityKernel:
 
 
 class TestAttempts:
-    @pytest.mark.parametrize("n", [32, 48, 512])
+    @pytest.mark.parametrize("n", [8, 32, 48, flow.DENSE_MAX_N, 512])
     @pytest.mark.parametrize("omega", [1, 2])
     @pytest.mark.parametrize("variant", flow.VARIANTS)
     def test_bit_identical_to_plain_formulas(self, variant, omega, n):
-        # lam = 0, 1 and 4 omega^2 pi^2; n = 32 and 48 on the dense route,
-        # 512 on the rfft route
+        # lam = 0, 1 and 4 omega^2 pi^2; n = 8 to DENSE_MAX_N on the dense
+        # route, both ends of it included, and 512 on the rfft route
         g = PeriodicGrid(omega=omega, n=n)
         s = fourier_support(g, 1.0, [(2, 0.1, 0.0), (3, 0.0, 0.03)])
         ws = flow.workspace(g)
@@ -283,7 +283,7 @@ class TestAttempts:
         dt = 0.9 * flow.RK4_REAL_AXIS / ws.ximax4 * margin**2
         # the attempt writes the plain formulas' bits into the run's output
         # pair, and so does a halved retry from the same buffers
-        bufs = flow._rk4_buffers(n)
+        bufs = flow._rk4_buffers(n, ws.D2I)
         for d in (dt, 0.5 * dt):
             got = flow._rk4_attempt(h, w, margin, d, ws, lam, 1.0, bufs)
             assert got[0] is bufs[-1][0] and got[1] is bufs[-1][1]
@@ -322,7 +322,7 @@ class TestAttempts:
         assert calls == ["rfft", "irfft"]
         calls.clear()
         flow._rk4_attempt(h, w, float(w.min()), 1e-6, ws, 1.0, 1.0,
-                          flow._rk4_buffers(g.n))
+                          flow._rk4_buffers(g.n, ws.D2I))
         assert calls == []
 
     @pytest.mark.parametrize("n", [8, 32, 48, flow.DENSE_MAX_N])
@@ -424,7 +424,7 @@ class TestStep:
         w = ws.D2I @ h
         margin = float(w.min())
         _, wn = flow._rk4_attempt(h, w, margin, 0.05, ws, 0.0, 1.0,
-                                  flow._rk4_buffers(g.n))
+                                  flow._rk4_buffers(g.n, ws.D2I))
         assert not flow._guard_holds(float(wn.min()), margin,
                                      StepperConfig().guard_ratio)
 
@@ -597,6 +597,19 @@ class TestEvolve:
     def test_t_end_must_advance(self):
         with pytest.raises(ValueError):
             evolve(circle_state(1.0), 0.0, StepperConfig())
+
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    @pytest.mark.parametrize("scheme", flow.SCHEMES)
+    def test_t_end_must_be_finite(self, monkeypatch, scheme, t_end):
+        # a NaN or infinite t_end is refused before any attempt of either
+        # scheme
+        calls = []
+        for name in ATTEMPTS.values():
+            monkeypatch.setattr(flow, name, lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="t_end must be a finite time "
+                                             "after the state time"):
+            evolve(circle_state(1.0), t_end, StepperConfig(scheme=scheme))
+        assert calls == []
 
     def test_record_cap(self):
         # twice the cap, by cadence and by snap times
