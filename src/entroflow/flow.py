@@ -35,7 +35,7 @@ SCHEMES = ("explicit_rk4", "semi_implicit")
 
 RK4_REAL_AXIS = 2.7       # RK4 real-axis stability bound 2.79, rounded down
 MAX_HALVINGS = 40
-MAX_RK4_STEPS = 10**9     # RK4 steps a run may take at its starting step bound
+MAX_STEPS = 10**9         # steps a run may take at its scheme's step bound
 MAX_RECORDS = 100_000     # states a run may record, in at most MAX_RECORD_BYTES
 MAX_RECORD_BYTES = 2**28  # of the (R, n) array, R * n * 8: 1,024 states at n = 32768
 RECORD_BLOCK = 4096       # samples per compute_record call
@@ -145,8 +145,9 @@ def variant_shift(variant: str, omega: int) -> float:
 def rhs(s: SupportGrid, variant: str) -> GridFunction:
     """Velocity k_thth + k - lam*h of a variant, lam = variant_shift(variant,
     omega): the flow's F = k_thth + k when variant is "unscaled"."""
-    return s.h.copy_with(velocity(s.values, workspace(s.grid).D2I,
-                                  variant_shift(variant, s.omega)))
+    D2I = workspace(s.grid).D2I
+    return s.h.copy_with(velocity(s.values, D2I, variant_shift(variant, s.omega),
+                                  D2I @ s.values))
 
 
 # ---------------------------------------------------------------------------
@@ -240,84 +241,68 @@ def workspace(grid: PeriodicGrid) -> _Workspace:
 # ---------------------------------------------------------------------------
 # velocity kernel and steppers
 
-def velocity(h, D2I, lam, w=None):
-    """F(h) = D2I @ (1/w) - lam*h, i.e. k_thth + k - lam*h with k = 1/w, as
-    a new array; rhs and _semi_implicit_attempt call it, and _rk4_attempt
-    writes the same formula in place.
-
-    w = D2I @ h is the radius of curvature h_thth + h; pass it when already
-    known to save one operator apply.
-    """
-    if w is None:
-        w = D2I @ h
-        np.reciprocal(w, out=w)
-    else:
-        w = np.reciprocal(w)
-    f = D2I @ w
+def velocity(h, D2I, lam, w):
+    """F(h) = D2I @ (1/w) - lam*h, i.e. k_thth + k - lam*h with k = 1/w and
+    w = D2I @ h = h_thth + h, as a new array; rhs and _semi_implicit_attempt
+    call it, and _rk4_attempt writes the same formula in place."""
+    f = D2I @ np.reciprocal(w)
     if lam != 0.0:
         f -= lam * h
     return f
 
 
-# The attempts below work in place, in the order of operations of the plain
-# formulas, so that they give the same bits: x + x is 2.0 * x, and + and *
-# commute exactly.
+# A run's attempt(h, w, margin, dt) -> (h_new, D2I @ h_new), w = D2I @ h and
+# margin = min(w), works in the order of operations of the plain formulas,
+# so that it gives their bits: x + x is 2.0 * x, and + and * commute exactly.
 
-def _rk4_buffers(n, D2I):
-    """Work arrays of the RK4 attempts on n nodes, which one run reuses:
-    apply, D2I's x -> D2I @ x with an out argument; the slopes f1..f4 as the
-    rows of a (4, n) array F, and the view of rows f2 and f3; a stage state
-    y and a buffer for D2I @ y and its reciprocal; three 0-d arrays for the
-    step's factors dt/2, dt and dt/6; and a list [h_new, D2I @ h_new] that
-    the attempts write into.  A dense D2I is applied by the dot of its plain
-    ndarray view, the same BLAS product at less dispatch cost; any other
-    operator (the rfft route, a wrapped view) keeps its own dot.  A 0-d
-    factor multiplies with the bits of the Python float it holds, without
-    numpy's conversion of that float on every call."""
+def _rk4_attempt(D2I, lam, n):
+    """The attempt of one RK4 run on n nodes: a classical RK4 step from h,
+    h_new = h + dt/6 * (f1 + 2 f2 + 2 f3 + f4), each slope velocity's formula
+    in place; margin is unused.  Its work arrays are made here, once: the
+    slopes as the rows of F, a stage state y, a buffer r for D2I @ y and its
+    reciprocal, 0-d factors dt/2, dt and dt/6 (which multiply with the bits
+    of the float they hold, unconverted per call) and two (h, D2I @ h)
+    pairs.  It writes the pair that does not hold h: a retry rewrites that
+    pair, and no attempt overwrites the accepted state.  A dense D2I is
+    applied by the dot of its plain ndarray view, the same BLAS product at
+    less dispatch cost; any other operator (rfft, a wrapped view) keeps its own."""
     apply = D2I.view(np.ndarray).dot if type(D2I) is _DenseOperator else D2I.dot
     F = np.empty((4, n))
-    return (apply, F, *F, F[1:3], np.empty(n), np.empty(n), np.empty(()),
-            np.empty(()), np.empty(()), [np.empty(n), np.empty(n)])
-
-
-def _rk4_attempt(h, w, margin, dt, ws, lam, stab_coeff, bufs):
-    """One classical RK4 step of size dt from h, with w = D2I @ h.
-
-    Returns (h_new, D2I @ h_new), h_new = h + dt/6 * (f1 + 2 f2 + 2 f3 + f4),
-    written into the output pair of bufs, from _rk4_buffers, which must not
-    hold h or w; each slope is velocity's formula, written in place.
-    margin, ws and stab_coeff are unused, so that both schemes' attempts
-    share one signature (h, w, margin, dt, ws, lam, stab_coeff, bufs) ->
-    (h_new, D2I @ h_new), with margin = min(w).
-    """
-    apply, F, f1, f2, f3, f4, f23, y, r, half, full, sixth, (hn, wn) = bufs
+    f1, f2, f3, f4, f23 = *F, F[1:3]
+    y, r, h0, w0, h1, w1 = (np.empty(n) for _ in range(6))
+    half, full, sixth = (np.empty(()) for _ in range(3))
     add, sub, mul, recip = np.add, np.subtract, np.multiply, np.reciprocal
-    half[()], full[()], sixth[()] = 0.5 * dt, dt, dt / 6.0
-    # stage i: f_i = D2I @ (1 / (D2I @ y)) - lam*y, then y = h + c*f_i
-    apply(recip(w, out=r), out=f1)
-    if lam != 0.0:
-        sub(f1, mul(lam, h, out=r), out=f1)
-    add(mul(f1, half, out=y), h, out=y)
-    apply(recip(apply(y, out=r), out=r), out=f2)
-    if lam != 0.0:
-        sub(f2, mul(lam, y, out=r), out=f2)
-    add(mul(f2, half, out=y), h, out=y)
-    apply(recip(apply(y, out=r), out=r), out=f3)
-    if lam != 0.0:
-        sub(f3, mul(lam, y, out=r), out=f3)
-    add(mul(f3, full, out=y), h, out=y)
-    apply(recip(apply(y, out=r), out=r), out=f4)
-    if lam != 0.0:
-        sub(f4, mul(lam, y, out=r), out=f4)
-    add(f23, f23, out=f23)  # f2 and f3 doubled in one call
-    add.reduce(F, axis=0, out=hn)  # ((f1 + 2 f2) + 2 f3) + f4, row by row
-    add(mul(hn, sixth, out=hn), h, out=hn)
-    return hn, apply(hn, out=wn)
+
+    def attempt(h, w, margin, dt):
+        hn, wn = (h1, w1) if h is h0 else (h0, w0)
+        half[()], full[()], sixth[()] = 0.5 * dt, dt, dt / 6.0
+        # stage i: f_i = D2I @ (1 / (D2I @ y)) - lam*y, then y = h + c*f_i
+        apply(recip(w, out=r), out=f1)
+        if lam != 0.0:
+            sub(f1, mul(lam, h, out=r), out=f1)
+        add(mul(f1, half, out=y), h, out=y)
+        apply(recip(apply(y, out=r), out=r), out=f2)
+        if lam != 0.0:
+            sub(f2, mul(lam, y, out=r), out=f2)
+        add(mul(f2, half, out=y), h, out=y)
+        apply(recip(apply(y, out=r), out=r), out=f3)
+        if lam != 0.0:
+            sub(f3, mul(lam, y, out=r), out=f3)
+        add(mul(f3, full, out=y), h, out=y)
+        apply(recip(apply(y, out=r), out=r), out=f4)
+        if lam != 0.0:
+            sub(f4, mul(lam, y, out=r), out=f4)
+        add(f23, f23, out=f23)  # f2 and f3 doubled in one call
+        add.reduce(F, axis=0, out=hn)  # ((f1 + 2 f2) + 2 f3) + f4, row by row
+        add(mul(hn, sixth, out=hn), h, out=hn)
+        return hn, apply(hn, out=wn)
+
+    return attempt
 
 
-def _semi_implicit_attempt(h, w, margin, dt, ws, lam, stab_coeff, bufs=None):
+def _semi_implicit_attempt(h, w, margin, dt, ws, lam, stab_coeff):
     """One linearly stabilized step from h, with w = D2I @ h and margin =
-    min(w) > 0; every array it returns is new, and bufs is unused.
+    min(w) > 0; every array it returns is new.
 
     Returns (h_new, D2I @ h_new), h_new = irfft(rfft(h) + dt * rfft(F(h)) /
     (1 + dt * c * xi^4)) with c = stab_coeff / margin^2; h and F(h) take one
@@ -353,9 +338,10 @@ def check_record_count(n: int, t0: float, t_end: float, monitor_every=None,
                        snap_times=()) -> None:
     """Raise ValueError when a run on n nodes from t0 to t_end could record
     more than MAX_RECORDS states, or more than MAX_RECORD_BYTES of them: the
-    start, each multiple of monitor_every, each snap time and t_end."""
+    start, each multiple of monitor_every (None, or a number > 0 as both
+    callers check first), each snap time and t_end."""
     count = 2 + len(snap_times)
-    if monitor_every is not None and monitor_every > 0:
+    if monitor_every is not None:
         count += (t_end - t0) / monitor_every + 1e-9
     if not count <= MAX_RECORDS:
         raise ValueError(
@@ -377,11 +363,19 @@ def _zero_order_cap(margin: float, safety: float, lam: float) -> float:
 
 
 def _event_times(n: int, t0: float, t_end: float, monitor_every, snap_times):
-    snap_times = [] if snap_times is None else [float(t) for t in snap_times
-                                                if t0 < t <= t_end]
+    """A run's sorted stops: each multiple of monitor_every, each snap time
+    in (t0, t_end] and t_end, once evolve's record arguments check out."""
+    if monitor_every is not None and not 0 < monitor_every < math.inf:
+        raise ValueError(f"monitor_every must be None or a finite number > 0, "
+                         f"got {monitor_every!r}")
+    snap_times = [] if snap_times is None else [float(t) for t in snap_times]
+    for t in snap_times:
+        if not math.isfinite(t):
+            raise ValueError(f"snap times must be finite, got {t!r}")
+    snap_times = [t for t in snap_times if t0 < t <= t_end]
     check_record_count(n, t0, t_end, monitor_every, snap_times)
     events = {t_end, *snap_times}
-    if monitor_every is not None and monitor_every > 0:
+    if monitor_every is not None:
         m = int(math.floor((t_end - t0) / monitor_every + 1e-9))
         events.update(t0 + j * monitor_every for j in range(1, m + 1))
     out = sorted(events)
@@ -411,12 +405,20 @@ def _record_columns(grid: PeriodicGrid, H, t, dt) -> DiagnosticsRecord:
         for b in record_blocks(grid, len(H))])
 
 
+def _check_step_count(head: str, dt: float, t0: float, t_end: float) -> None:
+    """Raise ValueError when steps of dt from t0 to t_end are over MAX_STEPS;
+    head names the scheme and its dt: "explicit RK4 on n=32 starts at dt"."""
+    count = (t_end - t0) / dt if dt > 0.0 else math.inf
+    if not count <= MAX_STEPS:
+        raise ValueError(f"{head}={dt:.3g}, about {count:.3g} steps from t={t0:g} "
+                         f"to t_end={t_end:g}, above the cap of {MAX_STEPS:.0e} steps")
+
+
 def _rk4_scheme(cfg, ws, lam, n, margin, t0, t_end):
-    """Explicit RK4's (attempt, buffers, next_dt) for one run: _rk4_attempt,
-    _rk4_buffers(n, ws.D2I), and next_dt, which takes each dt afresh,
-    min(c_stab * margin^2, max_dt, _zero_order_cap(margin)).  Raises
-    ValueError when the first dt is over MAX_RK4_STEPS steps from t0 to
-    t_end."""
+    """Explicit RK4's (attempt, next_dt) for one run: _rk4_attempt(ws.D2I,
+    lam, n), and next_dt, which takes each dt afresh, min(c_stab * margin^2,
+    max_dt, _zero_order_cap(margin)).  Raises ValueError when the first dt
+    is over MAX_STEPS steps from t0 to t_end."""
     safety, max_dt = cfg.safety, cfg.max_dt
     c_stab = safety * RK4_REAL_AXIS / ws.ximax4
     # at lam = 0 the zero-order cap is 2 * safety * margin^2, RK4's own rule
@@ -430,22 +432,23 @@ def _rk4_scheme(cfg, ws, lam, n, margin, t0, t_end):
             dt = max_dt
         return dt if lam == 0.0 else min(dt, _zero_order_cap(margin, safety, lam))
 
-    dt = next_dt(margin)
-    count = (t_end - t0) / dt if dt > 0.0 else math.inf
-    if not count <= MAX_RK4_STEPS:
-        raise ValueError(f"explicit RK4 on n={n} starts at dt={dt:.3g}, about "
-                         f"{count:.3g} steps from t={t0:g} to t_end={t_end:g}, "
-                         f"above the cap of {MAX_RK4_STEPS:.0e} steps")
-    return _rk4_attempt, _rk4_buffers(n, ws.D2I), next_dt
+    _check_step_count(f"explicit RK4 on n={n} starts at dt", next_dt(margin), t0, t_end)
+    return _rk4_attempt(ws.D2I, lam, n), next_dt
 
 
 def _semi_implicit_scheme(cfg, ws, lam, n, margin, t0, t_end):
-    """The semi-implicit scheme's (attempt, buffers, next_dt) for one run:
-    _semi_implicit_attempt, None, and next_dt, which carries dt from
-    min(dt_init, max_dt) under _zero_order_cap(margin): it keeps a halved dt
-    and grows dt 1.2x (up to max_dt) after a clean step no event clipped."""
-    safety, max_dt = cfg.safety, cfg.max_dt
+    """The semi-implicit scheme's (attempt, next_dt) for one run: attempt is
+    _semi_implicit_attempt on the run's ws, lam and stabilization_coeff, and
+    next_dt carries dt from min(dt_init, max_dt) under _zero_order_cap(margin):
+    it keeps a halved dt and grows dt 1.2x (up to max_dt) after a clean step
+    no event clipped.  Raises ValueError when steps of max_dt, which bounds
+    every dt, are over MAX_STEPS from t0 to t_end."""
+    safety, max_dt, stab = cfg.safety, cfg.max_dt, cfg.stabilization_coeff
+    _check_step_count(f"semi_implicit on n={n} steps at most max_dt", max_dt, t0, t_end)
     dt = min(cfg.dt_init, max_dt)
+
+    def attempt(h, w, margin, dt):
+        return _semi_implicit_attempt(h, w, margin, dt, ws, lam, stab)
 
     def next_dt(margin, dt_taken=None, halvings=0, clipped=True):
         nonlocal dt
@@ -456,7 +459,7 @@ def _semi_implicit_scheme(cfg, ws, lam, n, margin, t0, t_end):
         dt = min(dt, _zero_order_cap(margin, safety, lam))
         return dt
 
-    return _semi_implicit_attempt, None, next_dt
+    return attempt, next_dt
 
 
 def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
@@ -468,11 +471,14 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     each requested snap_time, and at t_end, into one (R, n) array; their
     diagnostics records are computed in blocks when the run ends.  Each
     scheme's attempt and dt rule live in _rk4_scheme or _semi_implicit_scheme.
-    Raises ValueError when t_end is not a finite time after state.time,
-    above MAX_RECORDS records or MAX_RECORD_BYTES of them, or when
-    _rk4_scheme refuses the run, and FlowBreakdownError (with the
-    last accepted state attached) when a step fails the guard after 40
-    halvings, or at once when the state has no positive convexity margin.
+    Raises ValueError, before any attempt, when t_end is not a finite time
+    after state.time, when monitor_every is neither None nor a finite
+    number > 0, when a snap time is not finite (finite ones outside
+    (state.time, t_end] are dropped), above MAX_RECORDS records or
+    MAX_RECORD_BYTES of them, or when the scheme refuses a run of over
+    MAX_STEPS steps; and FlowBreakdownError (with the last accepted state
+    attached) when a step fails the guard after 40 halvings, or at once when
+    the state has no positive convexity margin.
     """
     if not (math.isfinite(t_end) and t_end > state.time):
         raise ValueError(f"t_end must be a finite time after the state time "
@@ -481,7 +487,6 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     s = state.support
     ws = workspace(s.grid)
     lam = variant_shift(state.variant, s.omega)
-    guard_ratio, stab = cfg.guard_ratio, cfg.stabilization_coeff
 
     def breakdown():
         return FlowBreakdownError(
@@ -489,15 +494,14 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
             last_state=_unchecked_state(s.grid, h.copy(), t, state.variant))
 
     h = s.values.copy()
-    t = state.time
+    t, dt_last = state.time, 0.0
     w = ws.D2I @ h
     margin = float(w.min())
-    dt_last = 0.0
     # without a positive margin there is nothing to guard, nor to record
     if not margin > 0.0:
         raise breakdown()
     scheme = _rk4_scheme if cfg.scheme == "explicit_rk4" else _semi_implicit_scheme
-    attempt, bufs, next_dt = scheme(cfg, ws, lam, s.n, margin, t, t_end)
+    attempt, next_dt = scheme(cfg, ws, lam, s.n, margin, t, t_end)
     dt = next_dt(margin)
     H = np.empty((len(events) + 1, s.n))
     times = np.empty(len(H))
@@ -512,17 +516,14 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
             # a margin lost to underflow leaves nothing to guard: no attempt
             halvings = 0 if margin > 0.0 else MAX_HALVINGS + 1
             while halvings <= MAX_HALVINGS:
-                hn, wn = attempt(h, w, margin, dt_try, ws, lam, stab, bufs)
+                hn, wn = attempt(h, w, margin, dt_try)
                 mn = float(np.minimum.reduce(wn))
-                if _guard_holds(mn, margin, guard_ratio):
+                if _guard_holds(mn, margin, cfg.guard_ratio):
                     break
                 dt_try *= 0.5
                 halvings += 1
             else:
                 raise breakdown()
-            # an attempt writes into bufs[-1], which trades places with (h, w)
-            if bufs is not None:
-                bufs[-1][:] = h, w
             h, w, margin = hn, wn, mn
             t = t + dt_try
             dt_last = dt_try
@@ -592,10 +593,7 @@ def read_snapshot(path) -> FlowState:
     meta = {}
     vals = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+        for line in filter(None, map(str.strip, fh)):
             if line.startswith("#"):
                 key, _, val = line[1:].partition("=")
                 meta[key.strip()] = val.strip()

@@ -195,7 +195,7 @@ class TestSimulate:
 
     def test_breakdown_exit2(self, tmp_path, capsys, monkeypatch):
         # every attempt returns a state with negative h_thth + h
-        monkeypatch.setattr(flow, "_rk4_attempt", lambda h, w, *rest: (h, -w))
+        monkeypatch.setattr(flow, "_rk4_attempt", lambda *run: lambda h, w, *a: (h, -w))
         cfgp = write_config(tmp_path, fast_config(tmp_path))
         assert main(["simulate", "--config", str(cfgp)]) == ExitStatus.BREAKDOWN
         err = capsys.readouterr().err.splitlines()
@@ -218,7 +218,7 @@ class TestSimulate:
         assert len(err) == 1 and err[0].startswith("i/o error:")
 
     def test_breakdown_state_write_failure_exit4(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(flow, "_rk4_attempt", lambda h, w, *rest: (h, -w))
+        monkeypatch.setattr(flow, "_rk4_attempt", lambda *run: lambda h, w, *a: (h, -w))
         (tmp_path / "out" / "breakdown_state.txt").mkdir(parents=True)
         cfgp = write_config(tmp_path, fast_config(tmp_path))
         assert main(["simulate", "--config", str(cfgp)]) == ExitStatus.IO
@@ -233,6 +233,18 @@ class TestSimulate:
         assert main(argv) == ExitStatus.VALIDATION
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("validation failure: explicit RK4")
+
+    def test_semi_implicit_step_cap_exit1(self, tmp_path, capsys, monkeypatch):
+        # max_dt = 1e-12 bounds every semi-implicit dt: 1e12 steps to t = 1,
+        # refused before any attempt (one would fail this test, not hang it)
+        monkeypatch.setattr(flow, "_semi_implicit_attempt",
+                            lambda *a: pytest.fail("a refused run made an attempt"))
+        cfgp = write_config(tmp_path, fast_config(
+            tmp_path, n=32, t_end=1.0, monitor_every=0.5,
+            stepper={"scheme": "semi_implicit", "max_dt": 1e-12}))
+        assert main(["simulate", "--config", str(cfgp)]) == ExitStatus.VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation failure: semi_implicit")
 
     def test_invalid_initial_exit1(self, tmp_path):
         data = fast_config(tmp_path, initial={

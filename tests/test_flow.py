@@ -19,7 +19,20 @@ from entroflow.flow import (FlowState, StepperConfig, evolve, read_snapshot,
                             step, unscaled_time, write_snapshot)
 
 
-ATTEMPTS = {"explicit_rk4": "_rk4_attempt", "semi_implicit": "_semi_implicit_attempt"}
+SCHEME_FUNCTIONS = {"explicit_rk4": "_rk4_scheme", "semi_implicit": "_semi_implicit_scheme"}
+
+
+def patch_attempt(monkeypatch, scheme, wrap):
+    """Each run of scheme steps with wrap(attempt) in place of the attempt
+    its scheme function hands evolve."""
+    name = SCHEME_FUNCTIONS[scheme]
+    real = getattr(flow, name)
+
+    def patched(*args):
+        attempt, next_dt = real(*args)
+        return wrap(attempt), next_dt
+
+    monkeypatch.setattr(flow, name, patched)
 
 
 def circle_state(r=1.0, omega=1, n=16, variant="unscaled"):
@@ -115,6 +128,17 @@ class TestRhs:
         with pytest.raises(ValueError, match="unknown variant"):
             rhs(circle_state().support, "rescaled")
 
+    @pytest.mark.parametrize("omega,n", [(1, 8), (1, 32), (2, 48),
+                                         (1, flow.DENSE_MAX_N), (1, 512), (2, 1024)])
+    def test_bit_identical_to_plain_formula(self, omega, n):
+        # both operator routes, every variant
+        s = fourier_support(PeriodicGrid(omega=omega, n=n), 1.0,
+                            [(2, 0.1, 0.0), (3, 0.0, 0.03)])
+        apply = reference_apply(flow.workspace(s.grid).D2I)
+        for variant in flow.VARIANTS:
+            want = reference_velocity(s.values, apply, flow.variant_shift(variant, omega))
+            assert np.array_equal(rhs(s, variant).values, want)
+
 
 class TestVelocityKernel:
     @pytest.mark.parametrize("n", [32, 64])
@@ -126,7 +150,8 @@ class TestVelocityKernel:
         k = curvature(s)
         ktt = periodic_derivs_values(k.values, s.grid.period, (2,))[0]
         ref = ktt + k.values - lam * s.values
-        f = flow.velocity(s.values, flow.workspace(s.grid).D2I, lam)
+        D2I = flow.workspace(s.grid).D2I
+        f = flow.velocity(s.values, D2I, lam, D2I @ s.values)
         assert np.max(np.abs(f - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("omega,n", [(1, 48), (2, 32), (1, flow.DENSE_MAX_N)])
@@ -281,15 +306,29 @@ class TestAttempts:
         w = reference_apply(ws.D2I)(h)
         margin = float(w.min())
         dt = 0.9 * flow.RK4_REAL_AXIS / ws.ximax4 * margin**2
-        # the attempt writes the plain formulas' bits into the run's output
-        # pair, and so does a halved retry from the same buffers
-        bufs = flow._rk4_buffers(n, ws.D2I)
+        # the run's attempt writes the plain formulas' bits into one of its
+        # (h, D2I @ h) pairs, and a halved retry from the same h rewrites it
+        attempt = flow._rk4_attempt(ws.D2I, lam, n)
+        first = attempt(h, w, margin, dt)
         for d in (dt, 0.5 * dt):
-            got = flow._rk4_attempt(h, w, margin, d, ws, lam, 1.0, bufs)
-            assert got[0] is bufs[-1][0] and got[1] is bufs[-1][1]
+            got = attempt(h, w, margin, d)
+            assert got[0] is first[0] and got[1] is first[1]
             assert not np.shares_memory(*got)
             for a, b in zip(got, reference_rk4(h, w, d, ws, lam)):
                 assert type(a) is np.ndarray and np.array_equal(a, b)
+        # a step from that pair writes the other one and leaves it as it
+        # was; a step from the other pair writes the first again
+        hn, wn = got
+        kept = hn.copy(), wn.copy()
+        want = reference_rk4(hn, wn, dt, ws, lam)
+        second = attempt(hn, wn, float(wn.min()), dt)
+        for a in second:
+            assert not any(np.shares_memory(a, b) for b in (hn, wn, h, w))
+        for a, b in zip(second, want):
+            assert np.array_equal(a, b)
+        assert np.array_equal(hn, kept[0]) and np.array_equal(wn, kept[1])
+        third = attempt(second[0], second[1], float(second[1].min()), dt)
+        assert third[0] is hn and third[1] is wn
         for dt in (1e-4, 2e-3):
             got = flow._semi_implicit_attempt(h, w, margin, dt, ws, lam, 1.0)
             ref = reference_semi_implicit(h, w, dt, ws, lam, 1.0)
@@ -321,8 +360,7 @@ class TestAttempts:
         flow._semi_implicit_attempt(h, w, float(w.min()), 1e-3, ws, 1.0, 1.0)
         assert calls == ["rfft", "irfft"]
         calls.clear()
-        flow._rk4_attempt(h, w, float(w.min()), 1e-6, ws, 1.0, 1.0,
-                          flow._rk4_buffers(g.n, ws.D2I))
+        flow._rk4_attempt(ws.D2I, 1.0, g.n)(h, w, float(w.min()), 1e-6)
         assert calls == []
 
     @pytest.mark.parametrize("n", [8, 32, 48, flow.DENSE_MAX_N])
@@ -384,17 +422,18 @@ class TestStep:
         st = FlowState(support=SupportGrid(GridFunction(g, 1 + 0.2 * np.cos(2 * g.nodes))),
                        time=0.125)
         cfg = StepperConfig(scheme=scheme)
-        real_attempt = getattr(flow, ATTEMPTS[scheme])
         dts = []
 
-        def recording_attempt(*args):
-            dts.append(args[3])
-            return real_attempt(*args)
+        def recording(attempt):
+            def recording_attempt(h, w, margin, dt):
+                dts.append(dt)
+                return attempt(h, w, margin, dt)
+            return recording_attempt
 
-        monkeypatch.setattr(flow, ATTEMPTS[scheme], recording_attempt)
+        patch_attempt(monkeypatch, scheme, recording)
         out = step(st, dt, cfg)
         assert (len(dts) == 1) == (dt < 1e-4) and dts[0] <= dt
-        monkeypatch.setattr(flow, ATTEMPTS[scheme], real_attempt)
+        monkeypatch.undo()
         want = evolve(st, st.time + dt, cfg).final
         assert out.time == want.time == st.time + dt
         assert out.variant == want.variant
@@ -423,8 +462,7 @@ class TestStep:
         ws = flow.workspace(g)
         w = ws.D2I @ h
         margin = float(w.min())
-        _, wn = flow._rk4_attempt(h, w, margin, 0.05, ws, 0.0, 1.0,
-                                  flow._rk4_buffers(g.n, ws.D2I))
+        _, wn = flow._rk4_attempt(ws.D2I, 0.0, g.n)(h, w, margin, 0.05)
         assert not flow._guard_holds(float(wn.min()), margin,
                                      StepperConfig().guard_ratio)
 
@@ -483,11 +521,11 @@ class TestEvolve:
         # guard fails through all 40 halvings of the first step
         calls = []
 
-        def nonconvex(h, w, margin, dt, ws, lam, c, bufs):
+        def nonconvex(h, w, margin, dt):
             calls.append(dt)
             return h, -w
 
-        monkeypatch.setattr(flow, ATTEMPTS[scheme], nonconvex)
+        patch_attempt(monkeypatch, scheme, lambda attempt: nonconvex)
         with pytest.raises(FlowBreakdownError) as exc:
             evolve(circle_state(1.0, n=16), 0.1, StepperConfig(scheme=scheme))
         assert len(calls) == flow.MAX_HALVINGS + 1
@@ -543,7 +581,7 @@ class TestEvolve:
         s = SupportGrid(GridFunction(g, 1 + 0.8 * np.cos(2 * g.nodes)),
                         validate=False)
         calls = []
-        monkeypatch.setattr(flow, ATTEMPTS[scheme], lambda *a: calls.append(a))
+        patch_attempt(monkeypatch, scheme, lambda attempt: lambda *a: calls.append(a))
         with pytest.raises(FlowBreakdownError) as exc:
             evolve(FlowState(support=s), 0.1, StepperConfig(scheme=scheme))
         assert calls == []
@@ -568,12 +606,39 @@ class TestEvolve:
 
     def test_rk4_step_cap(self, monkeypatch):
         # at n = 32768 RK4's starting bound is 3.4e-17, ~3e14 steps to 0.01:
-        # refused before any attempt
+        # refused before the run's attempt is made
         calls = []
         monkeypatch.setattr(flow, "_rk4_attempt", lambda *a: calls.append(a))
         with pytest.raises(ValueError, match=r"n=32768 .*dt=3.37e-17.*2.97e\+14 steps"):
             evolve(circle_state(1.0, n=32768), 0.01, StepperConfig())
         assert calls == []
+
+    @pytest.mark.parametrize("dt_init", [1e-3, 1e-13])
+    def test_semi_implicit_step_cap(self, monkeypatch, dt_init):
+        # max_dt = 1e-12 bounds every semi-implicit dt: 1e12 steps to t = 1,
+        # refused before any attempt, whatever dt_init
+        calls = []
+        monkeypatch.setattr(flow, "_semi_implicit_attempt", lambda *a: calls.append(a))
+        cfg = StepperConfig(scheme="semi_implicit", dt_init=dt_init, max_dt=1e-12)
+        with pytest.raises(ValueError, match=r"^semi_implicit on n=32 .*max_dt=1e-12, "
+                                             r"about 1e\+12 steps .*cap of 1e\+09 steps$"):
+            evolve(circle_state(1.0, n=32), 1.0, cfg)
+        assert calls == []
+
+    def test_semi_implicit_step_cap_spares_runs_at_the_cap(self, monkeypatch):
+        # max_dt = 1e-9 to t = 1 is the cap itself, and a tiny dt_init with
+        # no max_dt is not refused: both reach their first attempt
+        class Attempted(Exception):
+            pass
+
+        def attempt(*args):
+            raise Attempted
+
+        monkeypatch.setattr(flow, "_semi_implicit_attempt", attempt)
+        for cfg in (StepperConfig(scheme="semi_implicit", max_dt=1e-9),
+                    StepperConfig(scheme="semi_implicit", dt_init=1e-15)):
+            with pytest.raises(Attempted):
+                evolve(circle_state(1.0, n=32), 1.0, cfg)
 
     def test_rk4_step_cap_spares_long_runs(self, monkeypatch):
         # criterion-04's Fourier run (~2e5 steps, 2.6e6 at its starting dt)
@@ -584,7 +649,7 @@ class TestEvolve:
         def attempt(*args):
             raise Attempted
 
-        monkeypatch.setattr(flow, "_rk4_attempt", attempt)
+        patch_attempt(monkeypatch, "explicit_rk4", lambda real: attempt)
         fourier = fourier_support(PeriodicGrid(omega=1, n=64), 1.0,
                                   [(2, 0.15, 0.0), (3, 0.0, 0.05)])
         runs = [(FlowState(support=fourier), 0.5),
@@ -604,12 +669,36 @@ class TestEvolve:
         # a NaN or infinite t_end is refused before any attempt of either
         # scheme
         calls = []
-        for name in ATTEMPTS.values():
-            monkeypatch.setattr(flow, name, lambda *a: calls.append(a))
+        for name in flow.SCHEMES:
+            patch_attempt(monkeypatch, name, lambda attempt: lambda *a: calls.append(a))
         with pytest.raises(ValueError, match="t_end must be a finite time "
                                              "after the state time"):
             evolve(circle_state(1.0), t_end, StepperConfig(scheme=scheme))
         assert calls == []
+
+    @pytest.mark.parametrize("kw", [
+        dict(monitor_every=math.nan), dict(monitor_every=-0.01),
+        dict(monitor_every=0.0), dict(monitor_every=0), dict(monitor_every=math.inf),
+        dict(monitor_every=-math.inf), dict(snap_times=[0.005, math.nan]),
+        dict(snap_times=np.array([0.005, -math.inf])), dict(snap_times=[math.inf]),
+    ], ids=lambda kw: repr(kw))
+    @pytest.mark.parametrize("scheme", flow.SCHEMES)
+    def test_record_arguments_checked(self, monkeypatch, scheme, kw):
+        # a cadence that is not a finite number > 0, or a snap time that is
+        # not finite, is refused with one line before any attempt
+        calls = []
+        patch_attempt(monkeypatch, scheme, lambda attempt: lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="^(monitor_every must be None or a finite "
+                                             "number > 0|snap times must be finite)"
+                           ) as exc:
+            evolve(circle_state(1.0), 0.01, StepperConfig(scheme=scheme), **kw)
+        assert calls == [] and "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("scheme", flow.SCHEMES)
+    def test_snap_times_outside_the_run_dropped(self, scheme):
+        tr = evolve(circle_state(1.0, n=16), 0.05, StepperConfig(scheme=scheme),
+                    snap_times=[-1.0, 0.0, 0.02, 0.05, 0.06, 1e300])
+        assert tr.times.tolist() == [0.0, 0.02, 0.05]
 
     def test_record_cap(self):
         # twice the cap, by cadence and by snap times
