@@ -24,8 +24,9 @@ from .diagnostics import (compute_record, finite_or_none, fit_decay_rate,
                           run_monitors, write_csv)
 from .errors import (ConfigError, CurveIngestionError, EntroflowError,
                      FlowBreakdownError, NotLocallyConvexError)
-from .flow import (VARIANTS, FlowState, StepperConfig, check_record_count, evolve,
-                   record_blocks, snapshot_format, write_snapshot)
+from .flow import (NUMBER, STEPPER_ROWS, VARIANTS, FlowState, StepperConfig,
+                   check_key, check_record_count, evolve, record_blocks,
+                   snapshot_format, write_snapshot)
 from .spectral import GridFunction, PeriodicGrid
 from .support import (SupportGrid, circle_support, ellipse_support,
                       fourier_support, read_curve_file, read_support_file,
@@ -40,36 +41,57 @@ class ExitStatus(IntEnum):
     IO = 4
 
 
-_INITIAL_KINDS = {
-    "circle": {"r"},
-    "ellipse": {"a", "b"},
-    "fourier": {"constant", "modes"},
-    "curve_file": {"path"},
-    "support_file": {"path"},
+# config rows, (what, types, range) as in flow.STEPPER_ROWS.  A range that
+# needs the grid or the maths is checked where it lives: PeriodicGrid's for
+# omega and n, circle_support's r > 0 and fourier_support's for each m.
+_OBJECT = ("an object", dict, None)
+_NUMBER = ("a number", NUMBER, None)
+_FINITE = ("a finite number", NUMBER, math.isfinite)
+_STRING = ("a string", str, None)
+_ROWS = {
+    "omega": ("an integer", int, None),
+    "n": ("an integer", int, None),
+    "variant": (f"one of {VARIANTS}", str, VARIANTS.__contains__),
+    "t_end": ("a number > 0", NUMBER, lambda x: x > 0),
+    "monitor_every": ("a finite number > 0", NUMBER, lambda x: 0 < x < math.inf),
+    "output_dir": _STRING,
+    "seed": ("a non-negative integer", int, lambda x: x >= 0),
 }
+_MODE = ("[m, a, b]", (list, tuple), lambda x: len(x) == 3)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _check_modes(modes) -> None:
-    """initial.modes is a list of [m, a, b]: m a number, not a bool (whether
-    it is an integer below n/2 is fourier_support's check), and a, b finite
-    numbers."""
-    if not isinstance(modes, (list, tuple)):
-        raise ConfigError(f"initial.modes must be a list of [m, a, b], got {modes!r}")
+def _modes_in_range(modes) -> bool:
+    """Check each initial.modes[i] = [m, a, b] by its rows: m a number, a
+    and b finite."""
     for i, mode in enumerate(modes):
-        if not (isinstance(mode, (list, tuple)) and len(mode) == 3):
-            raise ConfigError(f"initial.modes[{i}] must be [m, a, b], got {mode!r}")
-        m, a, b = mode
-        if not _is_number(m):
-            raise ConfigError(f"initial.modes[{i}] mode number must be a number, "
-                              f"got {m!r}")
-        for name, x in (("a", a), ("b", b)):
-            if not (_is_number(x) and math.isfinite(x)):
-                raise ConfigError(f"initial.modes[{i}] coefficient {name} must be "
-                                  f"a finite number, got {x!r}")
+        check_key(f"initial.modes[{i}]", mode, _MODE)
+        for name, x, row in zip(("mode number", "coefficient a", "coefficient b"),
+                                mode, (_NUMBER, _FINITE, _FINITE)):
+            check_key(f"initial.modes[{i}] {name}", x, row)
+    return True
+
+
+# ellipse_support squares a semi-axis as a Python float, which raises
+# OverflowError above this root of the largest float
+_ROOT = math.sqrt(sys.float_info.max)
+_SEMI_AXIS = (f"a number with a finite square, |x| <= {_ROOT:.6g}", NUMBER,
+              lambda x: abs(x) <= _ROOT)
+_INITIAL_KINDS = {
+    "circle": {"r": _NUMBER},
+    "ellipse": {"a": _SEMI_AXIS, "b": _SEMI_AXIS},
+    "fourier": {"constant": _NUMBER,
+                "modes": ("a list of [m, a, b]", (list, tuple), _modes_in_range)},
+    "curve_file": {"path": _STRING},
+    "support_file": {"path": _STRING},
+}
+_KIND = (f"one of {sorted(_INITIAL_KINDS)}", str, _INITIAL_KINDS.__contains__)
+
+
+def _refuse_unknown(prefix, data, known, where) -> None:
+    """Raise ConfigError naming the first key of data not in known."""
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key} is not a key{where}, got {data[key]!r}")
 
 
 @dataclass
@@ -85,78 +107,34 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("omega", "n", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        """Check each key by its row, then the rules that span keys."""
+        for key, row in _ROWS.items():
+            check_key(key, getattr(self, key), row)
         try:
             PeriodicGrid(omega=self.omega, n=self.n)
+            check_record_count(self.n, 0.0, self.t_end, self.monitor_every)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if isinstance(self.t_end, bool) or not self.t_end > 0:
-            raise ConfigError(f"t_end must be a positive number, got {self.t_end}")
-        every = self.monitor_every
-        if not (_is_number(every) and math.isfinite(every) and every > 0):
-            raise ConfigError(
-                f"monitor_every must be a finite number > 0, got {every!r}")
-        try:
-            check_record_count(self.n, 0.0, self.t_end, every)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not isinstance(self.output_dir, str):
-            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}")
-        if not isinstance(self.initial, dict):
-            raise ConfigError("initial must be an object")
+        check_key("initial", self.initial, _OBJECT)
         kind = self.initial.get("kind")
-        if kind not in _INITIAL_KINDS:
-            raise ConfigError(f"initial.kind must be one of {sorted(_INITIAL_KINDS)}")
-        extra = set(self.initial) - _INITIAL_KINDS[kind] - {"kind"}
-        if extra:
-            raise ConfigError(f"unknown initial keys {sorted(extra)}")
-        missing = _INITIAL_KINDS[kind] - set(self.initial)
-        if missing:
-            raise ConfigError(f"initial.{kind} requires keys {sorted(missing)}")
-        for key in _INITIAL_KINDS[kind] & {"r", "a", "b", "constant"}:
-            if isinstance(self.initial[key], bool):
-                raise ConfigError(f"initial.{key} must be a number, got "
-                                  f"{self.initial[key]}")
-        # ellipse_support squares the semi-axes as Python floats, which
-        # raise OverflowError above this root of the largest float
-        root = math.sqrt(sys.float_info.max)
-        for key in _INITIAL_KINDS[kind] & {"a", "b"}:
-            x = self.initial[key]
-            if _is_number(x) and not abs(x) <= root:
-                raise ConfigError(f"initial.{key} must have a finite square, "
-                                  f"|{key}| <= {root:.6g}, got {x!r}")
+        check_key("initial.kind", kind, _KIND)
+        rows = _INITIAL_KINDS[kind]
+        _refuse_unknown("initial.", self.initial, {"kind", *rows}, f" of kind {kind}")
+        for key, row in rows.items():
+            if key not in self.initial:
+                raise ConfigError(f"initial.{key} is required by kind {kind}")
+            check_key(f"initial.{key}", self.initial[key], row)
         if kind == "ellipse" and self.omega != 1:
             raise ConfigError("ellipse initial data requires omega = 1")
-        if kind == "fourier":
-            _check_modes(self.initial["modes"])
-        path = self.initial.get("path", "")
-        if not isinstance(path, str):
-            raise ConfigError(f"initial.path must be a string, got {path!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config must be an object")
-        extra = set(data) - {f.name for f in fields(cls)}
-        if extra:
-            raise ConfigError(f"unknown config keys {sorted(extra)}")
+        check_key("config", data, _OBJECT)
+        _refuse_unknown("", data, {f.name for f in fields(cls)}, "")
         sdata = data.get("stepper", {})
-        if not isinstance(sdata, dict):
-            raise ConfigError("stepper must be an object")
-        sextra = set(sdata) - {f.name for f in fields(StepperConfig)}
-        if sextra:
-            raise ConfigError(f"unknown stepper keys {sorted(sextra)}")
-        try:
-            return cls(**dict(data, stepper=StepperConfig(**sdata)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        check_key("stepper", sdata, _OBJECT)
+        _refuse_unknown("stepper.", sdata, STEPPER_ROWS, " of stepper")
+        return cls(**dict(data, stepper=StepperConfig(**sdata)))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -227,8 +205,8 @@ def _simulate(cfg: RunConfig):
     os.makedirs(cfg.output_dir, exist_ok=True)
     try:
         s0 = build_initial_support(cfg)
-    except (NotLocallyConvexError, CurveIngestionError, TypeError,
-            ValueError, OverflowError) as exc:
+    except (NotLocallyConvexError, CurveIngestionError, ValueError,
+            OverflowError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return ExitStatus.VALIDATION, None
     # valid data can overflow a functional: h^2 of a huge curve, k^3 of a tiny one
@@ -294,7 +272,7 @@ def cmd_crosscheck(cfg: RunConfig) -> ExitStatus:
         else:
             base = graph.scene_ellipse(cfg.initial["a"], cfg.initial["b"], cfg.n)
         graph.require_resolved(base)
-    except (EntroflowError, TypeError, ValueError, OverflowError) as exc:
+    except (EntroflowError, ValueError, OverflowError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return ExitStatus.VALIDATION
 

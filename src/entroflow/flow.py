@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import spectral  # spectral.rfft/irfft looked up per call: one seam
 from .diagnostics import DiagnosticsRecord, compute_record
-from .errors import FlowBreakdownError
+from .errors import ConfigError, FlowBreakdownError
 from .spectral import GridFunction, PeriodicGrid, periodic_derivs_values
 from .support import SupportGrid, curvature, write_text
 
@@ -40,10 +41,35 @@ MAX_RECORDS = 100_000     # states a run may record, in at most MAX_RECORD_BYTES
 MAX_RECORD_BYTES = 2**28  # of the (R, n) array, R * n * 8: 1,024 states at n = 32768
 RECORD_BLOCK = 4096       # samples per compute_record call
 
+# A config key's row: (what its value must be, its types, its range test or
+# None).  No key takes a bool, though Python's True == 1.
+NUMBER = (int, float)
+STEPPER_ROWS = {
+    "dt_init": ("a number > 0", NUMBER, lambda x: x > 0),
+    "safety": ("a number in (0, 1]", NUMBER, lambda x: 0 < x <= 1),
+    "max_dt": ("a number > 0", NUMBER, lambda x: x > 0),
+    "guard_ratio": ("a number in (0, 1)", NUMBER, lambda x: 0 < x < 1),
+    "scheme": (f"one of {SCHEMES}", str, SCHEMES.__contains__),
+    "stabilization_coeff": ("a number >= 0", NUMBER, lambda x: x >= 0),
+}
+
+
+def check_key(key, value, row) -> None:
+    """Raise ConfigError("<key> must be <what>, got <value!r>") unless value
+    has row's type and then lies in its range.  A number is no int beyond
+    the largest float, which float() refuses; NaN lies in no range."""
+    what, types, in_range = row
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or types is NUMBER and isinstance(value, int)
+            and abs(value) > sys.float_info.max
+            or in_range is not None and not in_range(value)):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+
 
 @dataclass
 class StepperConfig:
-    """Settings of the guarded stepping loop.
+    """Settings of the guarded stepping loop, each checked by its row of
+    STEPPER_ROWS (a ConfigError, which is a ValueError).
 
     dt_init is the semi-implicit scheme's first step, which explicit RK4
     ignores; each scheme's dt rule is in _rk4_scheme or _semi_implicit_scheme.
@@ -57,24 +83,8 @@ class StepperConfig:
     stabilization_coeff: float = 1.0
 
     def __post_init__(self):
-        for name in ("dt_init", "safety", "max_dt", "guard_ratio",
-                     "stabilization_coeff"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value}")
-        # written as "not x > 0" so that NaN fails them too
-        if not self.dt_init > 0:
-            raise ValueError("dt_init must be positive")
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError("safety must lie in (0, 1]")
-        if not self.max_dt > 0:
-            raise ValueError("max_dt must be positive")
-        if not 0.0 < self.guard_ratio < 1.0:
-            raise ValueError("guard_ratio must lie in (0, 1)")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
-        if not self.stabilization_coeff >= 0:
-            raise ValueError("stabilization_coeff must be >= 0")
+        for key, row in STEPPER_ROWS.items():
+            check_key(f"stepper.{key}", getattr(self, key), row)
 
 
 @dataclass

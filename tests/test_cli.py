@@ -332,6 +332,35 @@ class TestSimulate:
         assert "must be a" in err[0] and "True" in err[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("data,key,shown", [
+        ({"initial": {"kind": "circle", "r": "x"}}, "initial.r", "'x'"),
+        ({"initial": {"kind": "fourier", "constant": "x", "modes": []}},
+         "initial.constant", "'x'"),
+        ({"initial": {"kind": {}}}, "initial.kind", "{}"),
+        ({"t_end": "x"}, "t_end", "'x'"),
+        ({"stepper": {"safety": "x"}}, "stepper.safety", "'x'"),
+        ({"stepper": {"max_dt": "x"}}, "stepper.max_dt", "'x'"),
+        ({"stepper": {"dt_init": None}}, "stepper.dt_init", "None"),
+        ({"initial": {"kind": "circle", "r": None}}, "initial.r", "None"),
+        ({"t_end": 10**400}, "t_end", str(10**400)),
+        ({"stepper": {"max_dt": 10**400}}, "stepper.max_dt", str(10**400)),
+        ({"initial": {"kind": "fourier", "constant": 1, "modes": [[2, 10**400, 0]]}},
+         "initial.modes[0] coefficient a", str(10**400)),
+    ], ids=["r_string", "constant_string", "kind_object", "t_end_string",
+            "safety_string", "max_dt_string", "dt_init_null", "r_null",
+            "t_end_huge_int", "max_dt_huge_int", "coefficient_huge_int"])
+    def test_refusal_names_key(self, tmp_path, capsys, data, key, shown):
+        # a value of the wrong type is refused by its key, before a
+        # comparison, a hash or build_initial_support meets it; so is a JSON
+        # int too large for a float, which float() refuses (OverflowError)
+        cfgp = write_config(tmp_path, data)
+        argv = ["simulate", "--config", str(cfgp), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {key} "), err
+        assert err[0].endswith(f", got {shown}"), err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("over,flag,cap", [
         ({"monitor_every": 1e-9, "t_end": 1.0}, [], "cap of 100000"),
         ({"monitor_every": 0.01}, ["--t-end", "1e4"], "cap of 100000"),
