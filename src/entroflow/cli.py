@@ -42,8 +42,8 @@ class ExitStatus(IntEnum):
 
 
 # config rows, (what, types, range) as in flow.STEPPER_ROWS.  A range that
-# needs the grid or the maths is checked where it lives: PeriodicGrid's for
-# omega and n, circle_support's r > 0 and fourier_support's for each m.
+# needs the grid is checked where it lives: PeriodicGrid's for omega and n,
+# and fourier_support's for each m.
 _OBJECT = ("an object", dict, None)
 _NUMBER = ("a number", NUMBER, None)
 _FINITE = ("a finite number", NUMBER, math.isfinite)
@@ -74,12 +74,12 @@ def _modes_in_range(modes) -> bool:
 # ellipse_support squares a semi-axis as a Python float, which raises
 # OverflowError above this root of the largest float
 _ROOT = math.sqrt(sys.float_info.max)
-_SEMI_AXIS = (f"a number with a finite square, |x| <= {_ROOT:.6g}", NUMBER,
-              lambda x: abs(x) <= _ROOT)
+_SEMI_AXIS = (f"a number > 0 with a finite square, x <= {_ROOT:.6g}", NUMBER,
+              lambda x: 0 < x <= _ROOT)
 _INITIAL_KINDS = {
-    "circle": {"r": _NUMBER},
+    "circle": {"r": ("a finite number > 0", NUMBER, lambda x: 0 < x < math.inf)},
     "ellipse": {"a": _SEMI_AXIS, "b": _SEMI_AXIS},
-    "fourier": {"constant": _NUMBER,
+    "fourier": {"constant": _FINITE,
                 "modes": ("a list of [m, a, b]", (list, tuple), _modes_in_range)},
     "curve_file": {"path": _STRING},
     "support_file": {"path": _STRING},

@@ -1,5 +1,6 @@
 """Acceptance gate: every criterion of the built-in verify suite must pass
-at its stated tolerance.  One pass/fail line is printed per criterion."""
+at its stated tolerance.  One pass/fail line is printed per criterion, and a
+failing one names its failed gates."""
 
 import pytest
 
@@ -10,4 +11,5 @@ from entroflow.verify import CRITERIA, run_criterion
 def test_criterion(name):
     result = run_criterion(name)
     print(result.line())
-    assert result.passed, result.details
+    assert result.gates
+    assert result.passed, result.line()

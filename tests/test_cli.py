@@ -346,13 +346,20 @@ class TestSimulate:
         ({"stepper": {"max_dt": 10**400}}, "stepper.max_dt", str(10**400)),
         ({"initial": {"kind": "fourier", "constant": 1, "modes": [[2, 10**400, 0]]}},
          "initial.modes[0] coefficient a", str(10**400)),
+        ({"initial": {"kind": "circle", "r": -1}}, "initial.r", "-1"),
+        ({"initial": {"kind": "circle", "r": math.nan}}, "initial.r", "nan"),
+        ({"initial": {"kind": "ellipse", "a": 1.3, "b": 0}}, "initial.b", "0"),
+        ({"initial": {"kind": "fourier", "constant": math.nan, "modes": []}},
+         "initial.constant", "nan"),
     ], ids=["r_string", "constant_string", "kind_object", "t_end_string",
             "safety_string", "max_dt_string", "dt_init_null", "r_null",
-            "t_end_huge_int", "max_dt_huge_int", "coefficient_huge_int"])
+            "t_end_huge_int", "max_dt_huge_int", "coefficient_huge_int",
+            "r_negative", "r_nan", "b_zero", "constant_nan"])
     def test_refusal_names_key(self, tmp_path, capsys, data, key, shown):
         # a value of the wrong type is refused by its key, before a
         # comparison, a hash or build_initial_support meets it; so is a JSON
-        # int too large for a float, which float() refuses (OverflowError)
+        # int too large for a float, which float() refuses (OverflowError),
+        # and a value out of the range the builder would refuse
         cfgp = write_config(tmp_path, data)
         argv = ["simulate", "--config", str(cfgp), "--out", str(tmp_path / "out")]
         assert main(argv) == 1

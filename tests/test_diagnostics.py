@@ -283,8 +283,8 @@ class TestL2Contraction:
 
     def test_equals_the_criterion_08_formulas(self):
         # criterion-08's D and rate, written out as the reference
-        from entroflow.verify import _contraction_runs
-        tr1, tr2 = _contraction_runs()
+        from entroflow.verify import _run
+        tr1, tr2 = _run("contraction-a")[0], _run("contraction-b")[0]
         period, n = tr1.grid.period, tr1.grid.n
         D = np.sum((tr1.H - tr2.H)**2, axis=-1) * (period / n)
         k1, k2 = (curvature(_one(tr.grid, tr.H)).values for tr in (tr1, tr2))
@@ -293,8 +293,8 @@ class TestL2Contraction:
         assert np.array_equal(got[0], D) and np.array_equal(got[1], rate)
 
     def test_rate_is_the_derivative_of_D(self):
-        from entroflow.verify import _contraction_runs
-        tr1, tr2 = _contraction_runs()
+        from entroflow.verify import _run
+        tr1, tr2 = _run("contraction-a")[0], _run("contraction-b")[0]
         t = tr1.times
         D, rate = l2_contraction(tr1.grid, tr1.H, tr2.H)
         dD = (D[2:] - D[:-2]) / (t[2:] - t[:-2])
