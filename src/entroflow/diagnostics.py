@@ -211,9 +211,10 @@ def _cd_second(t, x):
         / (dt1 * dt2 * (dt1 + dt2))
 
 
-def _worst(t_interior, residual):
+def _worst(t, residual, bound):
+    """(largest residual <= bound, the largest residual, its time)."""
     j = int(np.argmax(residual))
-    return float(residual[j]), float(t_interior[j])
+    return residual[j] <= bound, float(residual[j]), float(t[j])
 
 
 def _closest(t, gap):
@@ -294,71 +295,52 @@ def fit_decay_rate(t, values):
     return float(-slope), int(len(tt))
 
 
-_UNSCALED_CHECKS = ("M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M8-growth",
-                    "M9")
-_RESCALED_CHECKS = ("M12-length", "M12-decay-h1", "M12-decay-h2", "M12-decay-h3",
-                    "M12-decay-h4", "M12-convexity")
-
-
 def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
     """Evaluate every proved identity/inequality on a recorded trajectory.
 
-    Identities hold to IDENTITY_REL relative (the (||h||^2)' law to
-    H2_SLOPE_REL); an inequality fails where it is violated by more than
-    inequality_slack times its scale.
+    Identities hold to IDENTITY_REL relative (the (||h||^2)' law to H2_SLOPE_REL);
+    an inequality fails where it is violated by more than inequality_slack times
+    its scale.  A check that does not apply reads not-applicable, with a note.
     """
-    rep = MonitorReport()
-    t = tr.record_series("t")
-    rescaled = tr.variant != "unscaled"
-    if len(t) < 3:
-        extra = _RESCALED_CHECKS if rescaled else ()
-        for name in _UNSCALED_CHECKS + ("M10", "M11") + extra:
-            rep.add(name, "not-applicable", note="fewer than 3 records")
-        return rep
-
+    c = tr.columns
+    t = c.t
     ti = t[1:-1]
+    L = c.length
+    k1 = c.k_l1
+    sig = c.logk_dirichlet
     omega = tr.grid.omega
     wpi = omega * math.pi
+    # the bracket facts presume the chain-rule run at unit initial rescaled length
+    normalized = tr.variant == "rescaled_chainrule" and abs(L[0] - 1.0) <= 1e-6
 
-    ent = tr.record_series("entropy")
-    L = tr.record_series("length")
-    fl2 = tr.record_series("f_l2sq")
-    k1 = tr.record_series("k_l1")
-    sig = tr.record_series("logk_dirichlet")
-    seminorms = tr.record_series("h_seminorms")
-    kmin = tr.record_series("kmin")
-    kmax = tr.record_series("kmax")
-    kginf = tr.record_series("kgrad_inf")
-
-    if not rescaled:
-        diss = tr.record_series("dissipation")
-        h0, h1 = seminorms[:, 0], seminorms[:, 1]
+    # Each group yields one verdict per name, in report order: a note when
+    # the check does not apply, else (truth, slack, worst_t[, note]).
+    def unscaled_flow():
+        ent = c.entropy
+        fl2 = c.f_l2sq
+        h0, h1 = c.h_seminorms[:, 0], c.h_seminorms[:, 1]
 
         # M1: entropy dissipation  SE' = -||F||_2^2
         resid = np.abs(_cd_first(t, ent) + fl2[1:-1]) / np.maximum(fl2[1:-1], 1e-300)
-        s, wt = _worst(ti, resid)
-        rep.add("M1", "pass" if s <= IDENTITY_REL else "fail", s, wt)
+        yield _worst(ti, resid, IDENTITY_REL)
 
         # M2: ||F||_2^2 nonincreasing
         viol = np.diff(fl2) - inequality_slack * np.max(fl2)
         j = int(np.argmax(viol))
-        rep.add("M2", "pass" if viol[j] <= 0 else "fail",
-                float(np.max(np.diff(fl2))), float(t[j + 1]))
+        yield viol[j] <= 0, float(np.max(np.diff(fl2))), float(t[j + 1])
 
         # M3: L' = integral k > 0 and L nondecreasing
         resid = np.abs(_cd_first(t, L) - k1[1:-1]) / np.maximum(k1[1:-1], 1e-300)
-        s, wt = _worst(ti, resid)
-        ok = s <= IDENTITY_REL and np.all(k1 > 0) \
-            and np.all(np.diff(L) >= -inequality_slack * np.max(L))
-        rep.add("M3", "pass" if ok else "fail", s, wt)
+        ok, s, wt = _worst(ti, resid, IDENTITY_REL)
+        ok = ok and np.all(k1 > 0) and np.all(np.diff(L) >= -inequality_slack * np.max(L))
+        yield ok, s, wt
 
         # M4: concavity with the dissipation bound
         lhs = _cd_second(t, L)
-        rhs = -diss[1:-1]
+        rhs = -c.dissipation[1:-1]
         viol = lhs - rhs - IDENTITY_REL * np.abs(rhs) \
             - inequality_slack * np.max(np.abs(rhs))
-        s, wt = _worst(ti, viol)
-        rep.add("M4", "pass" if s <= 0 else "fail", s, wt)
+        yield _worst(ti, viol, 0)
 
         # M5: length bracketing with c1 frozen at the first record
         c1 = k1[0]
@@ -366,37 +348,31 @@ def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
         upper = _length_upper_bound(t - t[0], L[0], c1, omega)
         slack = inequality_slack * np.max(L)
         ok = np.all(L >= lower - slack) and np.all(L <= upper + slack)
-        rep.add("M5", "pass" if ok else "fail",
-                *_closest(t, np.minimum(L - lower, upper - L)))
+        yield ok, *_closest(t, np.minimum(L - lower, upper - L))
 
         # M6: entropy bracketing
         lower = 2.0 * wpi * np.log(2.0 * wpi / L)
         slackv = inequality_slack * max(1.0, float(np.max(np.abs(ent))))
         ok = np.all(ent >= lower - slackv) and np.all(ent <= ent[0] + slackv)
-        rep.add("M6", "pass" if ok else "fail",
-                *_closest(t, np.minimum(ent - lower, ent[0] - ent)))
+        yield ok, *_closest(t, np.minimum(ent - lower, ent[0] - ent))
 
         # M7: integral bound on k_l1 plus accumulated dissipation
         cumdiss = np.concatenate([[0.0], np.cumsum(
-            0.5 * (diss[1:] + diss[:-1]) * np.diff(t))])
+            0.5 * (c.dissipation[1:] + c.dissipation[:-1]) * np.diff(t))])
         viol = k1 + cumdiss - c1 - inequality_slack * c1
-        s, wt = _worst(t, viol)
-        rep.add("M7", "pass" if s <= 0 else "fail", s, wt)
+        yield _worst(t, viol, 0)
 
         # M8: area law (omega = 1 only)
         if omega == 1:
-            A = tr.record_series("area")
+            A = c.area
             resid = np.abs(_cd_first(t, A) - 2.0 * math.pi - sig[1:-1]) / (2.0 * math.pi)
-            s, wt = _worst(ti, resid)
-            rep.add("M8", "pass" if s <= IDENTITY_REL else "fail", s, wt)
+            yield _worst(ti, resid, IDENTITY_REL)
             # the exact consequence A - A0 >= 2 pi (t - t0), separate because
             # it also holds where the centered difference cannot resolve A'
             growth = A - A[0] - 2.0 * math.pi * (t - t[0])
-            rep.add("M8-growth", "pass" if np.min(growth) >= -1e-6 else "fail",
-                    *_closest(t, growth))
+            yield np.min(growth) >= -1e-6, *_closest(t, growth)
         else:
-            for name in ("M8", "M8-growth"):
-                rep.add(name, "not-applicable", note="omega != 1")
+            yield from ["omega != 1"] * 2
 
         # M9: the two support-seminorm laws
         resid1 = np.abs(_cd_first(t, h1) + 2.0 * sig[1:-1]) / np.maximum(
@@ -407,37 +383,33 @@ def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
         wt = float(ti[int(np.argmax(np.maximum(resid1, resid0)))])
         ok = float(np.max(resid0)) <= H2_SLOPE_REL \
             and float(np.max(resid1)) <= IDENTITY_REL
-        rep.add("M9", "pass" if ok else "fail", s, wt)
-    else:
-        for name in _UNSCALED_CHECKS:
-            rep.add(name, "not-applicable", note="unscaled-flow monitor")
+        yield ok, s, wt
 
-    # M10: smallness of the sigma energy is preserved (any variant)
-    thresh = 1.0 / (SMALLNESS_FRACTION * wpi)
-    below = np.nonzero(sig <= thresh)[0]
-    if len(below) == 0:
-        rep.add("M10", "pass", note="threshold never reached")
-    else:
-        j0 = int(below[0])
-        tail = sig[j0:]
-        viol = np.diff(tail) - inequality_slack * thresh
-        if len(viol) == 0 or np.max(viol) <= 0:
-            rep.add("M10", "pass", float(np.max(np.diff(tail), initial=-np.inf)),
-                    float(t[j0]))
+    def any_flow():
+        # M10: smallness of the sigma energy is preserved
+        thresh = 1.0 / (SMALLNESS_FRACTION * wpi)
+        below = np.nonzero(sig <= thresh)[0]
+        if len(below) == 0:
+            yield True, math.nan, math.nan, "threshold never reached"
         else:
-            j = int(np.argmax(viol))
-            rep.add("M10", "fail", float(viol[j]), float(t[j0 + j + 1]))
+            j0 = int(below[0])
+            tail = sig[j0:]
+            viol = np.diff(tail) - inequality_slack * thresh
+            ok = len(viol) == 0 or np.max(viol) <= 0
+            if ok:
+                yield ok, float(np.max(np.diff(tail), initial=-np.inf)), float(t[j0])
+            else:
+                j = int(np.argmax(viol))
+                yield ok, float(viol[j]), float(t[j0 + j + 1])
 
-    # M11: geometric gradient inequality from the convexity-preservation proof
-    rhs = 2.0 * np.log1p(kginf * wpi / kmin)
-    viol = rhs - L - inequality_slack * np.max(L)
-    s, wt = _worst(t, viol)
-    rep.add("M11", "pass" if s <= 0 else "fail", s, wt)
+        # M11: geometric gradient inequality from the convexity-preservation proof
+        rhs = 2.0 * np.log1p(c.kgrad_inf * wpi / c.kmin)
+        viol = rhs - L - inequality_slack * np.max(L)
+        yield _worst(t, viol, 0)
 
-    if rescaled:
-        normalized = abs(L[0] - 1.0) <= 1e-6
-        if tr.variant == "rescaled_chainrule" and normalized:
-            # the bracket facts presume unit initial rescaled length
+    def rescaled_flow():
+        # M12-length: the rescaled length stays in [1, c_L]
+        if normalized:
             a = 8.0 * wpi**2
             # exp overflows above 709.78; the cap's ratio is at its limit
             # long before tau = expm1(709) / a
@@ -447,28 +419,22 @@ def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
             ok = np.all(L >= 1.0 - slack) and np.all(L <= cL + slack)
             worst = float(min(np.min(L - 1.0), np.min(cL - L)))
             j = int(np.argmin(np.minimum(L - 1.0, cL - L)))
-            rep.add("M12-length", "pass" if ok else "fail", worst, float(t[j]),
-                    note=f"c_L={cL:.4g}")
-            klo, khi = wpi / (2.0 * cL), 8.0 * wpi
+            yield ok, worst, float(t[j]), f"c_L={cL:.4g}"
         else:
-            why = ("paper-literal variant" if tr.variant != "rescaled_chainrule"
+            yield ("paper-literal variant" if tr.variant != "rescaled_chainrule"
                    else "initial rescaled length not normalized to 1")
-            rep.add("M12-length", "not-applicable", note=why)
-            klo, khi = None, None
 
         # monotone decay of the first four seminorms after the transient.  A
         # series whose largest value is at most ROUNDOFF_FACTOR times the
         # round-off of a p-th derivative, max(h0) (eps xi_max^p)^2, holds no
         # decay to check
         xi_max = tr.grid.n / (2 * omega)
-        h0_max = float(np.max(seminorms[:, 0]))
+        h0_max = float(np.max(c.h_seminorms[:, 0]))
         for p in (1, 2, 3, 4):
-            series = seminorms[:, p]
+            series = c.h_seminorms[:, p]
             top, level = float(np.max(series)), h0_max * (EPS * xi_max**p) ** 2
             if top <= ROUNDOFF_FACTOR * level:
-                rep.add(f"M12-decay-h{p}", "not-applicable",
-                        note=f"round-off: max {top:.3g} <= "
-                             f"{ROUNDOFF_FACTOR:g} x {level:.3g}")
+                yield f"round-off: max {top:.3g} <= {ROUNDOFF_FACTOR:g} x {level:.3g}"
                 continue
             floor = noise_floor(series)
             start = len(series) // 2
@@ -479,21 +445,37 @@ def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
             mono_ok = len(grow) == 0 or np.max(grow) <= 0
             rate, used = fit_decay_rate(t, series)
             ok = mono_ok and (math.isnan(rate) or rate > 0)
-            rep.add(f"M12-decay-h{p}", "pass" if ok else "fail",
-                    rate, note=f"fitted rate over {used} records")
+            yield ok, rate, math.nan, f"fitted rate over {used} records"
 
-        if klo is None:
-            rep.add("M12-convexity", "not-applicable",
-                    note="bracket needs the normalized chain-rule run")
+        # M12-convexity: once inside [pi omega / (2 c_L), 8 pi omega], k stays there
+        if not normalized:
+            yield "bracket needs the normalized chain-rule run"
+            return
+        klo, khi = wpi / (2.0 * cL), 8.0 * wpi
+        good = (c.kmin >= klo) & (c.kmax <= khi)
+        idx = np.nonzero(good)[0]
+        if len(idx) == 0:
+            yield False, math.nan, math.nan, "never entered the bracket"
         else:
-            good = (kmin >= klo) & (kmax <= khi)
-            idx = np.nonzero(good)[0]
-            if len(idx) == 0:
-                rep.add("M12-convexity", "fail", note="never entered the bracket")
+            stay = np.all(good[idx[0]:])
+            yield (stay, float(np.min(np.minimum(c.kmin - klo, khi - c.kmax)[idx[0]:])),
+                   float(t[idx[0]]), f"bracket [{klo:.4g}, {khi:.4g}]")
+
+    short = "fewer than 3 records" if len(t) < 3 else None
+    rescaled = tr.variant != "unscaled"
+    suite = [(("M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M8-growth", "M9"),
+              unscaled_flow, short or ("unscaled-flow monitor" if rescaled else None)),
+             (("M10", "M11"), any_flow, short)]
+    if rescaled:
+        suite.append((("M12-length", "M12-decay-h1", "M12-decay-h2", "M12-decay-h3",
+                       "M12-decay-h4", "M12-convexity"), rescaled_flow, short))
+    rep = MonitorReport()
+    for names, group, skip in suite:
+        verdicts = [skip] * len(names) if skip else group()
+        for name, verdict in zip(names, verdicts, strict=True):
+            if isinstance(verdict, str):
+                rep.add(name, "not-applicable", note=verdict)
             else:
-                stay = bool(np.all(good[idx[0]:]))
-                rep.add("M12-convexity", "pass" if stay else "fail",
-                        float(np.min(np.minimum(kmin - klo, khi - kmax)[idx[0]:])),
-                        float(t[idx[0]]),
-                        note=f"bracket [{klo:.4g}, {khi:.4g}]")
+                truth, *found = verdict
+                rep.add(name, {True: "pass", False: "fail"}[bool(truth)], *found)
     return rep

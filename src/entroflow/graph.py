@@ -41,6 +41,9 @@ PARAMETRIZATION_TOL = 1e-9   # k_thth + k against its arclength form
 # bases at n = 48-384, every tail up to 2.2e-9 passed the battery and every
 # tail from 5.5e-9 up failed
 RESOLUTION_TOL = 1e-9
+# top mode of band_limited_rho's draws; a circle base's normal adds mode 1, so
+# the composite curve is resolved only when n/2 exceeds RHO_TOP_MODE + 1
+RHO_TOP_MODE = 8
 
 _ELLIPSE_FINE = 2048         # samples of 1/k behind the ellipse's arclength
 
@@ -393,7 +396,7 @@ def band_limited_rho(scene: GraphCurveScene, seed: int) -> np.ndarray:
     """Seeded random band-limited graph function.
 
     Draws come from numpy's default PCG64 generator (a documented,
-    platform-independent permuted congruential generator); mode m = 1..8
+    platform-independent permuted congruential generator); mode m = 1..RHO_TOP_MODE
     gets standard-normal cosine/sine coefficients damped by 1/(1 + m^2).
     The result is scaled to a sup amplitude of 5 percent of the admissible
     bound min(1/k0).
@@ -401,7 +404,7 @@ def band_limited_rho(scene: GraphCurveScene, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     x = 2.0 * np.pi * scene.u / scene.length
     v = np.zeros(scene.n)
-    for m in range(1, 9):
+    for m in range(1, RHO_TOP_MODE + 1):
         am, bm = rng.standard_normal(2) / (1.0 + m * m)
         v += am * np.cos(m * x) + bm * np.sin(m * x)
     amplitude = 0.05 * float(np.min(1.0 / scene.k0))
@@ -447,9 +450,15 @@ def composite_support(scene: GraphCurveScene, n_out: int) -> SupportGrid:
 
 
 def require_resolved(base: GraphCurveScene) -> None:
-    """Raise ValueError unless the base curvature is resolved on its grid:
+    """Raise ValueError unless the grid resolves the draws of
+    band_limited_rho (n/2 above RHO_TOP_MODE + 1) and the base curvature:
     max |rfft(k0)| over the top n/8 modes, over its largest coefficient, at
     most RESOLUTION_TOL.  A k0 holding NaN has a NaN tail, which fails."""
+    if base.n / 2 <= RHO_TOP_MODE + 1:
+        raise ValueError(
+            f"graph draws under-resolved at n={base.n}: they reach mode "
+            f"{RHO_TOP_MODE} and the base adds mode 1, so n/2 must exceed "
+            f"{RHO_TOP_MODE + 1}; raise n")
     c = np.abs(spectral.rfft(base.k0))
     tail = float(np.max(c[-(base.n // 8):]) / np.max(c))
     if not tail <= RESOLUTION_TOL:

@@ -220,7 +220,8 @@ def support_from_curve(curve, omega: int, n: int) -> SupportGrid:
     either orientation: with omega == 1 its h is the support function of its
     polygonal hull; otherwise its outward-normal angles are estimated from
     its points, taken in counterclockwise order, and that angle map is
-    inverted as for a CurveSample.  n is the output grid size.
+    inverted as for a CurveSample.  n is the output grid size.  A NaN or
+    infinite point or angle is a CurveIngestionError.
     """
     if isinstance(curve, CurveSample):
         pts, thetas = curve.points, curve.thetas
@@ -229,6 +230,8 @@ def support_from_curve(curve, omega: int, n: int) -> SupportGrid:
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 8:
             raise CurveIngestionError("need at least 8 planar points")
         thetas = None
+    if not (np.isfinite(pts).all() and (thetas is None or np.isfinite(thetas).all())):
+        raise CurveIngestionError("curve points and normal angles must be finite")
     grid = PeriodicGrid(omega=omega, n=n)
     if thetas is None:
         if omega == 1:

@@ -624,6 +624,20 @@ class TestCrosscheck:
         assert len(err) == 1 and err[0].startswith("validation failure:")
         assert "spectral tail 2.74e-03" in err[0]
 
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_grid_below_the_draws(self, tmp_path, capsys, n):
+        # the draws reach mode 8 and the circle's normal adds mode 1, so at
+        # n/2 <= 9 the composite reaches the Nyquist mode
+        cfgp = write_config(tmp_path, fast_config(tmp_path, n=n))
+        assert main(["crosscheck", "--config", str(cfgp)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation failure:"), err
+        assert err[0].endswith("raise n")
+
+    def test_grid_above_the_draws(self, tmp_path):
+        cfgp = write_config(tmp_path, fast_config(tmp_path, n=20))
+        assert main(["crosscheck", "--config", str(cfgp)]) == 0
+
     def test_write_failure_exit4(self, tmp_path, capsys):
         (tmp_path / "out" / "crosscheck.csv").mkdir(parents=True)
         cfgp = write_config(tmp_path, fast_config(tmp_path, n=64))
@@ -663,6 +677,20 @@ def _no_data(kind, text):
     return argv
 
 
+def _nonfinite_curve(value, omega):
+    """simulate from a curve_file of an omega-curve whose fifth x is value."""
+    def argv(tmp_path):
+        pts = reconstruct(fourier_support(PeriodicGrid(omega, 64), 1.0,
+                                          [(3, 0.02, 0.0)])).points
+        pts[4, 0] = value
+        path = tmp_path / "curve.txt"
+        np.savetxt(path, pts)
+        data = fast_config(tmp_path, omega=omega,
+                           initial={"kind": "curve_file", "path": str(path)})
+        return ["simulate", "--config", str(write_config(tmp_path, data))]
+    return argv
+
+
 def _with_initial(command, **initial):
     """command on a config with the given initial data."""
     def argv(tmp_path):
@@ -695,6 +723,12 @@ def _with_initial(command, **initial):
                    id=f"{kind}-{name}")
       for kind in ("curve_file", "support_file")
       for name, text in (("empty", ""), ("comments-only", "# x y\n# none\n"))),
+    # refused before the hull's RuntimeWarnings, its centering message or
+    # scipy's interpolation message
+    *(pytest.param(_nonfinite_curve(value, omega), ExitStatus.VALIDATION,
+                   "validation failure: curve points and normal angles must be finite",
+                   id=f"curve_file-{value}-omega{omega}")
+      for value in (math.nan, math.inf) for omega in (1, 2)),
     # refused with the config, not by numpy's two-line loadtxt message
     *(pytest.param(_with_initial("simulate", kind=kind, path=path), ExitStatus.VALIDATION,
                    f"config error: initial.path must be a string, got {path!r}",

@@ -319,8 +319,9 @@ class TestMonitors:
         st = FlowState(support=circle_support(PeriodicGrid(2, 16), 1.0))
         tr = evolve(st, 0.2, StepperConfig(), monitor_every=0.01)
         rep = run_monitors(tr)
-        assert rep["M8"].status == "not-applicable"
-        assert rep["M8-growth"].status == "not-applicable"
+        for name in ("M8", "M8-growth"):
+            assert rep[name].status == "not-applicable"
+            assert rep[name].note == "omega != 1"
         assert rep.passed
 
     def test_ellipse_dissipation_residual(self):
@@ -384,6 +385,14 @@ class TestMonitors:
         assert rep["M12-convexity"].status == "pass"
         for p in (1, 2, 3, 4):
             assert rep[f"M12-decay-h{p}"].status == "pass"
+        # a kmax column above the bracket's top 8 omega pi never enters it
+        kmax = np.full_like(tr.columns.kmax, 9.0 * np.pi)
+        outside = Trajectory(tr.variant, tr.grid, tr.H,
+                             dataclasses.replace(tr.columns, kmax=kmax))
+        convexity = run_monitors(outside)["M12-convexity"]
+        assert convexity.status == "fail"
+        assert convexity.note == "never entered the bracket"
+        assert math.isnan(convexity.slack) and math.isnan(convexity.worst_t)
 
     def test_length_cap_finds_the_peak_on_long_runs(self):
         # a normalized 6:1 ellipse has c1 = integral of k dtheta ~ 407.15,
@@ -427,8 +436,46 @@ class TestMonitors:
                     0.05, cfg, monitor_every=5e-3)
         rep = run_monitors(tr)
         assert rep["M12-length"].status == "not-applicable"
+        assert rep["M12-length"].note == "initial rescaled length not normalized to 1"
         assert rep["M12-convexity"].status == "not-applicable"
+        assert rep["M12-convexity"].note == "bracket needs the normalized chain-rule run"
         assert rep.passed
+        unscaled = [c for c in rep.checks if c.note == "unscaled-flow monitor"]
+        assert [c.name for c in unscaled] == ["M1", "M2", "M3", "M4", "M5", "M6", "M7",
+                                              "M8", "M8-growth", "M9"]
+        assert all(c.status == "not-applicable" for c in unscaled)
+
+    def test_paper_variant_bracket_not_applicable(self):
+        # the bracket facts are stated for the chain-rule variant only
+        st = FlowState(support=circle_support(PeriodicGrid(1, 16), 1.0),
+                       variant="rescaled_paper")
+        rep = run_monitors(evolve(st, 0.1, StepperConfig(), monitor_every=0.05))
+        assert rep["M12-length"].status == "not-applicable"
+        assert rep["M12-length"].note == "paper-literal variant"
+        assert rep["M12-convexity"].status == "not-applicable"
+        assert rep["M12-convexity"].note == "bracket needs the normalized chain-rule run"
+
+    def test_roundoff_seminorms_not_applicable(self):
+        # the omega = 2 rescaled fixed point: every seminorm p >= 1 is round-off
+        st = FlowState(support=circle_support(PeriodicGrid(2, 32), 1.0 / (4.0 * math.pi)),
+                       variant="rescaled_chainrule")
+        cfg = StepperConfig(scheme="semi_implicit", max_dt=0.01)
+        rep = run_monitors(evolve(st, 0.05, cfg, monitor_every=0.01))
+        assert rep["M12-length"].status == "pass"
+        for p in (1, 2, 3, 4):
+            check = rep[f"M12-decay-h{p}"]
+            assert check.status == "not-applicable"
+            assert check.note.startswith("round-off: max ")
+            assert " <= 100 x " in check.note
+
+    def test_sigma_threshold_never_reached(self):
+        # a strongly non-round datum keeps its sigma energy above 1/(22 omega pi)
+        s = fourier_support(PeriodicGrid(1, 32), 1.0, [(2, 0.3, 0.0)])
+        tr = evolve(FlowState(support=s), 0.02, StepperConfig(), monitor_every=0.01)
+        m10 = run_monitors(tr)["M10"]
+        assert m10.status == "pass"
+        assert m10.note == "threshold never reached"
+        assert math.isnan(m10.slack) and math.isnan(m10.worst_t)
 
     def test_report_json(self, tmp_path):
         st = FlowState(support=circle_support(PeriodicGrid(1, 16), 1.0))

@@ -183,6 +183,18 @@ class TestIngestion:
         expect = 1 + 0.5 * np.cos(s.grid.nodes)
         assert np.max(np.abs(s.values - expect)) < 1e-6
 
+    @pytest.mark.parametrize("where", ["point", "theta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_curve_sample_rejected(self, where, value):
+        phi = np.arange(64) * 2 * math.pi / 64
+        pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        if where == "point":
+            pts[4, 1] = value
+        else:
+            phi[-1] = value
+        with pytest.raises(CurveIngestionError, match="must be finite"):
+            support_from_curve(CurveSample(points=pts, thetas=phi), omega=1, n=32)
+
     def test_origin_outside_recenters(self):
         phi = np.arange(4096) * 2 * math.pi / 4096
         pts = np.stack([10.0 + np.cos(phi), np.sin(phi)], axis=1)
