@@ -253,17 +253,38 @@ def workspace(grid: PeriodicGrid) -> _Workspace:
 
 def velocity(h, D2I, lam, w):
     """F(h) = D2I @ (1/w) - lam*h, i.e. k_thth + k - lam*h with k = 1/w and
-    w = D2I @ h = h_thth + h, as a new array; rhs and _semi_implicit_attempt
-    call it, and _rk4_attempt writes the same formula in place."""
+    w = D2I @ h = h_thth + h, as a new array; rhs calls it, and
+    _rk4_attempt and _semi_implicit_attempt write the same formula in place."""
     f = D2I @ np.reciprocal(w)
     if lam != 0.0:
         f -= lam * h
     return f
 
 
+def _apply_into(D2I):
+    """The call apply(x, out) that writes D2I @ x into the buffer out and
+    returns out, with the bits of D2I @ x.  A dense D2I is applied by the
+    dot of its plain ndarray view, the same BLAS product at less dispatch
+    cost, and an rfft one by its own dot; any other operator (a view that
+    wraps the apply and may define @ alone) by out[...] = D2I @ x."""
+    if type(D2I) is _DenseOperator:
+        return D2I.view(np.ndarray).dot
+    if type(D2I) is _RfftOperator:
+        return D2I.dot
+
+    def apply(x, out):
+        out[...] = D2I @ x
+        return out
+
+    return apply
+
+
 # A run's attempt(h, w, margin, dt) -> (h_new, D2I @ h_new), w = D2I @ h and
 # margin = min(w), works in the order of operations of the plain formulas,
 # so that it gives their bits: x + x is 2.0 * x, and + and * commute exactly.
+# It writes into the run's own arrays, into the one of its two (h, D2I @ h)
+# pairs that does not hold h: a retry rewrites that pair, and no attempt
+# overwrites the accepted state.
 
 def _rk4_attempt(D2I, lam, n):
     """The attempt of one RK4 run on n nodes: a classical RK4 step from h,
@@ -272,11 +293,8 @@ def _rk4_attempt(D2I, lam, n):
     slopes as the rows of F, a stage state y, a buffer r for D2I @ y and its
     reciprocal, 0-d factors dt/2, dt and dt/6 (which multiply with the bits
     of the float they hold, unconverted per call) and two (h, D2I @ h)
-    pairs.  It writes the pair that does not hold h: a retry rewrites that
-    pair, and no attempt overwrites the accepted state.  A dense D2I is
-    applied by the dot of its plain ndarray view, the same BLAS product at
-    less dispatch cost; any other operator (rfft, a wrapped view) keeps its own."""
-    apply = D2I.view(np.ndarray).dot if type(D2I) is _DenseOperator else D2I.dot
+    pairs.  D2I is applied into them by _apply_into(D2I)."""
+    apply = _apply_into(D2I)
     F = np.empty((4, n))
     f1, f2, f3, f4, f23 = *F, F[1:3]
     y, r, h0, w0, h1, w1 = (np.empty(n) for _ in range(6))
@@ -310,24 +328,62 @@ def _rk4_attempt(D2I, lam, n):
     return attempt
 
 
-def _semi_implicit_attempt(h, w, margin, dt, ws, lam, stab_coeff):
-    """One linearly stabilized step from h, with w = D2I @ h and margin =
-    min(w) > 0; every array it returns is new.
+class _SemiImplicitRun:
+    """What one semi-implicit run on n nodes keeps across its attempts: the
+    apply of D2I (_apply_into), xi^4, lam, stab_coeff and its work arrays.
+
+    The arrays are views of one block, the run's one allocation: two (2, n)
+    stacks, each holding a state h in row 0 and its F(h) in row 1, a buffer
+    for D2I @ h beside each (stack[i], h[i] and w[i] make pair i), a
+    temporary tmp for 1/w and lam*h, the (2, n//2 + 1) spectrum spec of a
+    stack, and the denominator den.
+    """
+
+    def __init__(self, D2I, xi4, lam, stab_coeff, n):
+        self.apply, self.xi4, self.lam, self.stab_coeff, self.n = (
+            _apply_into(D2I), xi4, lam, stab_coeff, n)
+        m = n // 2 + 1
+        block = np.empty(5 * m + 7 * n)
+        spec, stacks, w, self.tmp, self.den = np.split(
+            block, np.cumsum((4 * m, 4 * n, 2 * n, n)))
+        self.spec = spec.view(complex).reshape(2, m)
+        self.hhat, self.r = self.spec
+        stacks = stacks.reshape(2, 2, n)
+        self.stack = tuple(stacks)
+        self.h, self.f = tuple(stacks[:, 0]), tuple(stacks[:, 1])
+        self.w = tuple(w.reshape(2, n))
+
+
+def _semi_implicit_attempt(h, w, margin, dt, run):
+    """One linearly stabilized step of run from h, with w = D2I @ h and
+    margin = min(w) > 0.
 
     Returns (h_new, D2I @ h_new), h_new = irfft(rfft(h) + dt * rfft(F(h)) /
-    (1 + dt * c * xi^4)) with c = stab_coeff / margin^2; h and F(h) take one
-    stacked rfft.
+    (1 + dt * c * xi^4)) with c = stab_coeff / margin^2, in the run's pair
+    that does not hold h.  h and F(h) are the rows of one of the run's
+    stacks and take one rfft; an h that is no pair's, as on the run's first
+    step, is copied into stack 0.
     """
+    i = 1 if h is run.h[1] else 0
+    stack, f, hn, wn = run.stack[i], run.f[i], run.h[1 - i], run.w[1 - i]
+    if h is not run.h[i]:
+        stack[0] = h
+    apply, tmp, lam = run.apply, run.tmp, run.lam
+    # F(h) into row 1 by velocity's formula
+    apply(np.reciprocal(w, out=tmp), out=f)
+    if lam != 0.0:
+        np.subtract(f, np.multiply(lam, h, out=tmp), out=f)
+    spectral.rfft(stack, out=run.spec)
     kmax = 1.0 / margin
-    c = stab_coeff * kmax * kmax
-    hhat, r = spectral.rfft(np.array((h, velocity(h, ws.D2I, lam, w))))
-    denom = ws.xi4 * (dt * c)
-    denom += 1.0
+    c = run.stab_coeff * kmax * kmax
+    den, r = run.den, run.r
+    np.multiply(run.xi4, dt * c, out=den)
+    den += 1.0
     r *= dt
-    r /= denom
-    r += hhat
-    hn = spectral.irfft(r, len(h))
-    return hn, ws.D2I @ hn
+    r /= den
+    r += run.hhat
+    spectral.irfft(r, run.n, out=hn)
+    return hn, apply(hn, out=wn)
 
 
 def _guard_holds(margin_new, margin, guard_ratio):
@@ -448,17 +504,18 @@ def _rk4_scheme(cfg, ws, lam, n, margin, t0, t_end):
 
 def _semi_implicit_scheme(cfg, ws, lam, n, margin, t0, t_end):
     """The semi-implicit scheme's (attempt, next_dt) for one run: attempt is
-    _semi_implicit_attempt on the run's ws, lam and stabilization_coeff, and
-    next_dt carries dt from min(dt_init, max_dt) under _zero_order_cap(margin):
+    _semi_implicit_attempt on the run's _SemiImplicitRun, and next_dt
+    carries dt from min(dt_init, max_dt) under _zero_order_cap(margin):
     it keeps a halved dt and grows dt 1.2x (up to max_dt) after a clean step
     no event clipped.  Raises ValueError when steps of max_dt, which bounds
     every dt, are over MAX_STEPS from t0 to t_end."""
-    safety, max_dt, stab = cfg.safety, cfg.max_dt, cfg.stabilization_coeff
+    safety, max_dt = cfg.safety, cfg.max_dt
     _check_step_count(f"semi_implicit on n={n} steps at most max_dt", max_dt, t0, t_end)
     dt = min(cfg.dt_init, max_dt)
+    run = _SemiImplicitRun(ws.D2I, ws.xi4, lam, cfg.stabilization_coeff, n)
 
     def attempt(h, w, margin, dt):
-        return _semi_implicit_attempt(h, w, margin, dt, ws, lam, stab)
+        return _semi_implicit_attempt(h, w, margin, dt, run)
 
     def next_dt(margin, dt_taken=None, halvings=0, clipped=True):
         nonlocal dt

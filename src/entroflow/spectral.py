@@ -80,8 +80,10 @@ def rfft_wavenumbers(n: int, period: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
 
 
-def rfft(x: np.ndarray) -> np.ndarray:
-    """np.fft.rfft(x) of float64 samples along the last axis, bit for bit.
+def rfft(x: np.ndarray, out=None) -> np.ndarray:
+    """np.fft.rfft(x) of float64 samples along the last axis, bit for bit,
+    written into out (n//2 + 1 complex values per row), or into a new array
+    when out is None.
 
     Calls the pocketfft kernel that np.fft.rfft ends in, with the same
     factor 1.0, and skips np.fft's Python wrapper.  Every real-input
@@ -89,8 +91,10 @@ def rfft(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x)
     n = x.shape[-1]
+    if out is None:
+        out = np.empty(x.shape[:-1] + (n // 2 + 1,), complex)
     kernel = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
-    return kernel(x, 1.0, out=np.empty(x.shape[:-1] + (n // 2 + 1,), complex))
+    return kernel(x, 1.0, out=out)
 
 
 def irfft(c: np.ndarray, n: int, out=None) -> np.ndarray:

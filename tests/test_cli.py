@@ -634,6 +634,15 @@ class TestCrosscheck:
         assert len(err) == 1 and err[0].startswith("validation failure:"), err
         assert err[0].endswith("raise n")
 
+    def test_draw_not_locally_convex(self, tmp_path, capsys):
+        # at n = 22, seed 0, draw 0's composite curve over the circle is not
+        # locally convex: one refusal line, not a traceback
+        cfgp = write_config(tmp_path, fast_config(tmp_path, n=22))
+        assert main(["crosscheck", "--config", str(cfgp), "--seed", "0"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("validation failure: composite curve not locally convex")
+
     def test_grid_above_the_draws(self, tmp_path):
         cfgp = write_config(tmp_path, fast_config(tmp_path, n=20))
         assert main(["crosscheck", "--config", str(cfgp)]) == 0

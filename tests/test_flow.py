@@ -35,6 +35,33 @@ def patch_attempt(monkeypatch, scheme, wrap):
     monkeypatch.setattr(flow, name, patched)
 
 
+class MatmulOnly(np.ndarray):
+    """A view of D2I that counts each D2I @ x in its list applies and
+    defines no other apply, as perfbench's counting view: np.matmul of the
+    wrapped operator, on either route."""
+
+    def __matmul__(self, other):
+        self.applies[0] += 1
+        return np.matmul(self.plain, other)
+
+
+def count_applies(monkeypatch):
+    """Every workspace's D2I wrapped in a MatmulOnly view from here on; the
+    returned one-item list counts the applies."""
+    applies = [0]
+    real = flow.workspace
+
+    def counting_workspace(grid):
+        ws = copy.copy(real(grid))
+        op = ws.D2I.view(MatmulOnly)
+        op.plain, op.applies = ws.D2I, applies
+        ws.D2I = op
+        return ws
+
+    monkeypatch.setattr(flow, "workspace", counting_workspace)
+    return applies
+
+
 def circle_state(r=1.0, omega=1, n=16, variant="unscaled"):
     s = circle_support(PeriodicGrid(omega=omega, n=n), r)
     return FlowState(support=s, time=0.0, variant=variant)
@@ -83,6 +110,34 @@ def reference_semi_implicit(h, w, dt, ws, lam, stab_coeff):
     denom = 1.0 + dt * c * ws.xi4
     hn = np.fft.irfft(hhat + dt * np.fft.rfft(f) / denom, n=len(h))
     return hn, apply(hn)
+
+
+def assert_pairs(attempt, h, w, dt, reference):
+    """A run's attempt writes reference(h, w, dt)'s bits into one of its
+    (h, D2I @ h) pairs, as plain ndarrays that share no memory with their
+    inputs, and a halved retry from the same h rewrites that pair; a step
+    from that pair writes the other one and leaves it as it was, and a step
+    from the other pair writes the first again."""
+    first = attempt(h, w, float(w.min()), dt)
+    for d in (dt, 0.5 * dt):
+        got = attempt(h, w, float(w.min()), d)
+        assert got[0] is first[0] and got[1] is first[1]
+        assert not np.shares_memory(*got)
+        for a, b in zip(got, reference(h, w, d)):
+            assert type(a) is np.ndarray and np.array_equal(a, b)
+            assert not any(np.shares_memory(a, x) for x in (h, w))
+    hn, wn = got
+    kept = hn.copy(), wn.copy()
+    want = reference(hn, wn, dt)
+    second = attempt(hn, wn, float(wn.min()), dt)
+    for a in second:
+        assert type(a) is np.ndarray
+        assert not any(np.shares_memory(a, b) for b in (hn, wn, h, w))
+    for a, b in zip(second, want):
+        assert np.array_equal(a, b)
+    assert np.array_equal(hn, kept[0]) and np.array_equal(wn, kept[1])
+    third = attempt(second[0], second[1], float(second[1].min()), dt)
+    assert third[0] is hn and third[1] is wn
 
 
 def assert_row(columns, i, rec):
@@ -214,8 +269,10 @@ class TestVelocityKernel:
 
             monkeypatch.setattr(flow, "_semi_implicit_attempt", recording_attempt)
             final = evolve(st, 0.02, cfg).final.support.values
-            # a rejected attempt is retried from the same state array
-            return final, len({id(h) for h in inputs})
+            # a rejected attempt is retried from the same state array, and
+            # accepted states alternate between the run's two pairs: an
+            # attempt is a step when its input is not the previous input
+            return final, sum(h is not prev for prev, h in zip([None] + inputs, inputs))
 
         rfft, rfft_steps = run()
         real = flow.workspace(g)
@@ -248,46 +305,56 @@ class TestVelocityKernel:
     @pytest.mark.parametrize("scheme,per_step", [("explicit_rk4", 8),
                                                  ("semi_implicit", 2)])
     def test_operator_applies(self, monkeypatch, scheme, per_step):
-        # a view that counts each D2I @ x and each D2I.dot(x, out=...), and
-        # applies the wrapped operator by its own np.matmul or dot, so the
-        # rfft route is counted as the dense one
-        class Counting(np.ndarray):
-            def __matmul__(self, other):
-                applies[0] += 1
-                return np.matmul(self.plain, other)
-
-            def dot(self, other, out=None):
-                applies[0] += 1
-                return self.plain.dot(other, out=out)
-
-        real = flow.workspace
-
-        def counting_workspace(grid):
-            ws = copy.copy(real(grid))
-            op = ws.D2I.view(Counting)
-            op.plain = ws.D2I
-            ws.D2I = op
-            return ws
-
+        # a view that counts each D2I @ x, which both attempts' _apply_into
+        # applies by np.matmul of the wrapped operator, so the rfft route is
+        # counted as the dense one
         real_attempt = flow._semi_implicit_attempt
 
         def counting_attempt(*args):
             attempts[0] += 1
             return real_attempt(*args)
 
-        monkeypatch.setattr(flow, "workspace", counting_workspace)
+        applies = count_applies(monkeypatch)
         monkeypatch.setattr(flow, "_semi_implicit_attempt", counting_attempt)
         # dense and rfft routes; a dyadic step below both RK4 step bounds and
         # a dyadic cadence: exactly 8 accepted steps in each of 2 spans
         for n, dt in ((16, 2.0**-17), (512, 2.0**-32)):
-            assert (real(PeriodicGrid(omega=1, n=n)).D2I.ndim == 1) == (n > flow.DENSE_MAX_N)
-            applies, attempts = [0], [0]
+            assert (flow.workspace(PeriodicGrid(omega=1, n=n)).D2I.plain.ndim == 1) \
+                == (n > flow.DENSE_MAX_N)
+            applies[0], attempts = 0, [0]
             cfg = StepperConfig(scheme=scheme, dt_init=dt, max_dt=dt)
             evolve(circle_state(1.0, n=n), 16 * dt, cfg, monitor_every=8 * dt)
             if scheme == "semi_implicit":
                 assert attempts[0] == 16
             # plus one apply for the starting state's D2I @ h, carried across spans
             assert applies[0] == per_step * 16 + 1
+
+    @pytest.mark.parametrize("n", [48, 1024])
+    @pytest.mark.parametrize("scheme,per_step", [("explicit_rk4", 8),
+                                                 ("semi_implicit", 2)])
+    def test_wrapped_operator_evolves_as_plain(self, monkeypatch, n, scheme, per_step):
+        # a D2I view that defines @ alone is applied through it, into the
+        # run's buffers, with the plain operator's bits on both routes; a
+        # dyadic step under the scheme's first dt makes exactly 4 steps
+        g = PeriodicGrid(omega=1, n=n)
+        s = ellipse_support(g, 1.3, 1.0)
+        st = FlowState(support=SupportGrid(GridFunction(g, s.values / integrate(s.h))),
+                       variant="rescaled_chainrule")
+        dt = 2.0**-12
+        if scheme == "explicit_rk4":
+            ws = flow.workspace(g)
+            margin = float((ws.D2I @ st.support.values).min())
+            bound = 0.9 * flow.RK4_REAL_AXIS / ws.ximax4 * margin**2
+            dt = 2.0 ** (math.floor(math.log2(bound)) - 1)
+        cfg = StepperConfig(scheme=scheme, dt_init=dt, max_dt=dt)
+        plain = evolve(st, 4 * dt, cfg, monitor_every=2 * dt)
+        applies = count_applies(monkeypatch)
+        wrapped = evolve(st, 4 * dt, cfg, monitor_every=2 * dt)
+        assert applies[0] == per_step * 4 + 1
+        assert np.array_equal(wrapped.H, plain.H)
+        for f in dataclasses.fields(plain.columns):
+            assert np.array_equal(getattr(wrapped.columns, f.name),
+                                  getattr(plain.columns, f.name)), f.name
 
 
 class TestAttempts:
@@ -306,34 +373,13 @@ class TestAttempts:
         w = reference_apply(ws.D2I)(h)
         margin = float(w.min())
         dt = 0.9 * flow.RK4_REAL_AXIS / ws.ximax4 * margin**2
-        # the run's attempt writes the plain formulas' bits into one of its
-        # (h, D2I @ h) pairs, and a halved retry from the same h rewrites it
-        attempt = flow._rk4_attempt(ws.D2I, lam, n)
-        first = attempt(h, w, margin, dt)
-        for d in (dt, 0.5 * dt):
-            got = attempt(h, w, margin, d)
-            assert got[0] is first[0] and got[1] is first[1]
-            assert not np.shares_memory(*got)
-            for a, b in zip(got, reference_rk4(h, w, d, ws, lam)):
-                assert type(a) is np.ndarray and np.array_equal(a, b)
-        # a step from that pair writes the other one and leaves it as it
-        # was; a step from the other pair writes the first again
-        hn, wn = got
-        kept = hn.copy(), wn.copy()
-        want = reference_rk4(hn, wn, dt, ws, lam)
-        second = attempt(hn, wn, float(wn.min()), dt)
-        for a in second:
-            assert not any(np.shares_memory(a, b) for b in (hn, wn, h, w))
-        for a, b in zip(second, want):
-            assert np.array_equal(a, b)
-        assert np.array_equal(hn, kept[0]) and np.array_equal(wn, kept[1])
-        third = attempt(second[0], second[1], float(second[1].min()), dt)
-        assert third[0] is hn and third[1] is wn
+        assert_pairs(flow._rk4_attempt(ws.D2I, lam, n), h, w, dt,
+                     lambda h, w, dt: reference_rk4(h, w, dt, ws, lam))
+        cfg = StepperConfig(scheme="semi_implicit")
         for dt in (1e-4, 2e-3):
-            got = flow._semi_implicit_attempt(h, w, margin, dt, ws, lam, 1.0)
-            ref = reference_semi_implicit(h, w, dt, ws, lam, 1.0)
-            for a, b in zip(got, ref):
-                assert type(a) is np.ndarray and np.array_equal(a, b)
+            attempt, _ = flow._semi_implicit_scheme(cfg, ws, lam, n, margin, 0.0, 1.0)
+            assert_pairs(attempt, h, w, dt,
+                         lambda h, w, dt: reference_semi_implicit(h, w, dt, ws, lam, 1.0))
         # the attempts leave their inputs as they were
         assert np.array_equal(h, s.values)
         assert np.array_equal(w, reference_apply(ws.D2I)(h))
@@ -355,12 +401,15 @@ class TestAttempts:
         ws = flow.workspace(g)
         h = ellipse_support(g, 1.3, 1.0).values
         w = ws.D2I @ h
+        margin = float(w.min())
+        attempt, _ = flow._semi_implicit_scheme(StepperConfig(scheme="semi_implicit"),
+                                                ws, 1.0, g.n, margin, 0.0, 1.0)
         for name in ("rfft", "irfft"):
             monkeypatch.setattr(spectral, name, counted(getattr(spectral, name)))
-        flow._semi_implicit_attempt(h, w, float(w.min()), 1e-3, ws, 1.0, 1.0)
+        attempt(h, w, margin, 1e-3)
         assert calls == ["rfft", "irfft"]
         calls.clear()
-        flow._rk4_attempt(ws.D2I, 1.0, g.n)(h, w, float(w.min()), 1e-6)
+        flow._rk4_attempt(ws.D2I, 1.0, g.n)(h, w, margin, 1e-6)
         assert calls == []
 
     @pytest.mark.parametrize("n", [8, 32, 48, flow.DENSE_MAX_N])

@@ -76,6 +76,16 @@ class TestTransforms:
             assert np.array_equal(c, np.fft.rfft(x)), shape
             assert np.array_equal(spectral.irfft(c, n), np.fft.irfft(c, n=n)), shape
 
+    @pytest.mark.parametrize("n", [8, 48, 1024, 9, 101])
+    def test_rfft_into_buffer(self, n):
+        # out= takes the spectrum in place of a new array, with the same bits
+        rng = np.random.default_rng(n)
+        for shape in ((n,), (3, n)):
+            x = rng.standard_normal(shape)
+            buf = np.empty(shape[:-1] + (n // 2 + 1,), complex)
+            assert spectral.rfft(x, out=buf) is buf
+            assert np.array_equal(buf, np.fft.rfft(x)), shape
+
     @pytest.mark.parametrize("n", [512, 1000, 1024, 2048, 4096])
     def test_rfft_operator_on_columns(self, n):
         # D2I @ x of an (n, 7) x transforms its transposed view, with the bits
