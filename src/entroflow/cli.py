@@ -22,8 +22,7 @@ import numpy as np
 from . import graph, verify
 from .diagnostics import (compute_record, finite_or_none, fit_decay_rate,
                           run_monitors, write_csv)
-from .errors import (ConfigError, CurveIngestionError, EntroflowError,
-                     FlowBreakdownError, NotLocallyConvexError)
+from .errors import ConfigError, EntroflowError, FlowBreakdownError
 from .flow import (NUMBER, STEPPER_ROWS, VARIANTS, FlowState, StepperConfig,
                    check_key, check_record_count, evolve, record_blocks,
                    snapshot_format, write_snapshot)
@@ -144,8 +143,14 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        """The config in the file at path; text that is not UTF-8 JSON is a
+        ConfigError, so main tells it from a data file that is not UTF-8."""
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(str(exc)) from exc
+        return cls.from_dict(data)
 
     def write_json(self, path):
         write_text(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -168,10 +173,9 @@ def build_initial_support(cfg: RunConfig) -> SupportGrid:
     if kind == "support_file":
         s = read_support_file(init["path"], cfg.omega)
         if s.n != cfg.n:
-            raise ConfigError(
+            raise ValueError(
                 f"support file has {s.n} lines but config requests n={cfg.n}")
         return s
-    raise ConfigError(f"unhandled initial kind {kind}")
 
 
 def _emit_artifacts(cfg: RunConfig, tr):
@@ -200,23 +204,18 @@ def _emit_artifacts(cfg: RunConfig, tr):
 
 
 def _simulate(cfg: RunConfig):
-    """Run, write the artifacts, return (status, trajectory or None).  An
-    OSError goes up to main's failure table."""
+    """Run, write the artifacts, return (status, trajectory or None).  A
+    refusal of the data or the run, and an OSError, go up to main's failure
+    table; a breakdown is reported here, with the last state written."""
     os.makedirs(cfg.output_dir, exist_ok=True)
-    try:
-        s0 = build_initial_support(cfg)
-    except (NotLocallyConvexError, CurveIngestionError, ValueError,
-            OverflowError) as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return ExitStatus.VALIDATION, None
+    s0 = build_initial_support(cfg)
     # valid data can overflow a functional: h^2 of a huge curve, k^3 of a tiny one
     with np.errstate(all="ignore"):
         record = vars(compute_record(s0, 0.0, 0.0))
     bad = [k for k, v in record.items() if v is not None and not np.all(np.isfinite(v))]
     if bad:
-        print("validation failure: initial data overflows the record functionals "
-              f"({', '.join(bad)})", file=sys.stderr)
-        return ExitStatus.VALIDATION, None
+        raise ValueError("initial data overflows the record functionals "
+                         f"({', '.join(bad)})")
     state = FlowState(support=s0, time=0.0, variant=cfg.variant)
     try:
         tr = evolve(state, cfg.t_end, cfg.stepper, monitor_every=cfg.monitor_every)
@@ -226,9 +225,6 @@ def _simulate(cfg: RunConfig):
             write_snapshot(os.path.join(cfg.output_dir, "breakdown_state.txt"),
                            exc.last_state)
         return ExitStatus.BREAKDOWN, None
-    except ValueError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return ExitStatus.VALIDATION, None
     _emit_artifacts(cfg, tr)
     report = run_monitors(tr)
     report.to_json(os.path.join(cfg.output_dir, "monitors.json"))
@@ -261,24 +257,19 @@ def cmd_crosscheck(cfg: RunConfig) -> ExitStatus:
     outdir.mkdir(parents=True, exist_ok=True)
     kind = cfg.initial.get("kind")
     radius = cfg.initial.get("r")    # set for circle bases only
-    try:
-        if kind not in ("circle", "ellipse"):
-            raise ConfigError("crosscheck supports circle or ellipse bases")
-        # the support first: it refuses semi-axes too unequal for a convex
-        # curve on the grid (a = 1e-100), on which the scene divides by zero
-        s0 = build_initial_support(cfg)
-        if kind == "circle":
-            base = graph.scene_circle(radius, cfg.n)
-        else:
-            base = graph.scene_ellipse(cfg.initial["a"], cfg.initial["b"], cfg.n)
-        graph.require_resolved(base)
-        # a draw may leave a composite curve that is not locally convex
-        # (n = 22 on the default circle)
-        rows = graph.crosscheck(base, cfg.seed * 1000, draws=20, radius=radius)
-    except (EntroflowError, ValueError, OverflowError) as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return ExitStatus.VALIDATION
-
+    if kind not in ("circle", "ellipse"):
+        raise ValueError("crosscheck supports circle or ellipse bases")
+    # the support first: it refuses semi-axes too unequal for a convex
+    # curve on the grid (a = 1e-100), on which the scene divides by zero
+    s0 = build_initial_support(cfg)
+    if kind == "circle":
+        base = graph.scene_circle(radius, cfg.n)
+    else:
+        base = graph.scene_ellipse(cfg.initial["a"], cfg.initial["b"], cfg.n)
+    graph.require_resolved(base)
+    # a draw may leave a composite curve that is not locally convex
+    # (n = 22 on the default circle)
+    rows = graph.crosscheck(base, cfg.seed * 1000, draws=20, radius=radius)
     rows.append(("parametrization_identity",
                  graph.check_parametrization_identity(s0),
                  graph.PARAMETRIZATION_TOL))
@@ -355,9 +346,12 @@ def _load_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    """Run one command.  A ConfigError (usage errors included) or a config
-    file that is not JSON text exits 1 and an OSError exits 4, each with one stderr line; the
-    commands report their own validation failures and breakdowns."""
+    """Run one command.  A ConfigError (usage errors and a config file
+    that is not UTF-8 JSON included) exits 1 as a config error, any other
+    refusal of the data or the run (EntroflowError, ValueError,
+    OverflowError) exits 1 as a validation failure, and an OSError exits 4,
+    each with one stderr line; a command reports only its breakdowns and
+    monitor or residual failures."""
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "verify":
@@ -371,8 +365,11 @@ def main(argv=None) -> int:
         if args.command == "rescaled":
             return int(cmd_rescaled(cfg))
         return int(cmd_crosscheck(cfg))
-    except (ConfigError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return int(ExitStatus.VALIDATION)
+    except (EntroflowError, ValueError, OverflowError) as exc:
+        print(f"validation failure: {exc}", file=sys.stderr)
         return int(ExitStatus.VALIDATION)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import entroflow.flow as flow
+import entroflow.graph as graph
 from entroflow.cli import ExitStatus, RunConfig, _simulate, build_initial_support, main
 from entroflow.diagnostics import read_csv
 from entroflow.errors import ConfigError, NotLocallyConvexError
@@ -466,6 +467,16 @@ class TestRescaled:
         vals = [float(x) for x in last.read_text().splitlines()[4:]]
         assert max(abs(v - 1.0) for v in vals) < 1e-12
 
+    def test_breakdown_exit2(self, tmp_path, capsys, monkeypatch):
+        # as under simulate: one line, and the last state is the only
+        # artifact, with no decay-rate fits
+        monkeypatch.setattr(flow, "_rk4_attempt", lambda *run: lambda h, w, *a: (h, -w))
+        cfgp = write_config(tmp_path, fast_config(tmp_path))
+        assert main(["rescaled", "--config", str(cfgp)]) == ExitStatus.BREAKDOWN
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("flow breakdown:")
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["breakdown_state.txt"]
+
     def test_chainrule_fixed_point(self, tmp_path):
         data = fast_config(tmp_path, variant="rescaled_chainrule", t_end=0.01,
                            monitor_every=0.002,
@@ -654,6 +665,19 @@ class TestCrosscheck:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("i/o error:")
 
+    def test_residual_failure_exit3(self, tmp_path, capsys, monkeypatch):
+        # with no tolerance every non-zero bundle and split residual fails:
+        # one line per row that reads 0 in the written table
+        monkeypatch.setattr(graph, "RESIDUAL_TOL", 0.0)
+        cfgp = write_config(tmp_path, fast_config(tmp_path, n=64))
+        assert main(["crosscheck", "--config", str(cfgp)]) == ExitStatus.MONITOR
+        err = capsys.readouterr().err.splitlines()
+        table = (tmp_path / "out" / "crosscheck.csv").read_text().splitlines()
+        failing = [row.split(",")[0] for row in table[1:] if row.endswith(",0")]
+        assert failing
+        assert [line.split(" = ")[0] for line in err] == \
+            [f"residual failure: {name}" for name in failing]
+
     def test_unsupported_base(self, tmp_path, capsys):
         data = fast_config(tmp_path, initial={
             "kind": "fourier", "constant": 1.0, "modes": [[2, 0.1, 0.0]]})
@@ -676,14 +700,24 @@ def _not_utf8_config(tmp_path):
     return ["simulate", "--config", str(path)]
 
 
-def _no_data(kind, text):
-    """simulate from a curve or support file holding text and no data."""
+def _data_file(command, kind, data, **over):
+    """command on a fast config, with over, from a curve or support file
+    data.txt holding data: bytes as they are, or an array's rows."""
     def argv(tmp_path):
         path = tmp_path / "data.txt"
-        path.write_text(text)
-        data = fast_config(tmp_path, initial={"kind": kind, "path": str(path)})
-        return ["simulate", "--config", str(write_config(tmp_path, data))]
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            np.savetxt(path, data)
+        config = fast_config(tmp_path, initial={"kind": kind, "path": str(path)}, **over)
+        return [command, "--config", str(write_config(tmp_path, config))]
     return argv
+
+
+def _polygon(k):
+    """The k vertices of a regular polygon on the unit circle."""
+    theta = 2 * np.pi * np.arange(k) / k
+    return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
 def _nonfinite_curve(value, omega):
@@ -728,10 +762,39 @@ def _with_initial(command, **initial):
                             str(write_config(p, fast_config(p, seed=-1)))],
                  ExitStatus.VALIDATION, "config error: seed must be a non-negative",
                  id="negative-seed-config"),
-    *(pytest.param(_no_data(kind, text), ExitStatus.VALIDATION, "validation failure:",
+    *(pytest.param(_data_file("simulate", kind, text), ExitStatus.VALIDATION,
+                   "validation failure: {p}/data.txt: the file holds no data",
                    id=f"{kind}-{name}")
       for kind in ("curve_file", "support_file")
-      for name, text in (("empty", ""), ("comments-only", "# x y\n# none\n"))),
+      for name, text in (("empty", b""), ("comments-only", b"# x y\n# none\n"))),
+    # refusals of the data itself, each raised below the commands and
+    # reported by main's one table
+    *(pytest.param(_data_file(c, "support_file", np.ones(16), n=48), ExitStatus.VALIDATION,
+                   "validation failure: support file has 16 lines but config "
+                   "requests n=48", id=f"support_file-16-lines-{c}")
+      for c in ("simulate", "rescaled")),
+    pytest.param(_data_file("simulate", "curve_file", np.column_stack(
+        [_polygon(16), np.zeros(16)])), ExitStatus.VALIDATION,
+                 "validation failure: {p}/data.txt: expected two columns, got 3",
+                 id="curve_file-three-columns"),
+    pytest.param(_data_file("simulate", "curve_file", _polygon(6)), ExitStatus.VALIDATION,
+                 "validation failure: need at least 8 planar points",
+                 id="curve_file-6-points"),
+    pytest.param(_data_file("simulate", "curve_file", _polygon(8), n=48),
+                 ExitStatus.VALIDATION,
+                 "validation failure: hull support is not C^1-consistent on this grid: ",
+                 id="curve_file-octagon"),
+    pytest.param(_data_file("simulate", "curve_file", _polygon(64), omega=2),
+                 ExitStatus.VALIDATION,
+                 "validation failure: outward-normal angle increases by 6.28319 over "
+                 "the closed curve; expected 2*omega*pi = 12.5664 for omega=2",
+                 id="curve_file-omega2-once-around"),
+    # a data file that is not UTF-8 is a validation failure; a config file
+    # that is not is a config error (config-not-utf8)
+    *(pytest.param(_data_file(c, kind, b"1 2\n\xc0 3\n"), ExitStatus.VALIDATION,
+                   "validation failure: 'utf-8' codec can't decode byte 0xc0",
+                   id=f"{kind}-not-utf8-{c}")
+      for c, kind in (("simulate", "curve_file"), ("rescaled", "support_file"))),
     # refused before the hull's RuntimeWarnings, its centering message or
     # scipy's interpolation message
     *(pytest.param(_nonfinite_curve(value, omega), ExitStatus.VALIDATION,
@@ -776,9 +839,7 @@ def test_failure_table(tmp_path, capsys, argv, status, prefix):
         warnings.simplefilter("error")
         assert main(argv(tmp_path)) == status
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(prefix), err
-    if prefix == "validation failure:":
-        assert err[0].endswith("data.txt: the file holds no data")
+    assert len(err) == 1 and err[0].startswith(prefix.format(p=tmp_path)), err
 
 
 class TestVerifyAndPlots:

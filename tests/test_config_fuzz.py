@@ -58,8 +58,8 @@ assert ({kind: set(keys) for kind, keys in INITIAL_KEYS.items()}
 # (n, t_end, monitor_every) and the ellipse's omega = 1
 CROSS_KEY = ("a run from t=", "ellipse initial data requires omega = 1")
 
-# what _simulate reports as a validation failure, and OSError, which main
-# reports as an i/o error
+# what main reports as a validation failure from the initial-data build,
+# and OSError, which main reports as an i/o error
 BUILD_ERRORS = (NotLocallyConvexError, CurveIngestionError, ValueError,
                 OverflowError, OSError)
 

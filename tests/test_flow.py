@@ -583,6 +583,24 @@ class TestEvolve:
         assert exc.value.last_state.time == 0.0
         assert np.array_equal(exc.value.last_state.support.values, np.ones(16))
 
+    def test_semi_implicit_keeps_a_halved_dt(self, monkeypatch):
+        # the first attempt fails the guard, so the first step is taken at
+        # half of dt_init; the step after it keeps the halved dt, and only
+        # the clean step after that grows dt 1.2x
+        dts = []
+
+        def first_fails(attempt):
+            def wrapped(h, w, margin, dt):
+                dts.append(dt)
+                hn, wn = attempt(h, w, margin, dt)
+                return (hn, -wn) if len(dts) == 1 else (hn, wn)
+            return wrapped
+
+        patch_attempt(monkeypatch, "semi_implicit", first_fails)
+        cfg = StepperConfig(scheme="semi_implicit", dt_init=2.0**-10)
+        evolve(circle_state(1.0, n=16), 2.0**-7, cfg)
+        assert dts[:4] == [2.0**-10, 2.0**-11, 2.0**-11, 1.2 * 2.0**-11]
+
     @pytest.mark.parametrize("scheme", flow.SCHEMES)
     def test_results_outlive_later_runs(self, monkeypatch, scheme):
         # nothing a caller keeps aliases a run's work arrays: a trajectory's
