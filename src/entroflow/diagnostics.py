@@ -259,14 +259,19 @@ def rescaled_length_cap(c1_rescaled: float, tau_max: float, omega: int) -> float
 def noise_floor(values) -> float:
     """Estimate the round-off plateau of a decaying positive series.
 
-    Sits a factor 30 above the median of the final quarter; falls back to a
-    tiny relative floor when that would disqualify nearly everything (series
-    still decaying at the end).
+    Sits a factor 30 above the median of the final quarter.  When fewer than
+    five records lie above it, the floor stands if every one of them comes
+    before the final quarter: the series fell onto its plateau within those
+    records (a fast decay at a coarse record cadence), and its rate is
+    fitted on them.  Otherwise (a series still decaying at the end, or one
+    that rises into its final quarter) it falls back to a tiny relative
+    floor.
     """
     v = np.asarray(values, dtype=float)
     tail = v[-max(5, len(v) // 4):]
     floor = max(30.0 * float(np.median(tail)), float(np.max(v)) * 1e-28, 1e-300)
-    if np.count_nonzero(v > floor) < 5:
+    above = np.flatnonzero(v > floor)
+    if len(above) < 5 and not (len(above) and above[-1] < len(v) - len(tail)):
         floor = max(float(np.max(v)) * 1e-28, 1e-300)
     return floor
 
@@ -444,6 +449,12 @@ def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
             grow = grow[live[:-1] & live[1:]]
             mono_ok = len(grow) == 0 or np.max(grow) <= 0
             rate, used = fit_decay_rate(t, series)
+            if used < 2:
+                # one record above the plateau floor: no rate to fit
+                j = int(np.argmax(series > floor))
+                yield (f"falls to its plateau within one record, "
+                       f"at cadence {t[j + 1] - t[j]:.3g}")
+                continue
             ok = mono_ok and (math.isnan(rate) or rate > 0)
             yield ok, rate, math.nan, f"fitted rate over {used} records"
 

@@ -330,28 +330,31 @@ def _rk4_attempt(D2I, lam, n):
 
 class _SemiImplicitRun:
     """What one semi-implicit run on n nodes keeps across its attempts: the
-    apply of D2I (_apply_into), xi^4, lam, stab_coeff and its work arrays.
+    apply of D2I (_apply_into), xi^4, stab_coeff, whether lam is nonzero,
+    and its work arrays, made once.
 
-    The arrays are views of one block, the run's one allocation: two (2, n)
-    stacks, each holding a state h in row 0 and its F(h) in row 1, a buffer
-    for D2I @ h beside each (stack[i], h[i] and w[i] make pair i), a
-    temporary tmp for 1/w and lam*h, the (2, n//2 + 1) spectrum spec of a
-    stack, and the denominator den.
+    The arrays are two (2, n) stacks, each holding a state h in row 0 and
+    its F(h) in row 1, a buffer for D2I @ h beside each (stack[i], h[i] and
+    w[i] make pair i), a temporary tmp for 1/w and lam*h, the
+    (2, n//2 + 1) spectrum spec of a stack, and the denominator den; and
+    the 0-d factors lam, 1, dt and dt*c, so that no ufunc of an attempt
+    takes a Python float (a 0-d float64 enters with the bits of the float
+    it holds, unconverted per call).
     """
 
     def __init__(self, D2I, xi4, lam, stab_coeff, n):
-        self.apply, self.xi4, self.lam, self.stab_coeff, self.n = (
-            _apply_into(D2I), xi4, lam, stab_coeff, n)
-        m = n // 2 + 1
-        block = np.empty(5 * m + 7 * n)
-        spec, stacks, w, self.tmp, self.den = np.split(
-            block, np.cumsum((4 * m, 4 * n, 2 * n, n)))
-        self.spec = spec.view(complex).reshape(2, m)
+        self.apply, self.xi4, self.stab_coeff, self.n = (
+            _apply_into(D2I), xi4, stab_coeff, n)
+        self.shifted = lam != 0.0
+        self.lam, self.one = np.array(lam, float), np.array(1.0)
+        self.dt, self.dtc = np.empty(()), np.empty(())
+        self.spec = np.empty((2, n // 2 + 1), complex)
         self.hhat, self.r = self.spec
-        stacks = stacks.reshape(2, 2, n)
+        stacks = np.empty((2, 2, n))
         self.stack = tuple(stacks)
         self.h, self.f = tuple(stacks[:, 0]), tuple(stacks[:, 1])
-        self.w = tuple(w.reshape(2, n))
+        self.w = tuple(np.empty((2, n)))
+        self.tmp, self.den = np.empty(n), np.empty(n // 2 + 1)
 
 
 def _semi_implicit_attempt(h, w, margin, dt, run):
@@ -362,28 +365,30 @@ def _semi_implicit_attempt(h, w, margin, dt, run):
     (1 + dt * c * xi^4)) with c = stab_coeff / margin^2, in the run's pair
     that does not hold h.  h and F(h) are the rows of one of the run's
     stacks and take one rfft; an h that is no pair's, as on the run's first
-    step, is copied into stack 0.
+    step, is copied into stack 0.  lam, 1, dt and dt * c enter through the
+    run's 0-d factors, and every output array is passed positionally, which
+    spares numpy's parsing of an out= keyword on each call.
     """
     i = 1 if h is run.h[1] else 0
     stack, f, hn, wn = run.stack[i], run.f[i], run.h[1 - i], run.w[1 - i]
     if h is not run.h[i]:
         stack[0] = h
-    apply, tmp, lam = run.apply, run.tmp, run.lam
+    apply, tmp = run.apply, run.tmp
     # F(h) into row 1 by velocity's formula
-    apply(np.reciprocal(w, out=tmp), out=f)
-    if lam != 0.0:
-        np.subtract(f, np.multiply(lam, h, out=tmp), out=f)
+    apply(np.reciprocal(w, tmp), f)
+    if run.shifted:
+        np.subtract(f, np.multiply(run.lam, h, tmp), f)
     spectral.rfft(stack, out=run.spec)
     kmax = 1.0 / margin
-    c = run.stab_coeff * kmax * kmax
+    run.dt[()] = dt
+    run.dtc[()] = dt * (run.stab_coeff * kmax * kmax)
     den, r = run.den, run.r
-    np.multiply(run.xi4, dt * c, out=den)
-    den += 1.0
-    r *= dt
-    r /= den
-    r += run.hhat
+    np.add(np.multiply(run.xi4, run.dtc, den), run.one, den)
+    np.multiply(r, run.dt, r)
+    np.divide(r, den, r)
+    np.add(r, run.hhat, r)
     spectral.irfft(r, run.n, out=hn)
-    return hn, apply(hn, out=wn)
+    return hn, apply(hn, wn)
 
 
 def _guard_holds(margin_new, margin, guard_ratio):

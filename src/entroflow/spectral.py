@@ -80,30 +80,54 @@ def rfft_wavenumbers(n: int, period: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
 
 
+def _shared_factor(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array.  A pocketfft kernel takes it
+    with the bits of the float, where it would convert a Python float to a
+    new 0-d array on every call; read-only, since every transform shares
+    it."""
+    fac = np.array(value)
+    fac.flags.writeable = False
+    return fac
+
+
+# np.fft.rfft's factor; np.fft.irfft's 1/n is _inverse_factor(n) below
+_ONE = _shared_factor(1.0)
+
+
+# a factor is one float, so the 64 most recently used n take a few kB
+@functools.lru_cache(maxsize=64)
+def _inverse_factor(n: int) -> np.ndarray:
+    """np.fft.irfft's factor 1/n for n samples, built once per n."""
+    return _shared_factor(1.0 / n)
+
+
 def rfft(x: np.ndarray, out=None) -> np.ndarray:
     """np.fft.rfft(x) of float64 samples along the last axis, bit for bit,
     written into out (n//2 + 1 complex values per row), or into a new array
     when out is None.
 
     Calls the pocketfft kernel that np.fft.rfft ends in, with the same
-    factor 1.0, and skips np.fft's Python wrapper.  Every real-input
-    transform of the package goes through this function or irfft below.
+    factor 1.0 (as the shared 0-d _ONE), and skips np.fft's Python wrapper.
+    Every real-input transform of the package goes through this function or
+    irfft below.  Both pass the kernel its output positionally, which spares
+    numpy's parsing of an out= keyword.
     """
     x = np.asarray(x)
     n = x.shape[-1]
     if out is None:
         out = np.empty(x.shape[:-1] + (n // 2 + 1,), complex)
     kernel = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
-    return kernel(x, 1.0, out=out)
+    return kernel(x, _ONE, out)
 
 
 def irfft(c: np.ndarray, n: int, out=None) -> np.ndarray:
     """np.fft.irfft(c, n=n) along the last axis, bit for bit: the pocketfft
-    kernel with np.fft's factor 1/n, writing n real samples per row into
-    out, or into a new array when out is None."""
+    kernel with np.fft's factor 1/n (as the shared 0-d _inverse_factor(n)),
+    writing n real samples per row into out, or into a new array when out is
+    None."""
     if out is None:
         out = np.empty(c.shape[:-1] + (n,))
-    return _pocketfft.irfft(c, 1.0 / n, out=out)
+    return _pocketfft.irfft(c, _inverse_factor(n), out)
 
 
 # a factor is (n/2 + 1) complex values, 8 * (n + 2) bytes, so the 32 most

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import entroflow.spectral as spectral
+from entroflow import verify
 from entroflow.diagnostics import (compute_record, l2_contraction, noise_floor,
                                    fit_decay_rate, read_csv, rescaled_length_cap,
                                    run_monitors, write_csv, CSV_HEADER,
@@ -506,3 +507,68 @@ class TestFitting:
     def test_noise_floor_of_live_series(self):
         v = np.exp(-np.linspace(0, 3, 50))
         assert noise_floor(v) < np.min(v)
+
+    T = 4e-3 * np.arange(401)   # criterion-09's record cadence
+    PLATEAU = 2e-23 * (1.5 + np.sin(np.arange(401)))
+
+    def test_noise_floor_of_fast_decay(self):
+        # a fall from 0.49 to a round-off plateau in four records, as h4 of an
+        # omega = 2 datum takes: the plateau floor stands with four records
+        # above it, and the rate is fitted on those four, not on the plateau
+        v = self.PLATEAU.copy()
+        v[:4] = 0.49, 3.8e-9, 2.1e-14, 2.6e-19
+        assert np.max(v[4:]) < noise_floor(v) < v[3]
+        rate, used = fit_decay_rate(self.T, v)
+        assert used == 4
+        assert rate == pytest.approx(np.polyfit(self.T[:4], -np.log(v[:4]), 1)[0],
+                                     rel=1e-12)
+
+    def test_series_that_never_decays_fits_no_decay(self):
+        # a rising series, and a plateau that rises in its last record after a
+        # fast fall, keep the tiny fallback floor and fit a negative rate
+        jump = self.PLATEAU.copy()
+        jump[:2] = 0.49, 3.8e-9
+        jump[-1] = 1e-10
+        t = np.linspace(0, 3, 50)
+        for ts, v in ((t, np.exp(t)), (self.T, jump)):
+            assert noise_floor(v) < np.min(v)
+            rate, _ = fit_decay_rate(ts, v)
+            assert rate < 0
+
+
+def _rescaled_decay(omega, modes):
+    """The M12-decay checks h1-h4 of constant 1 plus modes on n = 48 omega
+    nodes, normalized to L0 = 1 and run through criterion-09's pipeline."""
+    g = PeriodicGrid(omega=omega, n=48 * omega)
+    s = fourier_support(g, 1.0, modes)
+    s = SupportGrid(GridFunction(g, s.values / integrate(s.h)))
+    _, variant, t_end, cfg, every = verify._RUNS["rescaled"]
+    tr = evolve(FlowState(support=s, variant=variant), t_end, cfg, monitor_every=every)
+    assert np.max(np.abs(tr.final.support.values - tr.final.support.values.mean())) <= 1e-14
+    rep = run_monitors(tr)
+    return [rep[f"M12-decay-h{p}"] for p in (1, 2, 3, 4)]
+
+
+class TestDecayAtCoarseCadence:
+    """Converged runs whose seminorms reach the round-off plateau within a
+    few records of the 4e-3 cadence: each rate is fitted on the records
+    above the plateau, so M12-decay passes with the live rate (over 1000
+    here), where a fit over the plateau read a rate of either sign."""
+
+    @pytest.mark.parametrize("omega, modes", [
+        (2, [(8, -0.0137, 0.0)]),   # 1 - 0.0137 cos(4 theta) on the 4 pi grid
+        (2, [(8, 0.0137, 0.0)]),
+        (3, [(6, 8e-10, 0.0)]),     # a xi = 2 amplitude of 8e-10
+    ])
+    def test_decay_passes_with_live_rate(self, omega, modes):
+        for check in _rescaled_decay(omega, modes):
+            assert check.status == "pass", check
+            assert check.slack > 1000.0, check
+
+    def test_one_record_above_plateau_is_not_applicable(self):
+        # h4 of a xi = 2 amplitude of 1e-10 at omega = 3 falls to its plateau
+        # within one record: no rate to fit, and the note names the cadence
+        *fitted, h4 = _rescaled_decay(3, [(6, 1e-10, 0.0)])
+        assert all(c.status == "pass" and c.slack > 1000.0 for c in fitted)
+        assert h4.status == "not-applicable"
+        assert h4.note == "falls to its plateau within one record, at cadence 0.004"

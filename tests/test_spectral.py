@@ -78,13 +78,29 @@ class TestTransforms:
 
     @pytest.mark.parametrize("n", [8, 48, 1024, 9, 101])
     def test_rfft_into_buffer(self, n):
-        # out= takes the spectrum in place of a new array, with the same bits
+        # out= takes the spectrum (and irfft's samples) in place of a new
+        # array, with the same bits
         rng = np.random.default_rng(n)
         for shape in ((n,), (3, n)):
             x = rng.standard_normal(shape)
             buf = np.empty(shape[:-1] + (n // 2 + 1,), complex)
             assert spectral.rfft(x, out=buf) is buf
             assert np.array_equal(buf, np.fft.rfft(x)), shape
+            back = np.empty(shape)
+            assert spectral.irfft(buf, n, out=back) is back
+            assert np.array_equal(back, np.fft.irfft(buf, n=n)), shape
+
+    def test_factors_are_shared_and_read_only(self):
+        # np.fft's factors 1 and 1/n reach the kernels as 0-d arrays that
+        # every transform shares: one 1, and one 1/n per n
+        inv = spectral._inverse_factor(48)
+        assert spectral._inverse_factor(48) is inv
+        assert spectral._inverse_factor(64) is not inv
+        assert inv.shape == () and inv.item() == 1.0 / 48
+        assert spectral._ONE.shape == () and spectral._ONE.item() == 1.0
+        for fac in (spectral._ONE, inv):
+            with pytest.raises(ValueError):
+                fac[()] = 2.0
 
     @pytest.mark.parametrize("n", [512, 1000, 1024, 2048, 4096])
     def test_rfft_operator_on_columns(self, n):
