@@ -291,39 +291,44 @@ def _rk4_attempt(D2I, lam, n):
     h_new = h + dt/6 * (f1 + 2 f2 + 2 f3 + f4), each slope velocity's formula
     in place; margin is unused.  Its work arrays are made here, once: the
     slopes as the rows of F, a stage state y, a buffer r for D2I @ y and its
-    reciprocal, 0-d factors dt/2, dt and dt/6 (which multiply with the bits
-    of the float they hold, unconverted per call) and two (h, D2I @ h)
-    pairs.  D2I is applied into them by _apply_into(D2I)."""
+    reciprocal, 0-d factors lam, dt/2, dt and dt/6 (which multiply with the
+    bits of the float they hold, unconverted per call) and two (h, D2I @ h)
+    pairs.  Whether lam is nonzero is decided here, once.  D2I is applied
+    into the arrays by _apply_into(D2I), and every output array is passed
+    positionally, which spares numpy's parsing of an out= keyword."""
     apply = _apply_into(D2I)
     F = np.empty((4, n))
     f1, f2, f3, f4, f23 = *F, F[1:3]
     y, r, h0, w0, h1, w1 = (np.empty(n) for _ in range(6))
     half, full, sixth = (np.empty(()) for _ in range(3))
+    shifted, lam = lam != 0.0, np.array(lam, float)
     add, sub, mul, recip = np.add, np.subtract, np.multiply, np.reciprocal
 
     def attempt(h, w, margin, dt):
         hn, wn = (h1, w1) if h is h0 else (h0, w0)
         half[()], full[()], sixth[()] = 0.5 * dt, dt, dt / 6.0
         # stage i: f_i = D2I @ (1 / (D2I @ y)) - lam*y, then y = h + c*f_i
-        apply(recip(w, out=r), out=f1)
-        if lam != 0.0:
-            sub(f1, mul(lam, h, out=r), out=f1)
-        add(mul(f1, half, out=y), h, out=y)
-        apply(recip(apply(y, out=r), out=r), out=f2)
-        if lam != 0.0:
-            sub(f2, mul(lam, y, out=r), out=f2)
-        add(mul(f2, half, out=y), h, out=y)
-        apply(recip(apply(y, out=r), out=r), out=f3)
-        if lam != 0.0:
-            sub(f3, mul(lam, y, out=r), out=f3)
-        add(mul(f3, full, out=y), h, out=y)
-        apply(recip(apply(y, out=r), out=r), out=f4)
-        if lam != 0.0:
-            sub(f4, mul(lam, y, out=r), out=f4)
-        add(f23, f23, out=f23)  # f2 and f3 doubled in one call
-        add.reduce(F, axis=0, out=hn)  # ((f1 + 2 f2) + 2 f3) + f4, row by row
-        add(mul(hn, sixth, out=hn), h, out=hn)
-        return hn, apply(hn, out=wn)
+        apply(recip(w, r), f1)
+        if shifted:
+            sub(f1, mul(lam, h, r), f1)
+        add(mul(f1, half, y), h, y)
+        apply(recip(apply(y, r), r), f2)
+        if shifted:
+            sub(f2, mul(lam, y, r), f2)
+        add(mul(f2, half, y), h, y)
+        apply(recip(apply(y, r), r), f3)
+        if shifted:
+            sub(f3, mul(lam, y, r), f3)
+        add(mul(f3, full, y), h, y)
+        apply(recip(apply(y, r), r), f4)
+        if shifted:
+            sub(f4, mul(lam, y, r), f4)
+        add(f23, f23, f23)  # f2 and f3 doubled in one call
+        # ((f1 + 2 f2) + 2 f3) + f4, the bits of add.reduce(F, 0), which
+        # allocates an iterator buffer on every call
+        add(add(add(f1, f2, hn), f3, hn), f4, hn)
+        add(mul(hn, sixth, hn), h, hn)
+        return hn, apply(hn, wn)
 
     return attempt
 
@@ -378,7 +383,7 @@ def _semi_implicit_attempt(h, w, margin, dt, run):
     apply(np.reciprocal(w, tmp), f)
     if run.shifted:
         np.subtract(f, np.multiply(run.lam, h, tmp), f)
-    spectral.rfft(stack, out=run.spec)
+    spectral.rfft(stack, run.spec)
     kmax = 1.0 / margin
     run.dt[()] = dt
     run.dtc[()] = dt * (run.stab_coeff * kmax * kmax)
@@ -387,7 +392,7 @@ def _semi_implicit_attempt(h, w, margin, dt, run):
     np.multiply(r, run.dt, r)
     np.divide(r, den, r)
     np.add(r, run.hhat, r)
-    spectral.irfft(r, run.n, out=hn)
+    spectral.irfft(r, run.n, hn)
     return hn, apply(hn, wn)
 
 
@@ -589,7 +594,9 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
             halvings = 0 if margin > 0.0 else MAX_HALVINGS + 1
             while halvings <= MAX_HALVINGS:
                 hn, wn = attempt(h, w, margin, dt_try)
-                mn = float(np.minimum.reduce(wn))
+                # min(wn) as a float: argmin takes a NaN as the minimum, as
+                # np.minimum.reduce does, at a third of its per-call cost
+                mn = wn.item(wn.argmin())
                 if _guard_holds(mn, margin, cfg.guard_ratio):
                     break
                 dt_try *= 0.5

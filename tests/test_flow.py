@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,6 +413,34 @@ class TestAttempts:
         flow._rk4_attempt(ws.D2I, 1.0, g.n)(h, w, margin, 1e-6)
         assert calls == []
 
+    @pytest.mark.parametrize("lam", [0.0, 4 * math.pi**2])
+    def test_steady_attempts_allocate_nothing(self, lam):
+        # on the dense route, after two warm attempts, three more (each fed
+        # the last pair) peak at 112 bytes under tracemalloc for RK4 and at
+        # 544 for the semi-implicit attempt, whose pocketfft calls and
+        # complex-by-real divide take small buffers (numpy 2.4, Python
+        # 3.11).  The rfft route is not gated: its apply allocates a spectrum
+        g = PeriodicGrid(omega=1, n=48)
+        ws = flow.workspace(g)
+        h = ellipse_support(g, 1.3, 1.0).values
+        w = ws.D2I @ h
+        margin = float(w.min())
+        si, _ = flow._semi_implicit_scheme(StepperConfig(scheme="semi_implicit"),
+                                           ws, lam, g.n, margin, 0.0, 1.0)
+        for attempt, dt, bound in ((flow._rk4_attempt(ws.D2I, lam, g.n), 1e-6, 256),
+                                   (si, 1e-4, 768)):
+            pair = (h, w)
+            for _ in range(2):
+                pair = attempt(*pair, margin, dt)
+            tracemalloc.start()
+            try:
+                for _ in range(3):
+                    pair = attempt(*pair, margin, dt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (attempt, peak)
+
     @pytest.mark.parametrize("n", [8, 32, 48, flow.DENSE_MAX_N])
     def test_dense_apply_is_matmul(self, n):
         ws = flow._Workspace(PeriodicGrid(omega=1, n=n))
@@ -600,6 +629,28 @@ class TestEvolve:
         cfg = StepperConfig(scheme="semi_implicit", dt_init=2.0**-10)
         evolve(circle_state(1.0, n=16), 2.0**-7, cfg)
         assert dts[:4] == [2.0**-10, 2.0**-11, 2.0**-11, 1.2 * 2.0**-11]
+
+    @pytest.mark.parametrize("scheme", flow.SCHEMES)
+    @pytest.mark.parametrize("where", [0, 7, -1])
+    def test_guard_reads_a_nan_as_the_margin(self, monkeypatch, scheme, where):
+        # one NaN anywhere in D2I @ h_new is the margin the guard reads, so
+        # the attempt is halved, even where the other values pass the guard
+        dts = []
+
+        def first_has_nan(attempt):
+            def wrapped(h, w, margin, dt):
+                dts.append(dt)
+                hn, wn = attempt(h, w, margin, dt)
+                if len(dts) == 1:
+                    wn = wn.copy()
+                    wn[where] = math.nan
+                return hn, wn
+            return wrapped
+
+        patch_attempt(monkeypatch, scheme, first_has_nan)
+        cfg = StepperConfig(scheme=scheme, dt_init=2.0**-10)
+        evolve(circle_state(1.0, n=16), 2.0**-7, cfg)
+        assert dts[1] == 0.5 * dts[0]
 
     @pytest.mark.parametrize("scheme", flow.SCHEMES)
     def test_results_outlive_later_runs(self, monkeypatch, scheme):
