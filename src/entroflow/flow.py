@@ -168,45 +168,26 @@ def rhs(s: SupportGrid, variant: str) -> GridFunction:
 DENSE_MAX_N = 352
 
 
-class _Operator(np.ndarray):
-    """Base of the two D2I routes: D2I @ x and np.matmul(D2I, x) are D2I.dot(x)
-    along axis 0 of an (n,) or (n, B) x, and no other arithmetic is defined
-    on it.  Its array priority is below ndarray's, so that results are plain
-    ndarrays.  It stays an ndarray, so that a view of it may wrap the apply
-    and call np.matmul(D2I, x).
-    """
+class _RfftOperator(np.ndarray):
+    """The circulant D2I held as its rfft symbol 1 - xi^2, shape (n//2 + 1,),
+    the route above DENSE_MAX_N; at or below it D2I is the plain dense
+    (n, n) matrix.
 
-    __array_priority__ = -1.0
+    D2I @ x and np.matmul(D2I, x) are D2I.dot(x, out=None), irfft(symbol *
+    rfft(x)) along axis 0 of an (n,) or (n, B) x, an (n, B) x transformed
+    through its transposed view; no other arithmetic is defined on it.  It
+    stays an ndarray, so that a view of it may wrap the apply and call
+    np.matmul(D2I, x).  The symbol is held as complex128 with zero
+    imaginary parts and multiplies the spectrum in place: numpy casts a real
+    symbol to exactly that before a complex multiply, so the bits are those
+    of the real one, without the cast on every apply.
+    """
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if (ufunc is not np.matmul or method != "__call__" or kwargs
                 or inputs[0] is not self):
             return NotImplemented
         return self.dot(inputs[1])
-
-
-class _DenseOperator(_Operator):
-    """The circulant D2I as its dense (n, n) matrix.
-
-    D2I @ x is the BLAS product ndarray.dot(D2I, x): the bits of np.matmul
-    at less dispatch cost.  D2I.dot(x, out=buf) writes the same bits into
-    buf.
-    """
-
-    __matmul__ = np.ndarray.dot
-
-
-class _RfftOperator(_Operator):
-    """The circulant D2I held as its rfft symbol 1 - xi^2, shape (n//2 + 1,),
-    the twin of _DenseOperator above DENSE_MAX_N.
-
-    D2I.dot(x, out=None) is irfft(symbol * rfft(x)), an (n, B) x transformed
-    through its transposed view, and is the route's one apply.  The symbol
-    is held as complex128 with zero imaginary parts and multiplies the
-    spectrum in place: numpy casts a real symbol to exactly that before a
-    complex multiply, so the bits are those of the real one, without the
-    cast on every apply.
-    """
 
     def dot(self, x, out=None):
         x = np.asarray(x)
@@ -228,16 +209,18 @@ class _Workspace:
         self.ximax4 = (n / (2.0 * grid.omega))**4
         if n > DENSE_MAX_N:
             self.D2I = (1.0 - self.xi**2).astype(complex).view(_RfftOperator)
-            return
-        e0 = np.zeros(n)
-        e0[0] = 1.0
-        col = periodic_derivs_values(e0, grid.period, (2,))[0]
-        # circulant D2I[i, j] = col[(i - j) % n] + delta_ij: row i is a window
-        # of the reversed col repeated.  Unlike an (n, n) index gather it
-        # builds no index array
-        rev = col[::-1]
-        windows = sliding_window_view(np.concatenate([rev, rev[:-1]]), n)
-        self.D2I = (windows[::-1] + np.eye(n)).view(_DenseOperator)
+        else:
+            e0 = np.zeros(n)
+            e0[0] = 1.0
+            col = periodic_derivs_values(e0, grid.period, (2,))[0]
+            # circulant D2I[i, j] = col[(i - j) % n] + delta_ij: row i is a
+            # window of the reversed col repeated.  Unlike an (n, n) index
+            # gather it builds no index array
+            rev = col[::-1]
+            windows = sliding_window_view(np.concatenate([rev, rev[:-1]]), n)
+            self.D2I = windows[::-1] + np.eye(n)
+        # every run on the grid shares the cached operator
+        self.D2I.flags.writeable = False
 
 
 # a dense operator is at most DENSE_MAX_N^2 * 8 bytes (1 MB) and an rfft one
@@ -253,8 +236,9 @@ def workspace(grid: PeriodicGrid) -> _Workspace:
 
 def velocity(h, D2I, lam, w):
     """F(h) = D2I @ (1/w) - lam*h, i.e. k_thth + k - lam*h with k = 1/w and
-    w = D2I @ h = h_thth + h, as a new array; rhs calls it, and
-    _rk4_attempt and _semi_implicit_attempt write the same formula in place."""
+    w = D2I @ h = h_thth + h, as a new plain array on either D2I route; rhs
+    calls it, and _rk4_attempt and _semi_implicit_attempt write the same
+    formula in place."""
     f = D2I @ np.reciprocal(w)
     if lam != 0.0:
         f -= lam * h
@@ -263,13 +247,11 @@ def velocity(h, D2I, lam, w):
 
 def _apply_into(D2I):
     """The call apply(x, out) that writes D2I @ x into the buffer out and
-    returns out, with the bits of D2I @ x.  A dense D2I is applied by the
-    dot of its plain ndarray view, the same BLAS product at less dispatch
-    cost, and an rfft one by its own dot; any other operator (a view that
-    wraps the apply and may define @ alone) by out[...] = D2I @ x."""
-    if type(D2I) is _DenseOperator:
-        return D2I.view(np.ndarray).dot
-    if type(D2I) is _RfftOperator:
+    returns out, with the bits of D2I @ x: either route's own D2I by its
+    own dot (for the dense matrix the BLAS product of np.matmul, at less
+    dispatch cost), any other operator (a view that wraps the apply and
+    may define @ alone) by out[...] = D2I @ x."""
+    if type(D2I) in (np.ndarray, _RfftOperator):
         return D2I.dot
 
     def apply(x, out):

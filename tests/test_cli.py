@@ -720,6 +720,13 @@ def _polygon(k):
     return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
+def _winding_twice_curve():
+    """256 points of r = 1 + 0.6 cos(1.5 phi), phi in [0, 4 pi)."""
+    phi = 4 * np.pi * np.arange(256) / 256
+    r = 1 + 0.6 * np.cos(1.5 * phi)
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+
+
 def _nonfinite_curve(value, omega):
     """simulate from a curve_file of an omega-curve whose fifth x is value."""
     def argv(tmp_path):
@@ -789,6 +796,15 @@ def _with_initial(command, **initial):
                  "validation failure: outward-normal angle increases by 6.28319 over "
                  "the closed curve; expected 2*omega*pi = 12.5664 for omega=2",
                  id="curve_file-omega2-once-around"),
+    pytest.param(_data_file("simulate", "curve_file", np.ones((8, 2))),
+                 ExitStatus.VALIDATION, "validation failure: degenerate polyline",
+                 id="curve_file-equal-points"),
+    # a curve winding twice that is not locally convex near r = 0.4: its
+    # estimated normal angle turns back
+    pytest.param(_data_file("simulate", "curve_file", _winding_twice_curve(), omega=2),
+                 ExitStatus.VALIDATION,
+                 "validation failure: outward-normal angle is not strictly increasing",
+                 id="curve_file-omega2-angle-turns-back"),
     # a data file that is not UTF-8 is a validation failure; a config file
     # that is not is a config error (config-not-utf8)
     *(pytest.param(_data_file(c, kind, b"1 2\n\xc0 3\n"), ExitStatus.VALIDATION,

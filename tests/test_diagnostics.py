@@ -10,7 +10,7 @@ from entroflow import verify
 from entroflow.diagnostics import (compute_record, l2_contraction, noise_floor,
                                    fit_decay_rate, read_csv, rescaled_length_cap,
                                    run_monitors, write_csv, CSV_HEADER,
-                                   _length_upper_bound)
+                                   SMALLNESS_FRACTION, _length_upper_bound)
 from entroflow.errors import NotLocallyConvexError
 from entroflow.flow import VARIANTS, FlowState, StepperConfig, Trajectory, evolve
 from entroflow.spectral import (GridFunction, PeriodicGrid, integrate,
@@ -361,6 +361,31 @@ class TestMonitors:
         assert m2.status == "fail"
         assert m2.worst_t == tr.times[21]
         assert m2.slack == pytest.approx(1e-7 * np.max(fl2), rel=1e-6)
+
+    def test_smallness_slack(self):
+        # a 1.02:1 ellipse's sigma energy starts at 0.0111, below the
+        # threshold 1/(22 pi), and falls; record 3 rises by 1e-7 of the
+        # threshold: inside the default slack, outside the criteria's 1e-9.
+        # A pass reports the largest raw rise from the time the threshold
+        # is reached; a fail the rise net of the allowance, at its time
+        s = ellipse_support(PeriodicGrid(1, 32), 1.02, 1.0)
+        tr = evolve(FlowState(support=s), 0.05, StepperConfig(),
+                    monitor_every=1e-3)
+        thresh = 1.0 / (SMALLNESS_FRACTION * math.pi)
+        sig = tr.record_series("logk_dirichlet").copy()
+        assert sig[0] < thresh
+        assert run_monitors(tr, inequality_slack=1e-9)["M10"].status == "pass"
+        sig[3] = sig[2] + 1e-7 * thresh
+        risen = Trajectory(tr.variant, tr.grid, tr.H,
+                           dataclasses.replace(tr.columns, logk_dirichlet=sig))
+        m10 = run_monitors(risen)["M10"]
+        assert m10.status == "pass"
+        assert m10.worst_t == tr.times[0]
+        assert m10.slack == pytest.approx(1e-7 * thresh, rel=1e-6)
+        m10 = run_monitors(risen, inequality_slack=1e-9)["M10"]
+        assert m10.status == "fail"
+        assert m10.worst_t == tr.times[3] == pytest.approx(0.003)
+        assert m10.slack == pytest.approx((1e-7 - 1e-9) * thresh, rel=1e-6)
 
     def test_two_records_not_applicable(self):
         # a short report lists every check of its variant, M12 included

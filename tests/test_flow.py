@@ -79,8 +79,7 @@ def rolled_column_operator(ws, n):
 def reference_apply(D2I):
     """D2I @ x by np.matmul: on the plain dense matrix, or through the rfft
     operator's own np.matmul."""
-    op = D2I if isinstance(D2I, flow._RfftOperator) else D2I.view(np.ndarray)
-    return lambda x: np.matmul(op, x)
+    return lambda x: np.matmul(D2I, x)
 
 
 def reference_velocity(h, apply, lam, w=None):
@@ -368,7 +367,7 @@ class TestAttempts:
         g = PeriodicGrid(omega=omega, n=n)
         s = fourier_support(g, 1.0, [(2, 0.1, 0.0), (3, 0.0, 0.03)])
         ws = flow.workspace(g)
-        assert isinstance(ws.D2I, flow._DenseOperator) == (n <= flow.DENSE_MAX_N)
+        assert (type(ws.D2I) is np.ndarray) == (n <= flow.DENSE_MAX_N)
         lam = flow.variant_shift(variant, omega)
         h = s.values
         w = reference_apply(ws.D2I)(h)
@@ -444,29 +443,29 @@ class TestAttempts:
     @pytest.mark.parametrize("n", [8, 32, 48, flow.DENSE_MAX_N])
     def test_dense_apply_is_matmul(self, n):
         ws = flow._Workspace(PeriodicGrid(omega=1, n=n))
-        plain = ws.D2I.view(np.ndarray)
+        assert type(ws.D2I) is np.ndarray
         rng = np.random.default_rng(n)
         for x in (rng.standard_normal(n), rng.standard_normal((n, 8))):
-            for out in (ws.D2I @ x, np.matmul(ws.D2I, x)):
-                assert type(out) is np.ndarray
-                assert np.array_equal(out, np.matmul(plain, x))
+            # the BLAS product _apply_into writes, with the bits of D2I @ x
             buf = np.empty(x.shape)
             assert ws.D2I.dot(x, out=buf) is buf
-            assert np.array_equal(buf, np.matmul(plain, x))
+            assert np.array_equal(buf, ws.D2I @ x)
 
     @pytest.mark.parametrize("n", [48, 512])
     def test_operator_defines_only_matmul(self, n):
         # both routes, dense and rfft: np.matmul(D2I, x) gives the bits of
-        # D2I.dot(x) as a plain ndarray, and no other arithmetic is defined
+        # D2I.dot(x) as a plain ndarray.  The dense route is the plain
+        # matrix; on the rfft route no other arithmetic is defined
         D2I = flow._Workspace(PeriodicGrid(omega=1, n=n)).D2I
-        assert isinstance(D2I, flow._DenseOperator) == (n <= flow.DENSE_MAX_N)
+        assert (type(D2I) is np.ndarray) == (n <= flow.DENSE_MAX_N)
         rng = np.random.default_rng(n)
         for x in (rng.standard_normal(n), rng.standard_normal((n, 3))):
             out = np.matmul(D2I, x)
             assert type(out) is np.ndarray
             assert np.array_equal(out, D2I.dot(x))
-        with pytest.raises(TypeError):
-            D2I + 1.0
+        if n > flow.DENSE_MAX_N:
+            with pytest.raises(TypeError):
+                D2I + 1.0
 
 
 class TestWorkspace:
@@ -481,6 +480,16 @@ class TestWorkspace:
         again = flow.workspace(g)
         assert again is not first
         assert np.array_equal(again.D2I, first.D2I)
+
+    @pytest.mark.parametrize("n", [48, 512])
+    def test_cached_operator_is_read_only(self, n):
+        # every run on a grid shares its cached D2I, dense or rfft, so no
+        # caller may write into it
+        D2I = flow.workspace(PeriodicGrid(omega=1, n=n)).D2I
+        before = D2I.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            D2I[0] = 0.0
+        assert D2I.tobytes() == before
 
     def test_large_grid_memory_is_linear(self):
         # the dense operator at n = 32768 would be 8.6 GB
