@@ -86,7 +86,8 @@ class CurveSample:
     (cos, sin)(theta) and the unit tangent (-sin, cos)(theta).
 
     points has shape (m, 2), or (R, m, 2) for R curves sampled at the same
-    normal angles.
+    normal angles.  Only the shape is checked here: support_from_curve
+    refuses angles that do not strictly increase (CurveIngestionError).
     """
 
     points: np.ndarray
@@ -98,8 +99,6 @@ class CurveSample:
         m = len(self.thetas)
         if self.points.shape[-2:] != (m, 2):
             raise ValueError("points must have shape (m, 2) or (R, m, 2)")
-        if np.any(np.diff(self.thetas) <= 0.0):
-            raise ValueError("outward-normal angles must be strictly increasing")
 
 
 def curvature(s: SupportGrid) -> GridFunction:

@@ -195,6 +195,15 @@ class TestIngestion:
         with pytest.raises(CurveIngestionError, match="must be finite"):
             support_from_curve(CurveSample(points=pts, thetas=phi), omega=1, n=32)
 
+    def test_decreasing_curve_sample_angles_rejected(self):
+        # a CurveSample checks only its shape; ingestion refuses its angles
+        phi = np.arange(64) * 2 * math.pi / 64
+        pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        sample = CurveSample(points=pts[::-1], thetas=phi[::-1])
+        with pytest.raises(CurveIngestionError,
+                           match="outward-normal angle is not strictly increasing"):
+            support_from_curve(sample, omega=1, n=32)
+
     def test_origin_outside_recenters(self):
         phi = np.arange(4096) * 2 * math.pi / 4096
         pts = np.stack([10.0 + np.cos(phi), np.sin(phi)], axis=1)
