@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -173,14 +173,16 @@ class _RfftOperator(np.ndarray):
     the route above DENSE_MAX_N; at or below it D2I is the plain dense
     (n, n) matrix.
 
-    D2I @ x and np.matmul(D2I, x) are D2I.dot(x, out=None), irfft(symbol *
-    rfft(x)) along axis 0 of an (n,) or (n, B) x, an (n, B) x transformed
-    through its transposed view; no other arithmetic is defined on it.  It
-    stays an ndarray, so that a view of it may wrap the apply and call
-    np.matmul(D2I, x).  The symbol is held as complex128 with zero
-    imaginary parts and multiplies the spectrum in place: numpy casts a real
-    symbol to exactly that before a complex multiply, so the bits are those
-    of the real one, without the cast on every apply.
+    D2I @ x and np.matmul(D2I, x) are D2I.dot(x, out=None, spec=None),
+    irfft(symbol * rfft(x)) along axis 0 of an (n,) or (n, B) x, an (n, B)
+    x transformed through its transposed view; no other arithmetic is
+    defined on it.  The spectrum goes into spec, of rfft(x)'s shape, or into
+    a new array when spec is None.  It stays an ndarray, so that a view of
+    it may wrap the apply and call np.matmul(D2I, x).  The symbol is held as
+    complex128 with zero imaginary parts and multiplies the spectrum in
+    place: numpy casts a real symbol to exactly that before a complex
+    multiply, so the bits are those of the real one, without the cast on
+    every apply.
     """
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -189,10 +191,10 @@ class _RfftOperator(np.ndarray):
             return NotImplemented
         return self.dot(inputs[1])
 
-    def dot(self, x, out=None):
+    def dot(self, x, out=None, spec=None):
         x = np.asarray(x)
         cols = x.ndim == 2
-        c = spectral.rfft(x.T if cols else x)
+        c = spectral.rfft(x.T if cols else x, spec)
         c *= self.view(np.ndarray)
         y = spectral.irfft(c, 2 * (len(self) - 1),
                            out.T if cols and out is not None else out)
@@ -246,13 +248,17 @@ def velocity(h, D2I, lam, w):
 
 
 def _apply_into(D2I):
-    """The call apply(x, out) that writes D2I @ x into the buffer out and
-    returns out, with the bits of D2I @ x: either route's own D2I by its
-    own dot (for the dense matrix the BLAS product of np.matmul, at less
-    dispatch cost), any other operator (a view that wraps the apply and
-    may define @ alone) by out[...] = D2I @ x."""
-    if type(D2I) in (np.ndarray, _RfftOperator):
+    """The call apply(x, out) that writes D2I @ x, for an (n,) x, into the
+    buffer out and returns out, with the bits of D2I @ x: either route's
+    own D2I by its own dot (for the dense matrix the BLAS product of
+    np.matmul, at less dispatch cost; on the rfft route with a spectrum
+    buffer made here, once), any other operator (a view that wraps the
+    apply and may define @ alone) by out[...] = D2I @ x."""
+    if type(D2I) is np.ndarray:
         return D2I.dot
+    if type(D2I) is _RfftOperator:
+        dot, spec = D2I.dot, np.empty(len(D2I), complex)
+        return lambda x, out: dot(x, out, spec)
 
     def apply(x, out):
         out[...] = D2I @ x
@@ -384,6 +390,12 @@ def _guard_holds(margin_new, margin, guard_ratio):
     return math.isfinite(margin_new) and margin_new >= guard_ratio * margin
 
 
+def _step_is_still(h_new, w_new, h, w):
+    """Whether a step's (h_new, D2I @ h_new) is its input (h, w), byte for
+    byte: an exact fixed point of the discrete step."""
+    return h_new.tobytes() == h.tobytes() and w_new.tobytes() == w.tobytes()
+
+
 def step(state: FlowState, dt: float, cfg: StepperConfig) -> FlowState:
     """The state dt later: evolve(state, state.time + dt, cfg).final, which
     may take several guarded steps.  Kept for perfbench's warm-up, which
@@ -455,12 +467,31 @@ def record_blocks(grid: PeriodicGrid, R: int) -> list:
     return [slice(i, i + rows) for i in range(0, R, rows)]
 
 
-def _record_columns(grid: PeriodicGrid, H, t, dt) -> DiagnosticsRecord:
-    """compute_record on the stacked states H, one call per record block."""
-    return DiagnosticsRecord.concat([
-        compute_record(SupportGrid(GridFunction(grid, H[b]), validate=False),
-                       t[b], dt[b])
-        for b in record_blocks(grid, len(H))])
+def _record_columns(grid: PeriodicGrid, H, t, dt, repeats=()) -> DiagnosticsRecord:
+    """compute_record on the stacked states H, one call per record block.
+
+    Each row listed in repeats (never row 0) holds its predecessor's state
+    and takes its predecessor's record, with its own t and dt_used.  Its
+    block's call skips it: the block calls compute_record on each stretch
+    of its other rows, as views of H.  compute_record gives row j the bits
+    of the one-state call on row j, so the columns are those of every row
+    computed.
+    """
+    R, skip = len(H), set(repeats)
+    cuts = sorted(skip.union([b.start for b in record_blocks(grid, R)], [R]))
+    columns = DiagnosticsRecord.concat([
+        compute_record(SupportGrid(GridFunction(grid, H[a:z]), validate=False),
+                       t[a:z], dt[a:z])
+        for a, z in ((c + (c in skip), d) for c, d in zip(cuts, cuts[1:])) if a < z])
+    if not skip:
+        return columns
+    # row j's record is that of the last computed row up to j, in columns' order
+    fresh = np.ones(R, bool)
+    fresh[list(skip)] = False
+    src = np.cumsum(fresh) - 1
+    return replace(columns, t=t, dt_used=dt, **{
+        f.name: getattr(columns, f.name)[src] for f in fields(columns)
+        if f.name not in ("t", "dt_used") and getattr(columns, f.name) is not None})
 
 
 def _check_step_count(head: str, dt: float, t0: float, t_end: float) -> None:
@@ -566,33 +597,52 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     times = np.empty(len(H))
     dts = np.empty(len(H))
     H[0], times[0], dts[0] = h, t, 0.0
+    # An attempt is a pure function of (h, w, margin, dt) and its run's
+    # constants.  still holds each dt_try whose accepted step returned the
+    # current state byte for byte; while the state stays put, a step of such
+    # a dt_try is taken without its attempt, and next_dt sees it as a clean
+    # first try.  repeats lists the rows recorded with no state-changing
+    # step since the previous event, which take their predecessor's record
+    still, repeats = set(), []
     for i, t_stop in enumerate(events, start=1):
         tol = 1e-14 * max(abs(state.time), abs(t_stop))
+        moved = False
         while t_stop - t > tol:
             rem = t_stop - t
             clipped = dt > rem
             dt_try = rem if clipped else dt
-            # a margin lost to underflow leaves nothing to guard: no attempt
-            halvings = 0 if margin > 0.0 else MAX_HALVINGS + 1
-            while halvings <= MAX_HALVINGS:
-                hn, wn = attempt(h, w, margin, dt_try)
-                # min(wn) as a float: argmin takes a NaN as the minimum, as
-                # np.minimum.reduce does, at a third of its per-call cost
-                mn = wn.item(wn.argmin())
-                if _guard_holds(mn, margin, cfg.guard_ratio):
-                    break
-                dt_try *= 0.5
-                halvings += 1
+            if still and dt_try in still:
+                halvings = 0
             else:
-                raise breakdown()
-            h, w, margin = hn, wn, mn
+                # a margin lost to underflow leaves nothing to guard: no attempt
+                halvings = 0 if margin > 0.0 else MAX_HALVINGS + 1
+                while halvings <= MAX_HALVINGS:
+                    hn, wn = attempt(h, w, margin, dt_try)
+                    # min(wn) as a float: argmin takes a NaN as the minimum, as
+                    # np.minimum.reduce does, at a third of its per-call cost
+                    mn = wn.item(wn.argmin())
+                    if _guard_holds(mn, margin, cfg.guard_ratio):
+                        break
+                    dt_try *= 0.5
+                    halvings += 1
+                else:
+                    raise breakdown()
+                if mn == margin and _step_is_still(hn, wn, h, w):
+                    still.add(dt_try)
+                else:
+                    moved = True
+                    if still:
+                        still.clear()
+                h, w, margin = hn, wn, mn
             t = t + dt_try
             dt_last = dt_try
             dt = next_dt(margin, dt_try, halvings, clipped)
         t = t_stop
         H[i], times[i], dts[i] = h, t, dt_last
+        if not moved:
+            repeats.append(i)
     return Trajectory(state.variant, s.grid, H,
-                      _record_columns(s.grid, H, times, dts))
+                      _record_columns(s.grid, H, times, dts, repeats))
 
 
 # ---------------------------------------------------------------------------

@@ -334,8 +334,8 @@ class TestMonitors:
         assert rep["M1"].slack <= 1e-3
 
     def test_bracket_slack_after_start(self):
-        # the M5, M6, M8-growth and M12-length brackets are tight at t = 0 by
-        # construction; the reported slack is the closest approach after it
+        # the M5, M6, M7, M8-growth and M12-length brackets are tight at t = 0
+        # by construction; the reported slack is the closest approach after it
         s = ellipse_support(PeriodicGrid(1, 48), 1.3, 1.0)
         tr = evolve(FlowState(support=s), 0.05, StepperConfig(),
                     monitor_every=1e-3)
@@ -345,12 +345,30 @@ class TestMonitors:
         rescaled = evolve(FlowState(support=s_norm, variant="rescaled_chainrule"),
                           0.05, StepperConfig(scheme="semi_implicit"),
                           monitor_every=5e-3)
-        for run, names in ((tr, ("M5", "M6", "M8-growth")), (rescaled, ("M12-length",))):
+        for run, names in ((tr, ("M5", "M6", "M7", "M8-growth")),
+                           (rescaled, ("M12-length",))):
             rep = run_monitors(run)
             for name in names:
                 assert rep[name].status == "pass", name
                 assert rep[name].slack > 0.0, name
                 assert rep[name].worst_t > 0.0, name
+
+    def test_m3_reports_the_part_that_failed(self):
+        # the identity L' = int k holds at the interior records, but the last
+        # record's int k is -1: M3 fails and reports that record, with the
+        # residual -k_l1 = 1 against 0
+        s = ellipse_support(PeriodicGrid(1, 48), 1.3, 1.0)
+        tr = evolve(FlowState(support=s), 0.05, StepperConfig(),
+                    monitor_every=1e-3)
+        assert run_monitors(tr)["M3"].status == "pass"
+        k1 = tr.record_series("k_l1").copy()
+        k1[-1] = -1.0
+        broken = Trajectory(tr.variant, tr.grid, tr.H,
+                            dataclasses.replace(tr.columns, k_l1=k1))
+        m3 = run_monitors(broken)["M3"]
+        assert m3.status == "fail"
+        assert m3.worst_t == tr.times[-1]
+        assert m3.slack == 1.0
 
     def test_inequality_slack(self):
         # one step of ||F||^2 rises by 1e-7 of its largest value: inside the

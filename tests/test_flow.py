@@ -12,7 +12,7 @@ import entroflow.spectral as spectral
 from entroflow.errors import FlowBreakdownError, NotLocallyConvexError
 from entroflow.spectral import (GridFunction, PeriodicGrid, integrate,
                                 periodic_derivs_values)
-from entroflow.diagnostics import compute_record
+from entroflow.diagnostics import compute_record, run_monitors
 from entroflow.support import (SupportGrid, circle_support, curvature,
                                ellipse_support, fourier_support)
 from entroflow.flow import (FlowState, StepperConfig, evolve, read_snapshot,
@@ -140,6 +140,16 @@ def assert_pairs(attempt, h, w, dt, reference):
     assert third[0] is hn and third[1] is wn
 
 
+def assert_same_columns(a, b):
+    """Two records of columns hold the same bytes in every column."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert (x is None) == (y is None), f.name
+        if x is not None:
+            assert x.dtype == y.dtype and x.shape == y.shape, f.name
+            assert x.tobytes() == y.tobytes(), f.name
+
+
 def assert_row(columns, i, rec):
     """Row i of a record of columns equals the one-state record rec."""
     for f in dataclasses.fields(rec):
@@ -244,6 +254,9 @@ class TestVelocityKernel:
         assert np.array_equal(D2I @ x, want)
         out = np.empty(n)
         assert D2I.dot(x, out=out) is out and np.array_equal(out, want)
+        # the run's apply, which writes its spectrum into a buffer of its own
+        out[:] = 0.0
+        assert flow._apply_into(D2I)(x, out) is out and np.array_equal(out, want)
         x = rng.standard_normal((n, 6))
         want = np.fft.irfft(sym[:, None] * np.fft.rfft(x, axis=0), n, axis=0)
         assert np.array_equal(D2I @ x, want)
@@ -414,31 +427,36 @@ class TestAttempts:
 
     @pytest.mark.parametrize("lam", [0.0, 4 * math.pi**2])
     def test_steady_attempts_allocate_nothing(self, lam):
-        # on the dense route, after two warm attempts, three more (each fed
-        # the last pair) peak at 112 bytes under tracemalloc for RK4 and at
-        # 544 for the semi-implicit attempt, whose pocketfft calls and
-        # complex-by-real divide take small buffers (numpy 2.4, Python
-        # 3.11).  The rfft route is not gated: its apply allocates a spectrum
-        g = PeriodicGrid(omega=1, n=48)
-        ws = flow.workspace(g)
-        h = ellipse_support(g, 1.3, 1.0).values
-        w = ws.D2I @ h
-        margin = float(w.min())
-        si, _ = flow._semi_implicit_scheme(StepperConfig(scheme="semi_implicit"),
-                                           ws, lam, g.n, margin, 0.0, 1.0)
-        for attempt, dt, bound in ((flow._rk4_attempt(ws.D2I, lam, g.n), 1e-6, 256),
-                                   (si, 1e-4, 768)):
-            pair = (h, w)
-            for _ in range(2):
-                pair = attempt(*pair, margin, dt)
-            tracemalloc.start()
-            try:
-                for _ in range(3):
+        # after two warm attempts, three more (each fed the last pair) peak
+        # under tracemalloc (numpy 2.4, Python 3.11) at, on the dense route
+        # (n = 48), 112 bytes for RK4 and 544 for the semi-implicit attempt,
+        # whose pocketfft calls and complex-by-real divide take small
+        # buffers; on the rfft route (n = 512), whose applies write their
+        # spectrum into the run's buffer, 464 for RK4 and 4,256 for the
+        # semi-implicit attempt, whose divide casts its 257-value real
+        # denominator to complex through a 4,112-byte buffer.  An rfft apply
+        # that allocates its spectrum peaks at 4,672 for either attempt
+        for n, rk4_bound, si_bound in ((48, 256, 768), (512, 1024, 4480)):
+            g = PeriodicGrid(omega=1, n=n)
+            ws = flow.workspace(g)
+            h = ellipse_support(g, 1.3, 1.0).values
+            w = ws.D2I @ h
+            margin = float(w.min())
+            si, _ = flow._semi_implicit_scheme(StepperConfig(scheme="semi_implicit"),
+                                               ws, lam, n, margin, 0.0, 1.0)
+            for attempt, dt, bound in ((flow._rk4_attempt(ws.D2I, lam, n), 1e-6, rk4_bound),
+                                       (si, 1e-4, si_bound)):
+                pair = (h, w)
+                for _ in range(2):
                     pair = attempt(*pair, margin, dt)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= bound, (attempt, peak)
+                tracemalloc.start()
+                try:
+                    for _ in range(3):
+                        pair = attempt(*pair, margin, dt)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= bound, (n, attempt, peak)
 
     @pytest.mark.parametrize("n", [8, 32, 48, flow.DENSE_MAX_N])
     def test_dense_apply_is_matmul(self, n):
@@ -858,6 +876,70 @@ class TestEvolve:
             assert_row(tr.columns, i, compute_record(state.support, state.time,
                                                      dts[i].item()))
         assert np.array_equal(tr.final.support.values, tr.H[-1])
+
+
+    def test_fixed_point_steps_are_taken_once(self, monkeypatch):
+        # criterion-09's rescaled ellipse at n = 384 (the rfft route) lands
+        # on an exact fixed point of its step near t = 0.36.  From there a
+        # step of a dt_try that already returned the state takes no attempt:
+        # 185 attempts in all, where every step took one (506).  With the
+        # reuse switched off, the run gives the same bits: its states,
+        # every record column and the monitor report
+        g = PeriodicGrid(omega=1, n=384)
+        s = ellipse_support(g, 1.3, 1.0)
+        st = FlowState(support=SupportGrid(GridFunction(g, s.values / integrate(s.h))),
+                       variant="rescaled_chainrule")
+        cfg = StepperConfig(scheme="semi_implicit", dt_init=5e-4, max_dt=2e-3)
+        real = flow._semi_implicit_attempt
+        attempts = [0]
+
+        def counted(*args):
+            attempts[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(flow, "_semi_implicit_attempt", counted)
+        tr = evolve(st, 1.0, cfg, monitor_every=4e-3)
+        assert attempts[0] < 300
+        monkeypatch.setattr(flow, "_step_is_still", lambda *a: False)
+        attempts[0] = 0
+        plain = evolve(st, 1.0, cfg, monitor_every=4e-3)
+        assert attempts[0] > 450
+        assert tr.H.tobytes() == plain.H.tobytes()
+        # the last records repeat their predecessors' states
+        assert tr.H[-1].tobytes() == tr.H[-2].tobytes()
+        assert_same_columns(tr.columns, plain.columns)
+        assert run_monitors(tr).to_dict() == run_monitors(plain).to_dict()
+
+    def test_record_columns_of_repeated_rows(self, monkeypatch):
+        # n = 512 takes 8 rows per compute_record call.  Marked repeats sit
+        # inside a block, between fresh rows, across a block boundary and
+        # at the end; only the fresh rows are computed, and every column
+        # equals the one-state record of each row, bit for bit
+        g = PeriodicGrid(omega=1, n=512)
+        states = [ellipse_support(g, 1.3 + 0.05 * j, 1.0).values for j in range(5)]
+        pick = [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 1, 2, 2, 2, 2, 2, 0, 0]
+        H = np.array([states[j] for j in pick])
+        repeats = [i for i in range(1, len(pick)) if pick[i] == pick[i - 1]]
+        t = np.arange(len(H)) * 1e-3
+        dt = np.full(len(H), 1e-3)
+        rows = []
+        real = flow.compute_record
+
+        def counted(s, *args):
+            rows.append(len(s.values))
+            return real(s, *args)
+
+        monkeypatch.setattr(flow, "compute_record", counted)
+        cols = flow._record_columns(g, H, t, dt, repeats)
+        assert sum(rows) == len(H) - len(repeats) < len(H)
+        for i in range(len(H)):
+            rec = real(SupportGrid(GridFunction(g, H[i]), validate=False), t[i], dt[i])
+            for f in dataclasses.fields(rec):
+                got, want = getattr(cols, f.name), getattr(rec, f.name)
+                if want is None:
+                    assert got is None, f.name
+                else:
+                    assert np.asarray(got[i]).tobytes() == np.asarray(want).tobytes(), f.name
 
 
 class TestParabolicScaling:
