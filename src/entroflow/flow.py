@@ -13,6 +13,13 @@ stability interval.  The semi-implicit scheme damps a constant-coefficient
 fourth-derivative shift implicitly (diagonal in mode space).  Both take the
 constant mode's linearization -(k^2 + lam) * delta explicitly, so both cap
 dt at 2 * safety / (max(k)^2 + lam).
+
+The semi-implicit attempt has two bodies, chosen from n alone.  Above
+DENSE_MAX_N it steps in mode space: it carries the state's spectrum and
+makes one rfft and one stacked irfft per attempt, with no D2I apply.  At or
+below it, it keeps the bits of the dense operator's step, which the CLI's
+stored reference pins: F(h) through D2I, then one stacked rfft and one
+irfft.
 """
 
 from __future__ import annotations
@@ -239,8 +246,8 @@ def workspace(grid: PeriodicGrid) -> _Workspace:
 def velocity(h, D2I, lam, w):
     """F(h) = D2I @ (1/w) - lam*h, i.e. k_thth + k - lam*h with k = 1/w and
     w = D2I @ h = h_thth + h, as a new plain array on either D2I route; rhs
-    calls it, and _rk4_attempt and _semi_implicit_attempt write the same
-    formula in place."""
+    calls it, _rk4_attempt and the dense semi-implicit body write the same
+    formula in place, and _fourier_body its spectrum."""
     f = D2I @ np.reciprocal(w)
     if lam != 0.0:
         f -= lam * h
@@ -322,47 +329,80 @@ def _rk4_attempt(D2I, lam, n):
 
 
 class _SemiImplicitRun:
-    """What one semi-implicit run on n nodes keeps across its attempts: the
-    apply of D2I (_apply_into), xi^4, stab_coeff, whether lam is nonzero,
-    and its work arrays, made once.
+    """What one semi-implicit run on n nodes keeps across its attempts:
+    stab_coeff, whether lam is nonzero, which body its attempts take
+    (fourier, chosen by _semi_implicit_scheme from n alone), that body's
+    work arrays, made once, and the 0-d factors lam, 1, dt and dt*c, so
+    that no ufunc of an attempt takes a Python float (a 0-d array enters
+    with the bits of the float it holds, unconverted per call).
 
-    The arrays are two (2, n) stacks, each holding a state h in row 0 and
-    its F(h) in row 1, a buffer for D2I @ h beside each (stack[i], h[i] and
-    w[i] make pair i), a temporary tmp for 1/w and lam*h, the
-    (2, n//2 + 1) spectrum spec of a stack, and the denominator den; and
-    the 0-d factors lam, 1, dt and dt*c, so that no ufunc of an attempt
-    takes a Python float (a 0-d float64 enters with the bits of the float
-    it holds, unconverted per call).
+    Both bodies keep two states, h[i] and w[i] = D2I @ h[i] for i = 0, 1,
+    xi^4, a temporary tmp for 1/w and the denominator den.  The dense body
+    applies D2I (_apply_into) and keeps two (2, n) stacks, each holding
+    h[i] in row 0 and its F(h) in row 1 (tmp takes lam*h too), and the
+    (2, n//2 + 1) spectrum spec of a stack.  The Fourier body applies no
+    D2I: state i is the (2, n) stack phys[i] of h and w and the
+    (2, n//2 + 1) stack spec[i] of its spectrum hhat[i] and
+    (1 - xi^2) * hhat[i], which one irfft turns into phys[i]; beside them
+    it keeps the spectrum f of F(h), buf for lam * hhat and the symbol
+    1 - xi^2.  Its symbol, xi^4, den and 0-d factors are complex128 with
+    zero imaginary parts, the operands numpy would cast real ones to, at
+    the cost of a buffer, on every call.
     """
 
-    def __init__(self, D2I, xi4, lam, stab_coeff, n):
-        self.apply, self.xi4, self.stab_coeff, self.n = (
-            _apply_into(D2I), xi4, stab_coeff, n)
+    def __init__(self, ws, lam, stab_coeff, n, fourier):
+        self.stab_coeff, self.n, self.fourier = stab_coeff, n, fourier
         self.shifted = lam != 0.0
-        self.lam, self.one = np.array(lam, float), np.array(1.0)
-        self.dt, self.dtc = np.empty(()), np.empty(())
-        self.spec = np.empty((2, n // 2 + 1), complex)
-        self.hhat, self.r = self.spec
-        stacks = np.empty((2, 2, n))
-        self.stack = tuple(stacks)
-        self.h, self.f = tuple(stacks[:, 0]), tuple(stacks[:, 1])
-        self.w = tuple(np.empty((2, n)))
-        self.tmp, self.den = np.empty(n), np.empty(n // 2 + 1)
+        m = n // 2 + 1
+        kind = complex if fourier else float
+        self.lam, self.one = np.array(lam, kind), np.array(1.0, kind)
+        self.dt, self.dtc = np.empty((), kind), np.empty((), kind)
+        self.xi4 = ws.xi4.astype(kind, copy=False)
+        self.tmp, self.den = np.empty(n), np.empty(m, kind)
+        if fourier:
+            self.sym = (1.0 - ws.xi**2).astype(complex)
+            self.phys, self.spec = np.empty((2, 2, n)), np.empty((2, 2, m), complex)
+            self.h, self.w = tuple(self.phys[:, 0]), tuple(self.phys[:, 1])
+            self.hhat = tuple(self.spec[:, 0])
+            self.f, self.buf = np.empty((2, m), complex)
+        else:
+            self.apply = _apply_into(ws.D2I)
+            self.spec = np.empty((2, m), complex)
+            self.hhat, self.r = self.spec
+            stacks = np.empty((2, 2, n))
+            self.stack = tuple(stacks)
+            self.h, self.f = tuple(stacks[:, 0]), tuple(stacks[:, 1])
+            self.w = tuple(np.empty((2, n)))
 
 
 def _semi_implicit_attempt(h, w, margin, dt, run):
     """One linearly stabilized step of run from h, with w = D2I @ h and
-    margin = min(w) > 0.
+    margin = min(w) > 0: hhat_new = hhat + dt * F_hat / (1 + dt * c *
+    xi^4), c = stab_coeff / margin^2, where hhat and F_hat are the spectra
+    of h and of F(h) = D2I @ (1/w) - lam*h.
 
-    Returns (h_new, D2I @ h_new), h_new = irfft(rfft(h) + dt * rfft(F(h)) /
-    (1 + dt * c * xi^4)) with c = stab_coeff / margin^2, in the run's pair
-    that does not hold h.  h and F(h) are the rows of one of the run's
-    stacks and take one rfft; an h that is no pair's, as on the run's first
-    step, is copied into stack 0.  lam, 1, dt and dt * c enter through the
-    run's 0-d factors, and every output array is passed positionally, which
-    spares numpy's parsing of an out= keyword on each call.
+    Returns (h_new, D2I @ h_new) in the run's state that does not hold h.
+    The denominator is built here for both bodies; a Fourier run's attempt
+    goes on in _fourier_body.  The dense body follows here: F(h) by
+    velocity's formula in place, through two D2I applies, then h and F(h)
+    (held in, or copied into, stack i) through one stacked rfft, and
+    h_new = irfft(hhat_new) and D2I @ h_new into state 1 - i.
+    _fourier_body gives the same step to round-off with two transform
+    calls and no apply.  It replaces the dense body at every n once a
+    change that rebuilds the CLI's stored reference lets the bits of the
+    dense runs move (ROADMAP item 17); until then this body keeps them.
+
+    lam, 1, dt and dt * c enter through the run's 0-d factors, and every
+    output array is passed positionally, which spares numpy's parsing of
+    an out= keyword on each call.
     """
     i = 1 if h is run.h[1] else 0
+    kmax = 1.0 / margin
+    run.dt[()] = dt
+    run.dtc[()] = dt * (run.stab_coeff * kmax * kmax)
+    np.add(np.multiply(run.xi4, run.dtc, run.den), run.one, run.den)
+    if run.fourier:
+        return _fourier_body(h, w, i, run)
     stack, f, hn, wn = run.stack[i], run.f[i], run.h[1 - i], run.w[1 - i]
     if h is not run.h[i]:
         stack[0] = h
@@ -372,16 +412,45 @@ def _semi_implicit_attempt(h, w, margin, dt, run):
     if run.shifted:
         np.subtract(f, np.multiply(run.lam, h, tmp), f)
     spectral.rfft(stack, run.spec)
-    kmax = 1.0 / margin
-    run.dt[()] = dt
-    run.dtc[()] = dt * (run.stab_coeff * kmax * kmax)
-    den, r = run.den, run.r
-    np.add(np.multiply(run.xi4, run.dtc, den), run.one, den)
+    r = run.r
     np.multiply(r, run.dt, r)
-    np.divide(r, den, r)
+    np.divide(r, run.den, r)
     np.add(r, run.hhat, r)
     spectral.irfft(r, run.n, hn)
     return hn, apply(hn, wn)
+
+
+def _fourier_body(h, w, i, run):
+    """The Fourier body's step from state i, whose spectrum hhat[i] it
+    carries (an h that is no state's takes rfft(h) into hhat[i]).  F(h)'s
+    spectrum is (1 - xi^2) * rfft(1/w) - lam * hhat, and one stacked irfft
+    of hhat_new and (1 - xi^2) * hhat_new writes h_new and D2I @ h_new into
+    state 1 - i: one rfft and one irfft per attempt, and no D2I apply.
+
+    A step that returns (h, w) byte for byte keeps hhat as it was, so that
+    it changes nothing of the run's state (h, w, hhat) and evolve's reuse
+    of such a step keeps the bits.  Its update moves hhat only below what
+    h and w resolve, and would do so again on every later step: the
+    carried hhat alone never reaches a fixed point."""
+    hhat, f, sym = run.hhat[i], run.f, run.sym
+    if h is not run.h[i]:
+        spectral.rfft(h, hhat)
+    spectral.rfft(np.reciprocal(w, run.tmp), f)
+    np.multiply(f, sym, f)
+    if run.shifted:
+        np.subtract(f, np.multiply(run.lam, hhat, run.buf), f)
+    np.multiply(f, run.dt, f)
+    np.divide(f, run.den, f)
+    new = run.spec[1 - i]
+    np.add(hhat, f, new[0])
+    np.multiply(new[0], sym, new[1])
+    spectral.irfft(new, run.n, run.phys[1 - i])
+    hn, wn = run.h[1 - i], run.w[1 - i]
+    # the first values differ on nearly every step that moves
+    if (hn.item(0) == h.item(0) and hn.tobytes() == h.tobytes()
+            and wn.tobytes() == w.tobytes()):
+        new[0] = hhat
+    return hn, wn
 
 
 def _guard_holds(margin_new, margin, guard_ratio):
@@ -535,7 +604,9 @@ def _semi_implicit_scheme(cfg, ws, lam, n, margin, t0, t_end):
     safety, max_dt = cfg.safety, cfg.max_dt
     _check_step_count(f"semi_implicit on n={n} steps at most max_dt", max_dt, t0, t_end)
     dt = min(cfg.dt_init, max_dt)
-    run = _SemiImplicitRun(ws.D2I, ws.xi4, lam, cfg.stabilization_coeff, n)
+    # the Fourier body from n alone: a wrapped view of ws.D2I, which is no
+    # _RfftOperator, steps as the plain one does
+    run = _SemiImplicitRun(ws, lam, cfg.stabilization_coeff, n, n > DENSE_MAX_N)
 
     def attempt(h, w, margin, dt):
         return _semi_implicit_attempt(h, w, margin, dt, run)
@@ -597,12 +668,14 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     times = np.empty(len(H))
     dts = np.empty(len(H))
     H[0], times[0], dts[0] = h, t, 0.0
-    # An attempt is a pure function of (h, w, margin, dt) and its run's
-    # constants.  still holds each dt_try whose accepted step returned the
-    # current state byte for byte; while the state stays put, a step of such
-    # a dt_try is taken without its attempt, and next_dt sees it as a clean
-    # first try.  repeats lists the rows recorded with no state-changing
-    # step since the previous event, which take their predecessor's record
+    # An attempt is a pure function of (h, w, margin, dt), its run's
+    # constants and, on the Fourier body, the spectrum the run carries for
+    # h, which a step that returns (h, w) leaves as it was.  still holds
+    # each dt_try whose accepted step returned the current state byte for
+    # byte; while the state stays put, a step of such a dt_try is taken
+    # without its attempt, and next_dt sees it as a clean first try.
+    # repeats lists the rows recorded with no state-changing step since the
+    # previous event, which take their predecessor's record
     still, repeats = set(), []
     for i, t_stop in enumerate(events, start=1):
         tol = 1e-14 * max(abs(state.time), abs(t_stop))

@@ -112,6 +112,34 @@ def reference_semi_implicit(h, w, dt, ws, lam, stab_coeff):
     return hn, apply(hn)
 
 
+def reference_fourier_semi_implicit(ws, lam, stab_coeff):
+    """The Fourier body's attempt in its plain formulas, with np.fft: it
+    carries the spectrum of each state it returns, keyed by the state's
+    bytes, and takes rfft(h) of any other h.  A step that returns (h, w)
+    keeps the spectrum of h."""
+    spectra = {}
+    sym = 1.0 - ws.xi**2
+
+    def attempt(h, w, dt):
+        hhat = spectra.get((h.tobytes(), w.tobytes()))
+        if hhat is None:
+            hhat = np.fft.rfft(h)
+        kmax = 1.0 / w.min()
+        c = stab_coeff * kmax * kmax
+        f = sym * np.fft.rfft(1.0 / w)
+        if lam != 0.0:
+            f = f - lam * hhat
+        hhat_new = hhat + dt * f / (1.0 + dt * c * ws.xi4)
+        hn = np.fft.irfft(hhat_new, n=len(h))
+        wn = np.fft.irfft(sym * hhat_new, n=len(h))
+        if hn.tobytes() == h.tobytes() and wn.tobytes() == w.tobytes():
+            hhat_new = hhat
+        spectra[hn.tobytes(), wn.tobytes()] = hhat_new
+        return hn, wn
+
+    return attempt
+
+
 def assert_pairs(attempt, h, w, dt, reference):
     """A run's attempt writes reference(h, w, dt)'s bits into one of its
     (h, D2I @ h) pairs, as plain ndarrays that share no memory with their
@@ -264,8 +292,9 @@ class TestVelocityKernel:
         assert np.array_equal(D2I.dot(x, out=out), want) and np.array_equal(out, want)
 
     def test_rfft_route_evolves_as_dense(self, monkeypatch):
-        # the 1.3:1 rescaled ellipse at n = 1024, once on the rfft route and
-        # once on a dense D2I injected into the workspace
+        # the 1.3:1 rescaled ellipse at n = 1024, once on the semi-implicit
+        # Fourier body and once on the dense body, forced through
+        # DENSE_MAX_N, with a dense D2I injected into the workspace
         g = PeriodicGrid(omega=1, n=1024)
         s = ellipse_support(g, 1.3, 1.0)
         st = FlowState(support=SupportGrid(GridFunction(g, s.values / integrate(s.h))),
@@ -278,6 +307,7 @@ class TestVelocityKernel:
 
             def recording_attempt(h, *rest):
                 inputs.append(h)
+                bodies.add(rest[-1].fourier)
                 return real_attempt(h, *rest)
 
             monkeypatch.setattr(flow, "_semi_implicit_attempt", recording_attempt)
@@ -287,12 +317,17 @@ class TestVelocityKernel:
             # attempt is a step when its input is not the previous input
             return final, sum(h is not prev for prev, h in zip([None] + inputs, inputs))
 
+        bodies = set()
         rfft, rfft_steps = run()
+        assert bodies == {True}
         real = flow.workspace(g)
         dense_ws = copy.copy(real)
         dense_ws.D2I = rolled_column_operator(real, g.n)
         monkeypatch.setattr(flow, "workspace", lambda grid: dense_ws)
+        monkeypatch.setattr(flow, "DENSE_MAX_N", g.n)
+        bodies.clear()
         dense, dense_steps = run()
+        assert bodies == {False}
         assert rfft_steps == dense_steps > 10
         assert np.max(np.abs(rfft - dense)) <= 1e-9 * np.max(np.abs(dense))
 
@@ -339,8 +374,10 @@ class TestVelocityKernel:
             evolve(circle_state(1.0, n=n), 16 * dt, cfg, monitor_every=8 * dt)
             if scheme == "semi_implicit":
                 assert attempts[0] == 16
-            # plus one apply for the starting state's D2I @ h, carried across spans
-            assert applies[0] == per_step * 16 + 1
+            # plus one apply for the starting state's D2I @ h, carried across
+            # spans; the semi-implicit Fourier body (n > DENSE_MAX_N) applies none
+            fourier = scheme == "semi_implicit" and n > flow.DENSE_MAX_N
+            assert applies[0] == (0 if fourier else per_step) * 16 + 1
 
     @pytest.mark.parametrize("n", [48, 1024])
     @pytest.mark.parametrize("scheme,per_step", [("explicit_rk4", 8),
@@ -348,7 +385,9 @@ class TestVelocityKernel:
     def test_wrapped_operator_evolves_as_plain(self, monkeypatch, n, scheme, per_step):
         # a D2I view that defines @ alone is applied through it, into the
         # run's buffers, with the plain operator's bits on both routes; a
-        # dyadic step under the scheme's first dt makes exactly 4 steps
+        # dyadic step under the scheme's first dt makes exactly 4 steps.  The
+        # semi-implicit body is chosen from n, not from the operator's type,
+        # so at n = 1024 both runs take the Fourier body, which applies none
         g = PeriodicGrid(omega=1, n=n)
         s = ellipse_support(g, 1.3, 1.0)
         st = FlowState(support=SupportGrid(GridFunction(g, s.values / integrate(s.h))),
@@ -363,7 +402,8 @@ class TestVelocityKernel:
         plain = evolve(st, 4 * dt, cfg, monitor_every=2 * dt)
         applies = count_applies(monkeypatch)
         wrapped = evolve(st, 4 * dt, cfg, monitor_every=2 * dt)
-        assert applies[0] == per_step * 4 + 1
+        fourier = scheme == "semi_implicit" and n > flow.DENSE_MAX_N
+        assert applies[0] == (0 if fourier else per_step) * 4 + 1
         assert np.array_equal(wrapped.H, plain.H)
         for f in dataclasses.fields(plain.columns):
             assert np.array_equal(getattr(wrapped.columns, f.name),
@@ -376,7 +416,8 @@ class TestAttempts:
     @pytest.mark.parametrize("variant", flow.VARIANTS)
     def test_bit_identical_to_plain_formulas(self, variant, omega, n):
         # lam = 0, 1 and 4 omega^2 pi^2; n = 8 to DENSE_MAX_N on the dense
-        # route, both ends of it included, and 512 on the rfft route
+        # route, both ends of it included, and 512 on the rfft route, where
+        # the semi-implicit attempt is the Fourier body
         g = PeriodicGrid(omega=omega, n=n)
         s = fourier_support(g, 1.0, [(2, 0.1, 0.0), (3, 0.0, 0.03)])
         ws = flow.workspace(g)
@@ -391,8 +432,12 @@ class TestAttempts:
         cfg = StepperConfig(scheme="semi_implicit")
         for dt in (1e-4, 2e-3):
             attempt, _ = flow._semi_implicit_scheme(cfg, ws, lam, n, margin, 0.0, 1.0)
-            assert_pairs(attempt, h, w, dt,
-                         lambda h, w, dt: reference_semi_implicit(h, w, dt, ws, lam, 1.0))
+            if n > flow.DENSE_MAX_N:
+                reference = reference_fourier_semi_implicit(ws, lam, 1.0)
+            else:
+                def reference(h, w, dt):
+                    return reference_semi_implicit(h, w, dt, ws, lam, 1.0)
+            assert_pairs(attempt, h, w, dt, reference)
         # the attempts leave their inputs as they were
         assert np.array_equal(h, s.values)
         assert np.array_equal(w, reference_apply(ws.D2I)(h))
@@ -400,7 +445,9 @@ class TestAttempts:
     def test_fft_calls(self, monkeypatch):
         # spectral's rfft and irfft, the package's only real-input
         # transforms, wrapped by counters: at n = 48 a semi-implicit attempt
-        # takes one stacked rfft and one irfft, an RK4 attempt none
+        # takes one stacked rfft and one irfft, an RK4 attempt none; at
+        # n = 512 the Fourier body takes one rfft and one stacked irfft, and
+        # one more rfft from an h that is not one of its run's states
         calls = []
 
         def counted(fn):
@@ -424,6 +471,19 @@ class TestAttempts:
         calls.clear()
         flow._rk4_attempt(ws.D2I, 1.0, g.n)(h, w, margin, 1e-6)
         assert calls == []
+        g = PeriodicGrid(omega=1, n=512)
+        ws = flow.workspace(g)
+        h = ellipse_support(g, 1.3, 1.0).values
+        w = ws.D2I @ h
+        margin = float(w.min())
+        calls.clear()
+        attempt, _ = flow._semi_implicit_scheme(StepperConfig(scheme="semi_implicit"),
+                                                ws, 1.0, g.n, margin, 0.0, 1.0)
+        pair = attempt(h, w, margin, 1e-3)
+        assert calls == ["rfft", "rfft", "irfft"]
+        calls.clear()
+        attempt(*pair, margin, 1e-3)
+        assert calls == ["rfft", "irfft"]
 
     @pytest.mark.parametrize("lam", [0.0, 4 * math.pi**2])
     def test_steady_attempts_allocate_nothing(self, lam):
@@ -432,10 +492,11 @@ class TestAttempts:
         # (n = 48), 112 bytes for RK4 and 544 for the semi-implicit attempt,
         # whose pocketfft calls and complex-by-real divide take small
         # buffers; on the rfft route (n = 512), whose applies write their
-        # spectrum into the run's buffer, 464 for RK4 and 4,256 for the
-        # semi-implicit attempt, whose divide casts its 257-value real
-        # denominator to complex through a 4,112-byte buffer.  An rfft apply
-        # that allocates its spectrum peaks at 4,672 for either attempt
+        # spectrum into the run's buffer, 464 for RK4 and 672 for the
+        # semi-implicit Fourier body, whose factors are all complex.  A
+        # real denominator, cast to complex on every divide, peaks at 4,256
+        # (through a 4,112-byte buffer), and an rfft apply that allocates
+        # its spectrum at 4,672 for either attempt
         for n, rk4_bound, si_bound in ((48, 256, 768), (512, 1024, 4480)):
             g = PeriodicGrid(omega=1, n=n)
             ws = flow.workspace(g)
@@ -879,12 +940,13 @@ class TestEvolve:
 
 
     def test_fixed_point_steps_are_taken_once(self, monkeypatch):
-        # criterion-09's rescaled ellipse at n = 384 (the rfft route) lands
-        # on an exact fixed point of its step near t = 0.36.  From there a
-        # step of a dt_try that already returned the state takes no attempt:
-        # 185 attempts in all, where every step took one (506).  With the
-        # reuse switched off, the run gives the same bits: its states,
-        # every record column and the monitor report
+        # criterion-09's rescaled ellipse at n = 384 (the semi-implicit
+        # Fourier body) lands on an exact fixed point of its step near
+        # t = 0.36.  From there a step of a dt_try that already returned the
+        # state takes no attempt: 185 attempts in all, where every step took
+        # one (506).  With the reuse switched off, the run gives the same
+        # bits (its states, every record column and the monitor report),
+        # since a step that returns its state keeps the carried spectrum
         g = PeriodicGrid(omega=1, n=384)
         s = ellipse_support(g, 1.3, 1.0)
         st = FlowState(support=SupportGrid(GridFunction(g, s.values / integrate(s.h))),
@@ -909,6 +971,24 @@ class TestEvolve:
         assert tr.H[-1].tobytes() == tr.H[-2].tobytes()
         assert_same_columns(tr.columns, plain.columns)
         assert run_monitors(tr).to_dict() == run_monitors(plain).to_dict()
+
+    def test_rescaled_run_ends_on_an_exact_circle(self):
+        # criterion-09's datum and run at n = 1024, on the semi-implicit
+        # Fourier body: h is exactly constant from t = 0.164 and reaches the
+        # exact fixed point of its step at t = 0.36, so the final state is
+        # a constant to the last bit, at round-off from 1/(2 pi), and
+        # M12-convexity passes
+        g = PeriodicGrid(omega=1, n=1024)
+        s = ellipse_support(g, 1.3, 1.0)
+        st = FlowState(support=SupportGrid(GridFunction(g, s.values / integrate(s.h))),
+                       variant="rescaled_chainrule")
+        cfg = StepperConfig(scheme="semi_implicit", dt_init=5e-4, max_dt=2e-3)
+        tr = evolve(st, 3.2, cfg, monitor_every=4e-3)
+        h = tr.final.support.values
+        assert np.ptp(h) == 0.0
+        assert abs(h[0] - 1 / (2 * math.pi)) <= 1e-15
+        assert tr.H[90:].tobytes() == np.broadcast_to(h, tr.H[90:].shape).tobytes()
+        assert run_monitors(tr)["M12-convexity"].status == "pass"
 
     def test_record_columns_of_repeated_rows(self, monkeypatch):
         # n = 512 takes 8 rows per compute_record call.  Marked repeats sit
