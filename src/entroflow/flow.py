@@ -14,12 +14,14 @@ fourth-derivative shift implicitly (diagonal in mode space).  Both take the
 constant mode's linearization -(k^2 + lam) * delta explicitly, so both cap
 dt at 2 * safety / (max(k)^2 + lam).
 
-The semi-implicit attempt has two bodies, chosen from n alone.  Above
-DENSE_MAX_N it steps in mode space: it carries the state's spectrum and
-makes one rfft and one stacked irfft per attempt, with no D2I apply.  At or
-below it, it keeps the bits of the dense operator's step, which the CLI's
-stored reference pins: F(h) through D2I, then one stacked rfft and one
-irfft.
+The semi-implicit attempt, _semi_implicit_attempt, steps through one of
+two bodies, each a closure over its run's own arrays, which
+_semi_implicit_scheme alone chooses, from n.  Above DENSE_MAX_N,
+_fourier_body steps in mode space: it carries the state's spectrum and
+makes one rfft and one stacked irfft per attempt, with no D2I apply.  At
+or below it, _dense_body keeps the bits of the dense operator's step,
+which the CLI's stored reference pins: F(h) through D2I, then one stacked
+rfft and one irfft.
 """
 
 from __future__ import annotations
@@ -246,8 +248,8 @@ def workspace(grid: PeriodicGrid) -> _Workspace:
 def velocity(h, D2I, lam, w):
     """F(h) = D2I @ (1/w) - lam*h, i.e. k_thth + k - lam*h with k = 1/w and
     w = D2I @ h = h_thth + h, as a new plain array on either D2I route; rhs
-    calls it, _rk4_attempt and the dense semi-implicit body write the same
-    formula in place, and _fourier_body its spectrum."""
+    calls it, _rk4_attempt and _dense_body write the same formula in place,
+    and _fourier_body its spectrum."""
     f = D2I @ np.reciprocal(w)
     if lam != 0.0:
         f -= lam * h
@@ -328,129 +330,124 @@ def _rk4_attempt(D2I, lam, n):
     return attempt
 
 
-class _SemiImplicitRun:
-    """What one semi-implicit run on n nodes keeps across its attempts:
-    stab_coeff, whether lam is nonzero, which body its attempts take
-    (fourier, chosen by _semi_implicit_scheme from n alone), that body's
-    work arrays, made once, and the 0-d factors lam, 1, dt and dt*c, so
-    that no ufunc of an attempt takes a Python float (a 0-d array enters
-    with the bits of the float it holds, unconverted per call).
+def _dense_body(ws, lam, stab_coeff, n):
+    """The semi-implicit body of one run at n <= DENSE_MAX_N, whose bits
+    the CLI's stored reference pins.  From the state i that holds h (an h
+    that is no state's is copied into stack 0): F(h) by velocity's formula
+    in place, through two D2I applies (_apply_into), then h and F(h) in
+    stack i through one stacked rfft, and h_new = irfft(hhat_new) and
+    D2I @ h_new into state 1 - i.
+    _fourier_body gives the same step to round-off with two transform calls
+    and no apply; it replaces this body at every n once a change that
+    rebuilds that reference lets the bits of the dense runs move (ROADMAP
+    item 17).  Its work arrays: two (2, n) stacks, each holding h[i] in
+    row 0 and its F(h) in row 1, w[i] = D2I @ h[i] beside each, tmp for
+    1/w and lam*h, the (2, n//2 + 1) spectrum of a stack and the
+    denominator den."""
+    apply, m = _apply_into(ws.D2I), n // 2 + 1
+    s0, s1 = np.empty((2, 2, n))
+    (h0, f0), (h1, f1) = s0, s1
+    w0, w1 = np.empty((2, n))
+    spec = np.empty((2, m), complex)
+    hhat, r = spec
+    xi4, tmp, den = ws.xi4, np.empty(n), np.empty(m)
+    shifted, lam, one = lam != 0.0, np.array(lam, float), np.array(1.0)
+    full, dtc = np.empty(()), np.empty(())
+    add, sub, mul, div, recip = np.add, np.subtract, np.multiply, np.divide, np.reciprocal
 
-    Both bodies keep two states, h[i] and w[i] = D2I @ h[i] for i = 0, 1,
-    xi^4, a temporary tmp for 1/w and the denominator den.  The dense body
-    applies D2I (_apply_into) and keeps two (2, n) stacks, each holding
-    h[i] in row 0 and its F(h) in row 1 (tmp takes lam*h too), and the
-    (2, n//2 + 1) spectrum spec of a stack.  The Fourier body applies no
-    D2I: state i is the (2, n) stack phys[i] of h and w and the
-    (2, n//2 + 1) stack spec[i] of its spectrum hhat[i] and
-    (1 - xi^2) * hhat[i], which one irfft turns into phys[i]; beside them
-    it keeps the spectrum f of F(h), buf for lam * hhat and the symbol
-    1 - xi^2.  Its symbol, xi^4, den and 0-d factors are complex128 with
-    zero imaginary parts, the operands numpy would cast real ones to, at
-    the cost of a buffer, on every call.
-    """
-
-    def __init__(self, ws, lam, stab_coeff, n, fourier):
-        self.stab_coeff, self.n, self.fourier = stab_coeff, n, fourier
-        self.shifted = lam != 0.0
-        m = n // 2 + 1
-        kind = complex if fourier else float
-        self.lam, self.one = np.array(lam, kind), np.array(1.0, kind)
-        self.dt, self.dtc = np.empty((), kind), np.empty((), kind)
-        self.xi4 = ws.xi4.astype(kind, copy=False)
-        self.tmp, self.den = np.empty(n), np.empty(m, kind)
-        if fourier:
-            self.sym = (1.0 - ws.xi**2).astype(complex)
-            self.phys, self.spec = np.empty((2, 2, n)), np.empty((2, 2, m), complex)
-            self.h, self.w = tuple(self.phys[:, 0]), tuple(self.phys[:, 1])
-            self.hhat = tuple(self.spec[:, 0])
-            self.f, self.buf = np.empty((2, m), complex)
+    def body(h, w, margin, dt):
+        if h is h1:
+            stack, f, hn, wn = s1, f1, h0, w0
         else:
-            self.apply = _apply_into(ws.D2I)
-            self.spec = np.empty((2, m), complex)
-            self.hhat, self.r = self.spec
-            stacks = np.empty((2, 2, n))
-            self.stack = tuple(stacks)
-            self.h, self.f = tuple(stacks[:, 0]), tuple(stacks[:, 1])
-            self.w = tuple(np.empty((2, n)))
+            if h is not h0:
+                s0[0] = h
+            stack, f, hn, wn = s0, f0, h1, w1
+        kmax = 1.0 / margin
+        full[()], dtc[()] = dt, dt * (stab_coeff * kmax * kmax)
+        add(mul(xi4, dtc, den), one, den)
+        # F(h) into row 1 by velocity's formula
+        apply(recip(w, tmp), f)
+        if shifted:
+            sub(f, mul(lam, h, tmp), f)
+        spectral.rfft(stack, spec)
+        add(div(mul(r, full, r), den, r), hhat, r)
+        spectral.irfft(r, n, hn)
+        return hn, apply(hn, wn)
+
+    return body
 
 
-def _semi_implicit_attempt(h, w, margin, dt, run):
-    """One linearly stabilized step of run from h, with w = D2I @ h and
-    margin = min(w) > 0: hhat_new = hhat + dt * F_hat / (1 + dt * c *
-    xi^4), c = stab_coeff / margin^2, where hhat and F_hat are the spectra
-    of h and of F(h) = D2I @ (1/w) - lam*h.
-
-    Returns (h_new, D2I @ h_new) in the run's state that does not hold h.
-    The denominator is built here for both bodies; a Fourier run's attempt
-    goes on in _fourier_body.  The dense body follows here: F(h) by
-    velocity's formula in place, through two D2I applies, then h and F(h)
-    (held in, or copied into, stack i) through one stacked rfft, and
-    h_new = irfft(hhat_new) and D2I @ h_new into state 1 - i.
-    _fourier_body gives the same step to round-off with two transform
-    calls and no apply.  It replaces the dense body at every n once a
-    change that rebuilds the CLI's stored reference lets the bits of the
-    dense runs move (ROADMAP item 17); until then this body keeps them.
-
-    lam, 1, dt and dt * c enter through the run's 0-d factors, and every
-    output array is passed positionally, which spares numpy's parsing of
-    an out= keyword on each call.
-    """
-    i = 1 if h is run.h[1] else 0
-    kmax = 1.0 / margin
-    run.dt[()] = dt
-    run.dtc[()] = dt * (run.stab_coeff * kmax * kmax)
-    np.add(np.multiply(run.xi4, run.dtc, run.den), run.one, run.den)
-    if run.fourier:
-        return _fourier_body(h, w, i, run)
-    stack, f, hn, wn = run.stack[i], run.f[i], run.h[1 - i], run.w[1 - i]
-    if h is not run.h[i]:
-        stack[0] = h
-    apply, tmp = run.apply, run.tmp
-    # F(h) into row 1 by velocity's formula
-    apply(np.reciprocal(w, tmp), f)
-    if run.shifted:
-        np.subtract(f, np.multiply(run.lam, h, tmp), f)
-    spectral.rfft(stack, run.spec)
-    r = run.r
-    np.multiply(r, run.dt, r)
-    np.divide(r, run.den, r)
-    np.add(r, run.hhat, r)
-    spectral.irfft(r, run.n, hn)
-    return hn, apply(hn, wn)
-
-
-def _fourier_body(h, w, i, run):
-    """The Fourier body's step from state i, whose spectrum hhat[i] it
-    carries (an h that is no state's takes rfft(h) into hhat[i]).  F(h)'s
-    spectrum is (1 - xi^2) * rfft(1/w) - lam * hhat, and one stacked irfft
-    of hhat_new and (1 - xi^2) * hhat_new writes h_new and D2I @ h_new into
-    state 1 - i: one rfft and one irfft per attempt, and no D2I apply.
+def _fourier_body(ws, lam, stab_coeff, n):
+    """The semi-implicit body of one run at n > DENSE_MAX_N, which steps in
+    mode space and applies no D2I.  State i is the (2, n) stack of h[i] and
+    w[i] = D2I @ h[i] and the (2, n//2 + 1) stack of its carried spectrum
+    hhat[i] and (1 - xi^2) * hhat[i] (an h that is no state's takes
+    rfft(h) into hhat[0]).  F(h)'s spectrum is (1 - xi^2) * rfft(1/w) -
+    lam * hhat, and one stacked irfft of hhat_new and (1 - xi^2) *
+    hhat_new writes h_new and D2I @ h_new into state 1 - i: one rfft and
+    one irfft per attempt.  Beside the states it keeps the spectrum f of
+    F(h), buf for lam * hhat, tmp for 1/w and den.  Its symbol, xi^4, den
+    and 0-d factors are complex128 with zero imaginary parts, the operands
+    numpy would cast real ones to, at the cost of a buffer, on every call.
 
     A step that returns (h, w) byte for byte keeps hhat as it was, so that
     it changes nothing of the run's state (h, w, hhat) and evolve's reuse
     of such a step keeps the bits.  Its update moves hhat only below what
     h and w resolve, and would do so again on every later step: the
     carried hhat alone never reaches a fixed point."""
-    hhat, f, sym = run.hhat[i], run.f, run.sym
-    if h is not run.h[i]:
-        spectral.rfft(h, hhat)
-    spectral.rfft(np.reciprocal(w, run.tmp), f)
-    np.multiply(f, sym, f)
-    if run.shifted:
-        np.subtract(f, np.multiply(run.lam, hhat, run.buf), f)
-    np.multiply(f, run.dt, f)
-    np.divide(f, run.den, f)
-    new = run.spec[1 - i]
-    np.add(hhat, f, new[0])
-    np.multiply(new[0], sym, new[1])
-    spectral.irfft(new, run.n, run.phys[1 - i])
-    hn, wn = run.h[1 - i], run.w[1 - i]
-    # the first values differ on nearly every step that moves
-    if (hn.item(0) == h.item(0) and hn.tobytes() == h.tobytes()
-            and wn.tobytes() == w.tobytes()):
-        new[0] = hhat
-    return hn, wn
+    m = n // 2 + 1
+    sym, xi4 = (1.0 - ws.xi**2).astype(complex), ws.xi4.astype(complex)
+    phys, spec = np.empty((2, 2, n)), np.empty((2, 2, m), complex)
+    (h0, w0), (h1, w1) = phys
+    (hhat0, what0), (hhat1, what1) = spec
+    # from state i: hhat[i], then state 1 - i's spectra and its (h, w)
+    from0 = (hhat0, hhat1, what1, spec[1], phys[1], h1, w1)
+    from1 = (hhat1, hhat0, what0, spec[0], phys[0], h0, w0)
+    f, buf = np.empty((2, m), complex)
+    tmp, den = np.empty(n), np.empty(m, complex)
+    shifted, lam, one = lam != 0.0, np.array(lam, complex), np.array(1.0, complex)
+    full, dtc = np.empty((), complex), np.empty((), complex)
+    add, sub, mul, div, recip = np.add, np.subtract, np.multiply, np.divide, np.reciprocal
+
+    def body(h, w, margin, dt):
+        if h is h1:
+            hhat, nhat, nwhat, new, out, hn, wn = from1
+        else:
+            if h is not h0:
+                spectral.rfft(h, hhat0)
+            hhat, nhat, nwhat, new, out, hn, wn = from0
+        kmax = 1.0 / margin
+        full[()], dtc[()] = dt, dt * (stab_coeff * kmax * kmax)
+        add(mul(xi4, dtc, den), one, den)
+        spectral.rfft(recip(w, tmp), f)
+        mul(f, sym, f)
+        if shifted:
+            sub(f, mul(lam, hhat, buf), f)
+        add(hhat, div(mul(f, full, f), den, f), nhat)
+        mul(nhat, sym, nwhat)
+        spectral.irfft(new, n, out)
+        # the first values differ on nearly every step that moves
+        if (hn.item(0) == h.item(0) and hn.tobytes() == h.tobytes()
+                and wn.tobytes() == w.tobytes()):
+            nhat[...] = hhat
+        return hn, wn
+
+    return body
+
+
+def _semi_implicit_attempt(h, w, margin, dt, body):
+    """One linearly stabilized step from h, with w = D2I @ h and margin =
+    min(w) > 0: hhat_new = hhat + dt * F_hat / (1 + dt * c * xi^4), c =
+    stab_coeff / margin^2, where hhat and F_hat are the spectra of h and of
+    F(h) = D2I @ (1/w) - lam*h.  Returns (h_new, D2I @ h_new) in the state
+    of body (its run's _dense_body or _fourier_body) that does not hold h.
+
+    Every semi-implicit attempt goes through here, by name, so that one
+    wrapper of it sees each attempt and its h.  lam, 1, dt and dt * c enter
+    the bodies' ufuncs as 0-d arrays (with the bits of the float each
+    holds, unconverted per call), and every output array is passed
+    positionally, which spares numpy's parsing of an out= keyword."""
+    return body(h, w, margin, dt)
 
 
 def _guard_holds(margin_new, margin, guard_ratio):
@@ -596,7 +593,7 @@ def _rk4_scheme(cfg, ws, lam, n, margin, t0, t_end):
 
 def _semi_implicit_scheme(cfg, ws, lam, n, margin, t0, t_end):
     """The semi-implicit scheme's (attempt, next_dt) for one run: attempt is
-    _semi_implicit_attempt on the run's _SemiImplicitRun, and next_dt
+    _semi_implicit_attempt on the run's body, and next_dt
     carries dt from min(dt_init, max_dt) under _zero_order_cap(margin):
     it keeps a halved dt and grows dt 1.2x (up to max_dt) after a clean step
     no event clipped.  Raises ValueError when steps of max_dt, which bounds
@@ -604,12 +601,13 @@ def _semi_implicit_scheme(cfg, ws, lam, n, margin, t0, t_end):
     safety, max_dt = cfg.safety, cfg.max_dt
     _check_step_count(f"semi_implicit on n={n} steps at most max_dt", max_dt, t0, t_end)
     dt = min(cfg.dt_init, max_dt)
-    # the Fourier body from n alone: a wrapped view of ws.D2I, which is no
+    # the body from n alone: a wrapped view of ws.D2I, which is no
     # _RfftOperator, steps as the plain one does
-    run = _SemiImplicitRun(ws, lam, cfg.stabilization_coeff, n, n > DENSE_MAX_N)
+    body = (_fourier_body if n > DENSE_MAX_N else _dense_body)(
+        ws, lam, cfg.stabilization_coeff, n)
 
     def attempt(h, w, margin, dt):
-        return _semi_implicit_attempt(h, w, margin, dt, run)
+        return _semi_implicit_attempt(h, w, margin, dt, body)
 
     def next_dt(margin, dt_taken=None, halvings=0, clipped=True):
         nonlocal dt
