@@ -301,7 +301,9 @@ def cmd_plots(csv_path: str, out_path: str) -> ExitStatus:
     if not csv.exists():
         raise FileNotFoundError(f"{csv} not found")
     script = Path(out_path)
-    write_text(script, GNUPLOT_TEMPLATE.format(name=script.name, csv=csv))
+    # gnuplot reads '' as one ' inside a single-quoted string
+    write_text(script, GNUPLOT_TEMPLATE.format(name=script.name,
+                                               csv=str(csv).replace("'", "''")))
     return ExitStatus.OK
 
 

@@ -211,17 +211,21 @@ def _cd_second(t, x):
         / (dt1 * dt2 * (dt1 + dt2))
 
 
-def _worst(t, residual, bound):
-    """(largest residual <= bound, the largest residual, its time)."""
-    j = int(np.argmax(residual))
-    return residual[j] <= bound, float(residual[j]), float(t[j])
+def _worst(t, residual, allowance):
+    """(every residual within its allowance, the residual nearest to or
+    furthest past its allowance, its time).  The allowance is one number,
+    then records rank by the residual alone, or one number per residual."""
+    excess = residual if np.ndim(allowance) == 0 else residual - allowance
+    j = int(np.argmax(excess))
+    return np.all(residual <= allowance), float(residual[j]), float(t[j])
 
 
-def _closest(t, gap):
-    """Smallest gap inside a bracket after the first record, where a bracket
-    anchored at the initial data is tight by construction, and its time."""
+def _closest(t, gap, allowance):
+    """(no gap below -allowance, the smallest gap after the first record, its
+    time): a bracket anchored at the initial data is tight there by
+    construction."""
     j = int(np.argmin(gap[1:])) + 1
-    return float(gap[j]), float(t[j])
+    return np.all(gap >= -allowance), float(gap[j]), float(t[j])
 
 
 IDENTITY_REL = 1e-3   # centered-difference identity residuals, relative
@@ -303,9 +307,10 @@ def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
     """Evaluate every proved identity/inequality on a recorded trajectory.
 
     Identities hold to IDENTITY_REL relative, an inequality to inequality_slack
-    times its scale.  A residual check reports by _worst, a bracket by
-    _closest (M12-decay a rate, M12-convexity from its entry time).  A check
-    that does not apply reads not-applicable, with a note.
+    times its scale: that is a check's allowance.  A residual check takes its
+    verdict and report from _worst, a bracket from _closest (M12-decay a
+    rate, M12-convexity from its entry time).  A check that does not apply
+    reads not-applicable, with a note.
     """
     c = tr.columns
     t = c.t
@@ -340,33 +345,28 @@ def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
                  _worst(t[1:], -np.diff(L), inequality_slack * np.max(L)))
         yield next((p for p in parts if not p[0]), parts[0])
 
-        # M4: concavity with the dissipation bound
-        lhs = _cd_second(t, L)
-        rhs = -c.dissipation[1:-1]
-        viol = lhs - rhs - IDENTITY_REL * np.abs(rhs) \
-            - inequality_slack * np.max(np.abs(rhs))
-        yield _worst(ti, viol, 0)
+        # M4: concavity with the dissipation bound, L'' <= -dissipation
+        diss = np.abs(c.dissipation[1:-1])
+        yield _worst(ti, _cd_second(t, L) + c.dissipation[1:-1],
+                     IDENTITY_REL * diss + inequality_slack * np.max(diss))
 
         # M5: length bracketing with c1 frozen at the first record
         c1 = k1[0]
         lower = np.sqrt(L[0]**2 + 8.0 * wpi**2 * (t - t[0]))
         upper = _length_upper_bound(t - t[0], L[0], c1, omega)
-        slack = inequality_slack * np.max(L)
-        ok = np.all(L >= lower - slack) and np.all(L <= upper + slack)
-        yield ok, *_closest(t, np.minimum(L - lower, upper - L))
+        yield _closest(t, np.minimum(L - lower, upper - L),
+                       inequality_slack * np.max(L))
 
         # M6: entropy bracketing
         lower = 2.0 * wpi * np.log(2.0 * wpi / L)
-        slackv = inequality_slack * max(1.0, float(np.max(np.abs(ent))))
-        ok = np.all(ent >= lower - slackv) and np.all(ent <= ent[0] + slackv)
-        yield ok, *_closest(t, np.minimum(ent - lower, ent[0] - ent))
+        yield _closest(t, np.minimum(ent - lower, ent[0] - ent),
+                       inequality_slack * max(1.0, float(np.max(np.abs(ent)))))
 
         # M7: integral bound on k_l1 plus accumulated dissipation, tight at
         # the first record
         cumdiss = np.concatenate([[0.0], np.cumsum(
             0.5 * (c.dissipation[1:] + c.dissipation[:-1]) * np.diff(t))])
-        viol = k1 + cumdiss - c1 - inequality_slack * c1
-        yield np.all(viol <= 0), *_closest(t, c1 - (k1 + cumdiss))
+        yield _closest(t, c1 - (k1 + cumdiss), inequality_slack * c1)
 
         # M8: area law (omega = 1 only)
         if omega == 1:
@@ -376,7 +376,7 @@ def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
             # the exact consequence A - A0 >= 2 pi (t - t0), separate because
             # it also holds where the centered difference cannot resolve A'
             growth = A - A[0] - 2.0 * math.pi * (t - t[0])
-            yield np.min(growth) >= -1e-6, *_closest(t, growth)
+            yield _closest(t, growth, 1e-6)
         else:
             yield from ["omega != 1"] * 2
 
@@ -400,9 +400,8 @@ def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
                          inequality_slack * thresh)
 
         # M11: geometric gradient inequality from the convexity-preservation proof
-        rhs = 2.0 * np.log1p(c.kgrad_inf * wpi / c.kmin)
-        viol = rhs - L - inequality_slack * np.max(L)
-        yield _worst(t, viol, 0)
+        yield _worst(t, 2.0 * np.log1p(c.kgrad_inf * wpi / c.kmin) - L,
+                     inequality_slack * np.max(L))
 
     def rescaled_flow():
         # M12-length: the rescaled length stays in [1, c_L]
@@ -412,9 +411,8 @@ def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
             # long before tau = expm1(709) / a
             tau_max = math.expm1(min(a * (t[-1] - t[0]), 709.0)) / a
             cL = rescaled_length_cap(k1[0], tau_max, omega)
-            slack = inequality_slack * max(1.0, cL)
-            ok = np.all(L >= 1.0 - slack) and np.all(L <= cL + slack)
-            yield ok, *_closest(t, np.minimum(L - 1.0, cL - L)), f"c_L={cL:.4g}"
+            yield *_closest(t, np.minimum(L - 1.0, cL - L),
+                            inequality_slack * max(1.0, cL)), f"c_L={cL:.4g}"
         else:
             yield ("paper-literal variant" if tr.variant != "rescaled_chainrule"
                    else "initial rescaled length not normalized to 1")
@@ -437,7 +435,7 @@ def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
             live = tail > floor
             grow = np.diff(tail) - inequality_slack * np.max(series)
             grow = grow[live[:-1] & live[1:]]
-            mono_ok = len(grow) == 0 or np.max(grow) <= 0
+            monotone = len(grow) == 0 or np.max(grow) <= 0
             rate, used = fit_decay_rate(t, series)
             if used < 2:
                 # one record above the plateau floor: no rate to fit
@@ -445,8 +443,8 @@ def run_monitors(tr, inequality_slack: float = 1e-6) -> MonitorReport:
                 yield (f"falls to its plateau within one record, "
                        f"at cadence {t[j + 1] - t[j]:.3g}")
                 continue
-            ok = mono_ok and (math.isnan(rate) or rate > 0)
-            yield ok, rate, math.nan, f"fitted rate over {used} records"
+            yield (monotone and (math.isnan(rate) or rate > 0), rate, math.nan,
+                   f"fitted rate over {used} records")
 
         # M12-convexity: once inside [pi omega / (2 c_L), 8 pi omega], k stays there
         if not normalized:

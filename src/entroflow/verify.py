@@ -108,9 +108,9 @@ def _shared_report(run: str) -> MonitorReport:
     return run_monitors(_run(run)[0], inequality_slack=1e-9)
 
 
-def _check_gates(check: str, *runs, report=_shared_report) -> list:
+def _check_gates(check: str, *runs) -> list:
     """One gate per run: its monitor check passes."""
-    return [(f"{run}/{check}", report(run)[check].status, "==", "pass")
+    return [(f"{run}/{check}", _shared_report(run)[check].status, "==", "pass")
             for run in runs]
 
 
@@ -243,7 +243,7 @@ def criterion_09_rescaled_convergence() -> CriterionResult:
     # 8*omega^2*pi^2 and reach the round-off plateau early in the length-3
     # window; monitor M12 fits each rate on the records above that plateau
     # (the paper's rate 2 belongs to the literal variant; recorded, not gated).
-    rep = run_monitors(tr)
+    rep = _shared_report("rescaled")
     rates = [rep[f"M12-decay-h{p}"].slack for p in (1, 2, 3, 4)]
     conv = rep["M12-convexity"]
     rates_s = ", ".join(f"{r:.3g}" for r in rates)
@@ -254,7 +254,7 @@ def criterion_09_rescaled_convergence() -> CriterionResult:
         f"({conv.note})",
         [("final max|h-mean|", dev, "<=", 1e-4)]
         + [(f"h{p} rate", r, ">", 0) for p, r in zip((1, 2, 3, 4), rates)]
-        + _check_gates("M12-convexity", "rescaled", report=lambda run: rep))
+        + _check_gates("M12-convexity", "rescaled"))
 
 
 def criterion_10_rescaling_consistency() -> CriterionResult:

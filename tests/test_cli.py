@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -8,8 +9,9 @@ import pytest
 
 import entroflow.flow as flow
 import entroflow.graph as graph
-from entroflow.cli import ExitStatus, RunConfig, _simulate, build_initial_support, main
-from entroflow.diagnostics import read_csv
+from entroflow.cli import (GNUPLOT_TEMPLATE, ExitStatus, RunConfig, _simulate,
+                           build_initial_support, main)
+from entroflow.diagnostics import CSV_HEADER, read_csv
 from entroflow.errors import ConfigError, NotLocallyConvexError
 from entroflow.flow import FlowState, read_snapshot, write_snapshot
 from entroflow.spectral import GridFunction, PeriodicGrid
@@ -871,6 +873,24 @@ class TestVerifyAndPlots:
         gp = tmp_path / "plots.gp"
         assert main(["plots", str(csv), "--out", str(gp)]) == 0
         assert "gnuplot" in gp.read_text()
+
+    def test_plots_path_with_quote(self, tmp_path):
+        # gnuplot doubles a ' inside a single-quoted string; each plot term
+        # must read back the CSV path it was given
+        csv = tmp_path / "q'x" / "diagnostics.csv"
+        csv.parent.mkdir()
+        csv.write_text("")
+        gp = tmp_path / "plots.gp"
+        assert main(["plots", str(csv), "--out", str(gp)]) == 0
+        plot = gp.read_text().split("plot ", 1)[1]
+        quoted = re.findall(r"'((?:[^']|'')*)' using", plot)
+        assert [q.replace("''", "'") for q in quoted] == [str(csv)] * 3
+
+    def test_plots_template_columns(self):
+        # the template's 1-based using columns name the plotted functionals
+        columns = [int(c) for c in re.findall(r"using 1:(\d+)", GNUPLOT_TEMPLATE)]
+        names = CSV_HEADER.split(",")
+        assert [names[c - 1] for c in columns] == ["f_l2sq", "h1", "logk_dirichlet"]
 
     def test_plots_missing_csv(self, tmp_path):
         assert main(["plots", str(tmp_path / "nope.csv")]) == 4

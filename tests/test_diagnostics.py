@@ -217,7 +217,8 @@ class TestRecordsAndCsv:
         cols = compute_record(_one(s.grid, s.values[None]), np.zeros(1), np.zeros(1))
         p = tmp_path / "d.csv"
         write_csv(cols, p)
-        line = open(p).readlines()[1]
+        with open(p) as fh:
+            line = fh.readlines()[1]
         assert ",," in line
         assert read_csv(p).area is None
 
@@ -409,6 +410,72 @@ class TestMonitors:
             assert m10.worst_t == tr.times[3] == pytest.approx(0.003)
             assert m10.slack == pytest.approx(1e-7 * thresh, rel=1e-6)
 
+    def test_m4_and_m11_report_the_raw_residual(self):
+        # one record's dissipation (M4) or |k_theta|_inf (M11) pushed past its
+        # allowance fails the check, which reports the residual itself,
+        # L'' + dissipation or 2 log1p(pi |k_theta|_inf / k_min) - L, at
+        # that record
+        s = ellipse_support(PeriodicGrid(1, 48), 1.3, 1.0)
+        tr = evolve(FlowState(support=s), 0.05, StepperConfig(), monitor_every=1e-3)
+        rep = run_monitors(tr)
+        assert rep["M4"].status == rep["M11"].status == "pass"
+        t, L, c = tr.times, tr.record_series("length"), tr.columns
+        diss = c.dissipation.copy()
+        diss[20] = 10.0 * np.max(diss)
+        dt1, dt2 = t[20] - t[19], t[21] - t[20]
+        L2 = 2.0 * (L[19] * dt2 - L[20] * (dt1 + dt2) + L[21] * dt1) \
+            / (dt1 * dt2 * (dt1 + dt2))
+        kgrad = c.kgrad_inf.copy()
+        kgrad[10] = c.kmin[10] / math.pi * math.expm1(0.5 * (L[10] + 1.0))
+        for name, column, j, residual in (
+                ("M4", {"dissipation": diss}, 20, L2 + diss[20]),
+                ("M11", {"kgrad_inf": kgrad}, 10,
+                 2.0 * math.log1p(kgrad[10] * math.pi / c.kmin[10]) - L[10])):
+            pushed = Trajectory(tr.variant, tr.grid, tr.H,
+                                dataclasses.replace(c, **column))
+            check = run_monitors(pushed)[name]
+            assert check.status == "fail", name
+            assert check.worst_t == t[j], name
+            assert check.slack == pytest.approx(residual, rel=1e-12), name
+            assert check.slack > 0.5, name
+
+    def test_m10_ranks_rises_below_a_loose_allowance(self):
+        # two rises far below the allowance, 1e-24 and then 5e-24, on a
+        # sigma energy that falls from 1e-10: M10 reports the larger at its
+        # record.  Net of an allowance of 1e-3 x threshold, whose spacing is
+        # ~1.7e-21, both rises would round to the same number
+        s = ellipse_support(PeriodicGrid(1, 32), 1.02, 1.0)
+        tr = evolve(FlowState(support=s), 0.05, StepperConfig(), monitor_every=1e-3)
+        t = tr.times
+        sig = 1e-10 * np.exp(-t)
+        sig[3] = sig[2] + 1e-24
+        sig[6] = sig[5] + 5e-24
+        risen = Trajectory(tr.variant, tr.grid, tr.H,
+                           dataclasses.replace(tr.columns, logk_dirichlet=sig))
+        for slack in (1e-9, 1e-6, 1e-3):
+            m10 = run_monitors(risen, inequality_slack=slack)["M10"]
+            assert m10.status == "pass"
+            assert m10.worst_t == t[6]
+            assert m10.slack == sig[6] - sig[5] == pytest.approx(5e-24, rel=1e-2)
+
+    def test_m5_verdict_and_gap_from_one_rule(self):
+        # one length moved below M5's lower bound by twice its allowance
+        # fails, by half of it passes; either way the report is that gap at
+        # that record
+        s = ellipse_support(PeriodicGrid(1, 48), 1.3, 1.0)
+        tr = evolve(FlowState(support=s), 0.05, StepperConfig(), monitor_every=1e-3)
+        t, L = tr.times, tr.record_series("length")
+        lower = np.sqrt(L[0]**2 + 8.0 * math.pi**2 * (t - t[0]))
+        allowance = 1e-6 * np.max(L)
+        for factor, status in ((2.0, "fail"), (0.5, "pass")):
+            moved = L.copy()
+            moved[20] = lower[20] - factor * allowance
+            m5 = run_monitors(Trajectory(tr.variant, tr.grid, tr.H,
+                                         dataclasses.replace(tr.columns, length=moved)))["M5"]
+            assert m5.status == status
+            assert m5.worst_t == t[20]
+            assert m5.slack == pytest.approx(-factor * allowance, rel=1e-6)
+
     def test_m9_reports_its_larger_residual(self):
         # a strongly non-round datum at coarse cadence, where M9 fails: its
         # report is the larger of its two residuals (the (||h_theta||^2)' and
@@ -550,7 +617,7 @@ class TestMonitors:
         p = tmp_path / "monitors.json"
         rep.to_json(p)
         import json
-        data = json.loads(open(p).read())
+        data = json.loads(p.read_text())
         assert data["M1"]["status"] == "pass"
         assert set(data["M1"]) == {"status", "slack", "worst_t", "note"}
 
