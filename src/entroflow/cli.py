@@ -51,7 +51,7 @@ _ROWS = {
     "omega": ("an integer", int, None),
     "n": ("an integer", int, None),
     "variant": (f"one of {VARIANTS}", str, VARIANTS.__contains__),
-    "t_end": ("a number > 0", NUMBER, lambda x: x > 0),
+    "t_end": ("a finite number > 0", NUMBER, lambda x: 0 < x < math.inf),
     "monitor_every": ("a finite number > 0", NUMBER, lambda x: 0 < x < math.inf),
     "output_dir": _STRING,
     "seed": ("a non-negative integer", int, lambda x: x >= 0),

@@ -278,53 +278,74 @@ def _apply_into(D2I):
 
 # A run's attempt(h, w, margin, dt) -> (h_new, D2I @ h_new), w = D2I @ h and
 # margin = min(w), works in the order of operations of the plain formulas,
-# so that it gives their bits: x + x is 2.0 * x, and + and * commute exactly.
-# It writes into the run's own arrays, into the one of its two (h, D2I @ h)
-# pairs that does not hold h: a retry rewrites that pair, and no attempt
-# overwrites the accepted state.
+# so that it gives their bits.  It writes into the run's own arrays, into
+# the one of its two (h, D2I @ h) pairs that does not hold h: a retry
+# rewrites that pair, and no attempt overwrites the accepted state.
 
 def _rk4_attempt(D2I, lam, n):
     """The attempt of one RK4 run on n nodes: a classical RK4 step from h,
     h_new = h + dt/6 * (f1 + 2 f2 + 2 f3 + f4), each slope velocity's formula
-    in place; margin is unused.  Its work arrays are made here, once: the
-    slopes as the rows of F, a stage state y, a buffer r for D2I @ y and its
-    reciprocal, 0-d factors lam, dt/2, dt and dt/6 (which multiply with the
-    bits of the float they hold, unconverted per call) and two (h, D2I @ h)
-    pairs.  Whether lam is nonzero is decided here, once.  D2I is applied
-    into the arrays by _apply_into(D2I), and every output array is passed
-    positionally, which spares numpy's parsing of an out= keyword."""
+    in place; margin is unused.  Each stage state y = h + c*f_i and h_new are
+    one BLAS product coef.dot(rows, out) over a (5, n) stack of rows
+    [f4, f3, f2, f1, h]: h comes last, so that the increments are summed
+    before h is added (h first, which adds each increment to h in turn,
+    raised criterion-01's errors about threefold).  A product reads only
+    rows written earlier in the attempt; a slope it skips has coefficient 0.
+    The run keeps two stacks, one per (h, D2I @ h) pair, and writes h_new
+    into the last row of the one that does not hold h; h is copied into
+    stack 0 only when it is neither pair's.  Its other work arrays, made
+    here once: a stage state y, a buffer r for D2I @ y and its reciprocal,
+    and the four products' coefficients in one buffer, dt/den + one,
+    rewritten per attempt by two contiguous calls from a 0-d dt (dt/3 is
+    exactly 2 * (dt/6)).  Whether lam is nonzero is decided here, once.
+    D2I is applied into the arrays by _apply_into(D2I), and every output
+    array is passed positionally, which spares numpy's parsing of an out=
+    keyword."""
     apply = _apply_into(D2I)
-    F = np.empty((4, n))
-    f1, f2, f3, f4, f23 = *F, F[1:3]
-    y, r, h0, w0, h1, w1 = (np.empty(n) for _ in range(6))
-    half, full, sixth = (np.empty(()) for _ in range(3))
+    stacks = np.empty((2, 5, n))
+    h0, h1 = stacks[:, 4]
+    w0, w1, y, r = np.empty((4, n))
+    # coefficients over rows [f1, h], [f2, f1, h], [f3, f2, f1, h] and the
+    # whole stack: (dt/2, 1), (dt/2, 0, 1), (dt, 0, 0, 1) and
+    # (dt/6, dt/3, dt/3, dt/6, 1); dt/inf is 0
+    inf = math.inf
+    den = np.array([2, inf, 2, inf, inf, 1, inf, inf, inf, 6, 3, 3, 6, inf])
+    one = np.array([0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1.0])
+    coef = np.empty(14)
+    c2, c3, c4, c5 = coef[:2], coef[2:5], coef[5:9], coef[9:]
+    # from state i: its stack's slopes and products, then state 1 - i's pair
+    steps = [(*s[3::-1], s[3:], s[2:], s[1:], s, *pair)
+             for s, pair in ((stacks[0], (h1, w1)), (stacks[1], (h0, w0)))]
+    full = np.empty(())
     shifted, lam = lam != 0.0, np.array(lam, float)
-    add, sub, mul, recip = np.add, np.subtract, np.multiply, np.reciprocal
+    add, sub, mul, div, recip = np.add, np.subtract, np.multiply, np.divide, np.reciprocal
 
     def attempt(h, w, margin, dt):
-        hn, wn = (h1, w1) if h is h0 else (h0, w0)
-        half[()], full[()], sixth[()] = 0.5 * dt, dt, dt / 6.0
+        if h is h1:
+            f1, f2, f3, f4, rows2, rows3, rows4, rows5, hn, wn = steps[1]
+        else:
+            if h is not h0:
+                h0[...] = h
+            f1, f2, f3, f4, rows2, rows3, rows4, rows5, hn, wn = steps[0]
+        full[()] = dt
+        add(div(full, den, coef), one, coef)
         # stage i: f_i = D2I @ (1 / (D2I @ y)) - lam*y, then y = h + c*f_i
         apply(recip(w, r), f1)
         if shifted:
             sub(f1, mul(lam, h, r), f1)
-        add(mul(f1, half, y), h, y)
+        c2.dot(rows2, y)
         apply(recip(apply(y, r), r), f2)
         if shifted:
             sub(f2, mul(lam, y, r), f2)
-        add(mul(f2, half, y), h, y)
+        c3.dot(rows3, y)
         apply(recip(apply(y, r), r), f3)
         if shifted:
             sub(f3, mul(lam, y, r), f3)
-        add(mul(f3, full, y), h, y)
+        c4.dot(rows4, y)
         apply(recip(apply(y, r), r), f4)
         if shifted:
             sub(f4, mul(lam, y, r), f4)
-        add(f23, f23, f23)  # f2 and f3 doubled in one call
-        # ((f1 + 2 f2) + 2 f3) + f4, the bits of add.reduce(F, 0), which
-        # allocates an iterator buffer on every call
-        add(add(add(f1, f2, hn), f3, hn), f4, hn)
-        add(mul(hn, sixth, hn), h, hn)
+        c5.dot(rows5, hn)
         return hn, apply(hn, wn)
 
     return attempt

@@ -303,12 +303,13 @@ def write_text(path, text) -> None:
         os.close(fd)
 
 
-def _read_table(path, ndmin: int) -> np.ndarray:
-    """np.loadtxt's floats, "#" comments skipped; a file with no data is a
-    CurveIngestionError, not loadtxt's warning and an empty array."""
+def _read_table(path) -> np.ndarray:
+    """np.loadtxt's floats as a 2-d table, one row per line, "#" comments
+    skipped; a file with no data is a CurveIngestionError, not loadtxt's
+    warning and an empty array."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        data = np.loadtxt(path, dtype=float, comments="#", ndmin=ndmin)
+        data = np.loadtxt(path, dtype=float, comments="#", ndmin=2)
     if data.size == 0:
         raise CurveIngestionError(f"{path}: the file holds no data")
     return data
@@ -316,14 +317,17 @@ def _read_table(path, ndmin: int) -> np.ndarray:
 
 def read_curve_file(path) -> np.ndarray:
     """Closed polyline, one "x y" pair per line, first point not repeated."""
-    pts = _read_table(path, 2)
+    pts = _read_table(path)
     if pts.shape[1] != 2:
         raise CurveIngestionError(f"{path}: expected two columns, got {pts.shape[1]}")
     return pts
 
 
 def read_support_file(path, omega: int) -> SupportGrid:
-    """One h value per line; the line count fixes n."""
-    vals = _read_table(path, 1)
-    grid = PeriodicGrid(omega=omega, n=len(vals))
-    return SupportGrid(GridFunction(grid, vals))
+    """One h value per line; the line count fixes n.  A table of more than
+    one column, or one line of several values, is refused."""
+    table = _read_table(path)
+    if table.shape[1] != 1:
+        raise CurveIngestionError(f"{path}: expected one column, got {table.shape[1]}")
+    grid = PeriodicGrid(omega=omega, n=len(table))
+    return SupportGrid(GridFunction(grid, table[:, 0]))

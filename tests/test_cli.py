@@ -346,6 +346,7 @@ class TestSimulate:
         ({"stepper": {"dt_init": None}}, "stepper.dt_init", "None"),
         ({"initial": {"kind": "circle", "r": None}}, "initial.r", "None"),
         ({"t_end": 10**400}, "t_end", str(10**400)),
+        ({"t_end": math.inf}, "t_end", "inf"),
         ({"stepper": {"max_dt": 10**400}}, "stepper.max_dt", str(10**400)),
         ({"initial": {"kind": "fourier", "constant": 1, "modes": [[2, 10**400, 0]]}},
          "initial.modes[0] coefficient a", str(10**400)),
@@ -356,7 +357,7 @@ class TestSimulate:
          "initial.constant", "nan"),
     ], ids=["r_string", "constant_string", "kind_object", "t_end_string",
             "safety_string", "max_dt_string", "dt_init_null", "r_null",
-            "t_end_huge_int", "max_dt_huge_int", "coefficient_huge_int",
+            "t_end_huge_int", "t_end_inf", "max_dt_huge_int", "coefficient_huge_int",
             "r_negative", "r_nan", "b_zero", "constant_nan"])
     def test_refusal_names_key(self, tmp_path, capsys, data, key, shown):
         # a value of the wrong type is refused by its key, before a
@@ -757,6 +758,11 @@ def _with_initial(command, **initial):
     pytest.param(lambda p: ["verify", "nosuch"], ExitStatus.VALIDATION,
                  "config error:", id="unknown-suite"),
     pytest.param(lambda p: [], ExitStatus.VALIDATION, "config error:", id="no-command"),
+    # refused by t_end's row, not by the record cap that an infinite span
+    # would exceed
+    pytest.param(lambda p: ["simulate", "--t-end", "inf", "--out", str(p / "out")],
+                 ExitStatus.VALIDATION, "config error: t_end must be a finite number > 0",
+                 id="t-end-inf-flag"),
     pytest.param(_not_utf8_config, ExitStatus.VALIDATION, "config error:",
                  id="config-not-utf8"),
     *(pytest.param(lambda p, c=c: _uncreatable_out(p, c), ExitStatus.IO,
@@ -782,6 +788,13 @@ def _with_initial(command, **initial):
                    "validation failure: support file has 16 lines but config "
                    "requests n=48", id=f"support_file-16-lines-{c}")
       for c in ("simulate", "rescaled")),
+    # one h value per line: a table of several columns, or one line of 48
+    # values, is refused by its column count
+    *(pytest.param(_data_file(c, "support_file", np.ones(shape), n=48), ExitStatus.VALIDATION,
+                   f"validation failure: {{p}}/data.txt: expected one column, got {shape[1]}",
+                   id=f"support_file-{shape[0]}x{shape[1]}-{c}")
+      for c in ("simulate", "rescaled")
+      for shape in ((48, 2), (48, 48), (2, 48), (1, 48))),
     pytest.param(_data_file("simulate", "curve_file", np.column_stack(
         [_polygon(16), np.zeros(16)])), ExitStatus.VALIDATION,
                  "validation failure: {p}/data.txt: expected two columns, got 3",
