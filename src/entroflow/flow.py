@@ -59,7 +59,7 @@ STEPPER_ROWS = {
     "max_dt": ("a number > 0", NUMBER, lambda x: x > 0),
     "guard_ratio": ("a number in (0, 1)", NUMBER, lambda x: 0 < x < 1),
     "scheme": (f"one of {SCHEMES}", str, SCHEMES.__contains__),
-    "stabilization_coeff": ("a number >= 0", NUMBER, lambda x: x >= 0),
+    "stabilization_coeff": ("a finite number >= 0", NUMBER, lambda x: 0 <= x < math.inf),
 }
 
 
@@ -554,17 +554,20 @@ def record_blocks(grid: PeriodicGrid, R: int) -> list:
     return [slice(i, i + rows) for i in range(0, R, rows)]
 
 
-def _record_columns(grid: PeriodicGrid, H, t, dt, repeats=()) -> DiagnosticsRecord:
+def _record_columns(grid: PeriodicGrid, H, t, dt) -> DiagnosticsRecord:
     """compute_record on the stacked states H, one call per record block.
 
-    Each row listed in repeats (never row 0) holds its predecessor's state
-    and takes its predecessor's record, with its own t and dt_used.  Its
-    block's call skips it: the block calls compute_record on each stretch
-    of its other rows, as views of H.  compute_record gives row j the bits
-    of the one-state call on row j, so the columns are those of every row
-    computed.
+    Each row j >= 1 whose bytes equal row j - 1's takes its predecessor's
+    record, with its own t and dt_used, whatever the steps between the two
+    rows did.  Its block's call skips it: the block calls compute_record on
+    each stretch of its other rows, as views of H.  compute_record gives row
+    j the bits of the one-state call on row j, so the columns are those of
+    every row computed.
     """
-    R, skip = len(H), set(repeats)
+    # only rows whose first value repeats bit for bit are compared whole
+    R, first = len(H), H[:, 0].view(np.int64)
+    skip = {j for j in (np.flatnonzero(first[1:] == first[:-1]) + 1).tolist()
+            if H[j].tobytes() == H[j - 1].tobytes()}
     cuts = sorted(skip.union([b.start for b in record_blocks(grid, R)], [R]))
     columns = DiagnosticsRecord.concat([
         compute_record(SupportGrid(GridFunction(grid, H[a:z]), validate=False),
@@ -693,12 +696,10 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
     # each dt_try whose accepted step returned the current state byte for
     # byte; while the state stays put, a step of such a dt_try is taken
     # without its attempt, and next_dt sees it as a clean first try.
-    # repeats lists the rows recorded with no state-changing step since the
-    # previous event, which take their predecessor's record
-    still, repeats = set(), []
+    # _record_columns finds the repeated rows it records from H
+    still = set()
     for i, t_stop in enumerate(events, start=1):
         tol = 1e-14 * max(abs(state.time), abs(t_stop))
-        moved = False
         while t_stop - t > tol:
             rem = t_stop - t
             clipped = dt > rem
@@ -721,20 +722,15 @@ def evolve(state: FlowState, t_end: float, cfg: StepperConfig,
                     raise breakdown()
                 if mn == margin and _step_is_still(hn, wn, h, w):
                     still.add(dt_try)
-                else:
-                    moved = True
-                    if still:
-                        still.clear()
+                elif still:
+                    still.clear()
                 h, w, margin = hn, wn, mn
             t = t + dt_try
             dt_last = dt_try
             dt = next_dt(margin, dt_try, halvings, clipped)
         t = t_stop
         H[i], times[i], dts[i] = h, t, dt_last
-        if not moved:
-            repeats.append(i)
-    return Trajectory(state.variant, s.grid, H,
-                      _record_columns(s.grid, H, times, dts, repeats))
+    return Trajectory(state.variant, s.grid, H, _record_columns(s.grid, H, times, dts))
 
 
 # ---------------------------------------------------------------------------

@@ -355,10 +355,12 @@ class TestSimulate:
         ({"initial": {"kind": "ellipse", "a": 1.3, "b": 0}}, "initial.b", "0"),
         ({"initial": {"kind": "fourier", "constant": math.nan, "modes": []}},
          "initial.constant", "nan"),
+        ({"stepper": {"stabilization_coeff": math.inf}},
+         "stepper.stabilization_coeff", "inf"),
     ], ids=["r_string", "constant_string", "kind_object", "t_end_string",
             "safety_string", "max_dt_string", "dt_init_null", "r_null",
             "t_end_huge_int", "t_end_inf", "max_dt_huge_int", "coefficient_huge_int",
-            "r_negative", "r_nan", "b_zero", "constant_nan"])
+            "r_negative", "r_nan", "b_zero", "constant_nan", "stabilization_coeff_inf"])
     def test_refusal_names_key(self, tmp_path, capsys, data, key, shown):
         # a value of the wrong type is refused by its key, before a
         # comparison, a hash or build_initial_support meets it; so is a JSON

@@ -197,10 +197,28 @@ def assert_same_columns(a, b):
             assert x.tobytes() == y.tobytes(), f.name
 
 
+def count_record_rows(monkeypatch):
+    """A list that gets the number of rows of each compute_record call that
+    flow makes from here on."""
+    rows = []
+
+    def counted(s, *args):
+        rows.append(len(s.values))
+        return compute_record(s, *args)
+
+    monkeypatch.setattr(flow, "compute_record", counted)
+    return rows
+
+
 def assert_row(columns, i, rec):
-    """Row i of a record of columns equals the one-state record rec."""
+    """Row i of a record of columns holds the bytes of the one-state record
+    rec in every column; a column rec leaves None is None."""
     for f in dataclasses.fields(rec):
-        assert np.array_equal(getattr(columns, f.name)[i], getattr(rec, f.name)), f.name
+        got, want = getattr(columns, f.name), getattr(rec, f.name)
+        if want is None:
+            assert got is None, f.name
+        else:
+            assert np.asarray(got[i]).tobytes() == np.asarray(want).tobytes(), f.name
 
 
 class TestRhs:
@@ -1055,35 +1073,56 @@ class TestEvolve:
         assert run_monitors(tr)["M12-convexity"].status == "pass"
 
     def test_record_columns_of_repeated_rows(self, monkeypatch):
-        # n = 512 takes 8 rows per compute_record call.  Marked repeats sit
-        # inside a block, between fresh rows, across a block boundary and
-        # at the end; only the fresh rows are computed, and every column
-        # equals the one-state record of each row, bit for bit
+        # n = 512 takes 8 rows per compute_record call.  Rows equal to their
+        # predecessor byte for byte sit inside a block, between fresh rows,
+        # across a block boundary and at the end; only the other rows are
+        # computed, among them a row equal to the row two back and a row
+        # that differs from its predecessor by the sign of a zero only, and
+        # every column equals the one-state record of each row, bit for bit
         g = PeriodicGrid(omega=1, n=512)
         states = [ellipse_support(g, 1.3 + 0.05 * j, 1.0).values for j in range(5)]
-        pick = [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 1, 2, 2, 2, 2, 2, 0, 0]
+        # the ellipse translated so that h is 0.0 at node k, then -0.0 there
+        k = g.n // 3
+        zero = states[0] - states[0][k] * np.cos(g.nodes - g.nodes[k])
+        assert zero[k] == 0.0 and not math.copysign(1.0, zero[k]) < 0
+        signed = zero.copy()
+        signed[k] = -0.0
+        states += [zero, signed]
+        pick = [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 1, 2, 2, 2, 2, 2, 0, 0, 1, 0,
+                5, 6, 6]
         H = np.array([states[j] for j in pick])
+        assert H[22].tobytes() == H[20].tobytes() != H[21].tobytes()
+        assert np.array_equal(H[24], H[23]) and H[24].tobytes() != H[23].tobytes()
         repeats = [i for i in range(1, len(pick)) if pick[i] == pick[i - 1]]
         t = np.arange(len(H)) * 1e-3
         dt = np.full(len(H), 1e-3)
-        rows = []
-        real = flow.compute_record
-
-        def counted(s, *args):
-            rows.append(len(s.values))
-            return real(s, *args)
-
-        monkeypatch.setattr(flow, "compute_record", counted)
-        cols = flow._record_columns(g, H, t, dt, repeats)
+        rows = count_record_rows(monkeypatch)
+        cols = flow._record_columns(g, H, t, dt)
         assert sum(rows) == len(H) - len(repeats) < len(H)
         for i in range(len(H)):
-            rec = real(SupportGrid(GridFunction(g, H[i]), validate=False), t[i], dt[i])
-            for f in dataclasses.fields(rec):
-                got, want = getattr(cols, f.name), getattr(rec, f.name)
-                if want is None:
-                    assert got is None, f.name
-                else:
-                    assert np.asarray(got[i]).tobytes() == np.asarray(want).tobytes(), f.name
+            assert_row(cols, i, compute_record(
+                SupportGrid(GridFunction(g, H[i]), validate=False), t[i], dt[i]))
+
+    def test_rows_repeated_under_moving_steps_reuse_their_records(self, monkeypatch):
+        # a normalized omega = 3 datum at n = 576 (the semi-implicit Fourier
+        # body): from t = 0.037 each step returns h byte for byte but moves
+        # w, and the carried spectrum, in its last bits, so no step is
+        # still, yet 716 of its 801 rows equal their predecessor byte for
+        # byte.  Their records are reused: at most 100 rows are computed,
+        # and every column holds the one-state record of its row
+        g = PeriodicGrid(omega=3, n=576)
+        s = fourier_support(g, 1.0, [(6, 0.05, 0.0), (9, 0.0, 0.02)])
+        st = FlowState(support=SupportGrid(GridFunction(g, s.values / integrate(s.h))),
+                       variant="rescaled_chainrule")
+        cfg = StepperConfig(scheme="semi_implicit", dt_init=5e-4, max_dt=2e-3)
+        rows = count_record_rows(monkeypatch)
+        tr = evolve(st, 3.2 / 9, cfg, monitor_every=4e-3 / 9)
+        assert len(tr.times) == 801 and sum(rows) <= 100
+        dts = tr.record_series("dt_used")
+        for i in range(len(tr.times)):
+            state = tr.state(i)
+            assert_row(tr.columns, i, compute_record(state.support, state.time,
+                                                     dts[i].item()))
 
 
 class TestParabolicScaling:
